@@ -202,9 +202,10 @@ def _cmd_report(args) -> int:
             ("di_rate_bits_per_step", stored.get("di_rate_bits_per_step")),
             ("mean_err_sq", stored.get("ensemble", {}).get("mean_err_sq")),
             ("mean_state_sq", stored.get("ensemble", {}).get("mean_state_sq")),
+            ("mean_cmi_bits", stored.get("ensemble", {}).get("mean_cmi_bits")),
         ]
         for key, stored_val in pairs:
-            fresh = recomputed[key if key != "mean_err_sq" and key != "mean_state_sq" else key]
+            fresh = recomputed[key]
             if stored_val is None:
                 continue
             a = np.atleast_1d(np.asarray(stored_val, dtype=float))

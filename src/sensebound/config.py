@@ -49,7 +49,7 @@ _KNOWN_KEYS = {
     "controller": {"mode", "design", "target_pole", "poles", "q", "r"},
     "run": {"horizon", "runs", "seed", "divergence_guard", "tail_window",
             "bound_state", "bound_error", "zero_threshold", "audit",
-            "audit_window", "kappa_cap", "neg_def_c", "workers"},
+            "audit_window", "kappa_cap"},
     "outputs": {"dir", "formats", "svg", "debug_beliefs"},
 }
 
@@ -119,9 +119,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         known = _KNOWN_KEYS[current]
         if key not in known:
-            where = f"[{current}]" if current else "top level"
+            dotted = f"{current}.{key}" if current else key
             raise ParseError(
-                f"unknown key {key!r} in {where}; known: {', '.join(sorted(known))}",
+                f"unknown key {dotted!r}; known: {', '.join(sorted(known))}",
                 line=line_no,
             )
         value = _parse_value(raw_value, line_no)

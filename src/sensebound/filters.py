@@ -74,6 +74,19 @@ class Belief:
         raise NotImplementedError
 
     def entropy_bits(self) -> float:
+        """Differential entropy in bits, evaluated once per belief.
+
+        Beliefs are frozen, so the first evaluation is memoised on the
+        instance: the entropy of a predicted belief serves both as the
+        previous step's terminal value and as this update's h_pred.
+        """
+        h = self.__dict__.get("_h_bits")
+        if h is None:
+            h = self._entropy_bits()
+            object.__setattr__(self, "_h_bits", h)
+        return h
+
+    def _entropy_bits(self) -> float:
         raise NotImplementedError
 
     def mean(self) -> np.ndarray:
@@ -113,7 +126,7 @@ class GaussianBelief(Belief):
     def dim(self) -> int:
         return self.mean_vec.size
 
-    def entropy_bits(self) -> float:
+    def _entropy_bits(self) -> float:
         return nats_to_bits(gaussian_entropy_nats(self.cov_mat))
 
     def mean(self) -> np.ndarray:
@@ -180,7 +193,7 @@ class GridBelief(Belief):
     def masses(self) -> np.ndarray:
         return self.density.ravel() * self.cell_volume
 
-    def entropy_bits(self) -> float:
+    def _entropy_bits(self) -> float:
         return nats_to_bits(grid_entropy_nats(self.density, self.cell_volume))
 
     def mean(self) -> np.ndarray:
@@ -262,7 +275,7 @@ class ParticleBelief(Belief):
         idx = _systematic_indices(self.weights, offset=0.5)
         return self.states[idx]
 
-    def entropy_bits(self) -> float:
+    def _entropy_bits(self) -> float:
         return nats_to_bits(knn_entropy_nats(self.equal_weight_states(), k=4))
 
     def mean(self) -> np.ndarray:

@@ -453,7 +453,7 @@ def run_sweep(
         from .config import validate_config
 
         validate_config(cfg)
-        bundle = run_experiment(cfg, seed=seed, write=False)
+        bundle = run_experiment(cfg, seed=seed, workers=workers, write=False)
         s = bundle.summary
         rows.append(
             {

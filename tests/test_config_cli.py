@@ -3,15 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import sensebound.report as report_mod
 from sensebound.cli import main
 from sensebound.config import build_context, parse_config
 from sensebound.errors import EmptySeries, ParseError, SenseboundError, ValidationError
+from sensebound.loop import run_ensemble
 from sensebound.report import (
     Series,
     read_run_csv,
     recompute_summary_from_csvs,
     render_svg,
     run_experiment,
+    run_sweep,
     write_bundle_atomic,
 )
 
@@ -71,6 +74,16 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_config(MINIMAL + "\n[system]\nfoo = 1\n")
         assert "foo" in str(err.value)
+
+    @pytest.mark.parametrize("line", ["workers = 2", "neg_def_c = 0.5"])
+    def test_unread_run_key_rejected(self, line):
+        # the worker count is set by --workers and the accumulation audit
+        # uses audits.DEFAULT_NEG_DEF_C; a key that would be parsed and then
+        # ignored is refused with its dotted path
+        key = line.split()[0]
+        with pytest.raises(ParseError) as err:
+            parse_config(MINIMAL + line + "\n")
+        assert f"run.{key}" in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError):
@@ -259,6 +272,34 @@ class TestCli:
         s["di_rate_bits_per_step"] = 123.0
         spath.write_text(json.dumps(s))
         assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
+
+    def test_report_detects_tampered_mean_cmi(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+              "--workers", "1"])
+        spath = tmp_path / "b" / "summary.json"
+        s = json.loads(spath.read_text())
+        s["ensemble"]["mean_cmi_bits"][3] += 0.25
+        spath.write_text(json.dumps(s))
+        assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
+        assert "mean_cmi_bits" in capsys.readouterr().err
+
+    def test_sweep_rows_independent_of_workers(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "run_ensemble", spy)
+        rows = [
+            run_sweep(MINIMAL, "channel.R", [[[0.25]], [[1.0]]], str(tmp_path / f"w{w}"),
+                      seed=5, workers=w)["rows"]
+            for w in (1, 2)
+        ]
+        assert seen == [1, 1, 2, 2]
+        assert rows[0] == rows[1]
 
     def test_audit_command(self, tmp_path, capsys):
         code = main(["audit", "--experiment", "modulo-counterexample",

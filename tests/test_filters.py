@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import sensebound.filters as filters_mod
 from sensebound.channels import make_channel
-from sensebound.entropy import knn_entropy_nats, nats_to_bits
+from sensebound.entropy import _kth_gap_1d, knn_entropy_nats, nats_to_bits
 from sensebound.errors import (
     DegenerateLikelihood,
     GridOverflow,
@@ -20,8 +24,13 @@ from sensebound.filters import (
     predict,
     update,
 )
+from sensebound.loop import RunContext, run_closed_loop
 from sensebound.priors import GaussianPrior
-from sensebound.system import SystemModel, decompose
+from sensebound.report import run_csv_text
+from sensebound.system import SystemModel, decompose, design_gain
+
+# the package re-exports a function named `entropy` over the submodule name
+entropy_mod = importlib.import_module("sensebound.entropy")
 
 H_STD_NORMAL_BITS = 0.5 * np.log2(2.0 * np.pi * np.e)  # 2.047095585180641
 
@@ -250,3 +259,78 @@ class TestSerialization:
                                  rng=np.random.default_rng(0))
         dp = pb.to_json_dict()
         assert dp["representation"] == "particles" and len(dp["states"]) == 64
+
+
+def _tree_kth_gap(x, k):
+    """KD-tree reference for the sorted-gap k-th neighbour distance."""
+    pts = np.asarray(x, dtype=float)[:, None]
+    return cKDTree(pts).query(pts, k=k + 1, p=np.inf)[0][:, k]
+
+
+def _particle_ctx(horizon=8, n_particles=2048):
+    model = SystemModel([[2.0]], [[1.0]])
+    dec = decompose(model)
+    return RunContext(
+        model=model,
+        decomp=dec,
+        channel=make_channel("tanh-gaussian", scale=1.0, R=[[0.01]]),
+        prior=GaussianPrior([0.0], [[0.04]]),
+        filter_kind="particle",
+        gain=design_gain(dec, method="lqr"),
+        controller_mode="update",
+        horizon=horizon,
+        n_particles=n_particles,
+    )
+
+
+class TestKnnFastPath:
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    @pytest.mark.parametrize("kind", ["gaussian", "repeated", "integer", "minimal"])
+    def test_kth_gap_equals_tree(self, k, kind):
+        rng = np.random.default_rng(11 + k)
+        x = {
+            "gaussian": lambda: rng.standard_normal(3000),
+            "repeated": lambda: np.repeat(rng.standard_normal(200), 9),
+            "integer": lambda: rng.integers(-5, 6, 2000).astype(float),
+            "minimal": lambda: rng.standard_normal(k + 1),
+        }[kind]()
+        assert np.array_equal(_kth_gap_1d(x, k), _tree_kth_gap(x, k))
+
+    def test_estimator_matches_tree_path(self, monkeypatch):
+        sample = np.random.default_rng(5).standard_normal(4000) * 0.3 + 1.0
+        fast = knn_entropy_nats(sample)
+        monkeypatch.setattr(entropy_mod, "_kth_gap_1d", _tree_kth_gap)
+        assert knn_entropy_nats(sample) == fast
+
+    def test_2d_sample_takes_tree_path(self, monkeypatch):
+        def not_for_2d(x, k):
+            raise AssertionError("the sorted-gap path is 1-D only")
+
+        monkeypatch.setattr(entropy_mod, "_kth_gap_1d", not_for_2d)
+        cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+        sample = np.random.default_rng(6).multivariate_normal([0.0, 0.0], cov, 20000)
+        h = knn_entropy_nats(sample)
+        assert h == pytest.approx(entropy_mod.gaussian_entropy_nats(cov), abs=0.05)
+
+    def test_particle_run_identical_to_tree_path(self, monkeypatch):
+        ctx = _particle_ctx()
+        fast = run_closed_loop(ctx, master_seed=3, run_index=1)
+        monkeypatch.setattr(entropy_mod, "_kth_gap_1d", _tree_kth_gap)
+        ref = run_closed_loop(ctx, master_seed=3, run_index=1)
+        assert fast.steps == ref.steps == ctx.horizon
+        assert run_csv_text(fast, 0) == run_csv_text(ref, 0)
+        assert fast.ledger.rows == ref.ledger.rows
+        assert fast.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
+
+    def test_entropy_evaluated_once_per_belief(self, monkeypatch):
+        calls = []
+
+        def counting(samples, k=4):
+            calls.append(len(samples))
+            return knn_entropy_nats(samples, k=k)
+
+        monkeypatch.setattr(filters_mod, "knn_entropy_nats", counting)
+        ctx = _particle_ctx(horizon=6, n_particles=512)
+        rec = run_closed_loop(ctx, master_seed=1, run_index=0)
+        assert rec.steps == 6
+        assert len(calls) == 2 * ctx.horizon + 1
