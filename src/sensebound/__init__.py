@@ -33,14 +33,12 @@ from .channels import (
 from .config import ExperimentConfig, build_context, parse_config, parse_config_file
 from .entropy import gaussian_entropy_nats, grid_entropy_nats, knn_entropy_nats, nats_to_bits
 from .filters import (
-    BayesFilter,
     Belief,
     FilterStep,
     GaussianBelief,
     GridBelief,
     GridSpec,
     ParticleBelief,
-    entropy,
     make_initial_belief,
     moments,
     predict,

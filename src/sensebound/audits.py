@@ -347,18 +347,22 @@ def audit_run(
     v3 = audit_assumption3(cond_trace, kappa_cap=kappa_cap)
     verdicts["assumption3"] = v3
 
+    # the accumulation starts from the prior's log-density Hessian, which
+    # priors that are not twice differentiable (Laplace, exponential,
+    # uniform) do not define
     accumulation = None
-    try:
-        acc = lemma2_accumulate(ch, decomp, prior, z_trace, y_trace, inputs, c=neg_def_c)
-        lam = acc.lambda_max_trace
-        accumulation = {
-            "first_negative_t": acc.first_negative_t,
-            "threshold": acc.threshold,
-            "lambda_max_final": float(lam[-1]),
-            "n_positive": int(np.sum(lam > 0.0)),
-        }
-    except (UnsupportedDerivative, PreconditionViolated, AttributeError):
-        pass
+    if hasattr(prior, "hessian_logpdf"):
+        try:
+            acc = lemma2_accumulate(ch, decomp, prior, z_trace, y_trace, inputs, c=neg_def_c)
+            lam = acc.lambda_max_trace
+            accumulation = {
+                "first_negative_t": acc.first_negative_t,
+                "threshold": acc.threshold,
+                "lambda_max_final": float(lam[-1]),
+                "n_positive": int(np.sum(lam > 0.0)),
+            }
+        except (UnsupportedDerivative, PreconditionViolated):
+            pass
 
     return CurvatureAudit(
         window=L,

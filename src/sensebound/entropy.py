@@ -17,10 +17,6 @@ def nats_to_bits(h: float) -> float:
     return float(h) / LN2
 
 
-def bits_to_nats(h: float) -> float:
-    return float(h) * LN2
-
-
 def gaussian_entropy_nats(cov) -> float:
     """Entropy of N(mu, cov): 0.5 * log((2*pi*e)^n det(cov))."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .channels import ChannelModel, LinearGaussianChannel
 from .entropy import (
@@ -101,6 +101,18 @@ class Belief:
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
+    def _pushed(self, A: np.ndarray, shift: np.ndarray, grid_spec: GridSpec) -> "Belief":
+        """The belief of A z + shift, one step later (used by `predict`)."""
+        raise NotImplementedError
+
+    def _conditioned(self, ch: ChannelModel, y, rng, resample_fraction: float):
+        """(posterior given y, resampled flag) (used by `update`)."""
+        raise NotImplementedError
+
+    def _weighted_points(self):
+        """(points, masses) of a discrete representation of the belief."""
+        raise IncompatibleChannel("discrete predictive needs a grid or particle belief")
+
 
 @dataclass(frozen=True)
 class GaussianBelief(Belief):
@@ -143,6 +155,27 @@ class GaussianBelief(Belief):
             "mean": self.mean_vec.tolist(),
             "cov": self.cov_mat.tolist(),
         }
+
+    def _pushed(self, A, shift, grid_spec):
+        return GaussianBelief(
+            A @ self.mean_vec + shift, A @ self.cov_mat @ A.T, t=self.t + 1, kind="predicted"
+        )
+
+    def _conditioned(self, ch, y, rng, resample_fraction):
+        if not isinstance(ch, LinearGaussianChannel):
+            raise IncompatibleChannel(
+                "the Gaussian/Kalman representation is exact only for the "
+                "linear-gaussian channel; use a grid or particle filter"
+            )
+        y = np.asarray(y, dtype=float).reshape(-1)
+        C, R = ch.C, ch.R
+        P = self.cov_mat
+        S = C @ P @ C.T + R
+        K = np.linalg.solve(S.T, C @ P).T
+        mean = self.mean_vec + K @ (y - C @ self.mean_vec)
+        I_KC = np.eye(self.dim) - K @ C
+        cov = I_KC @ P @ I_KC.T + K @ R @ K.T  # Joseph form
+        return GaussianBelief(mean, cov, t=self.t, kind="posterior"), False
 
 
 @dataclass(frozen=True)
@@ -207,18 +240,6 @@ class GridBelief(Belief):
         centered = pts - mu
         return (centered * w[:, None]).T @ centered
 
-    def logpdf_at(self, z) -> float:
-        """Log-density at a point via (multi)linear interpolation."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if self.dim == 1:
-            val = np.interp(z[0], self.axes[0], self.density, left=0.0, right=0.0)
-        else:
-            interp = RegularGridInterpolator(
-                self.axes, self.density, bounds_error=False, fill_value=0.0
-            )
-            val = float(interp(z[None, :])[0])
-        return float(np.log(val)) if val > 0 else -np.inf
-
     def to_json_dict(self) -> dict:
         return {
             "representation": "grid",
@@ -230,6 +251,51 @@ class GridBelief(Belief):
             ],
             "density": self.density.tolist(),
         }
+
+    def _pushed(self, A, shift, grid_spec):
+        mu = A @ self.mean() + shift
+        cov = A @ self.cov() @ A.T
+        axes = grid_axes_from_moments(mu, cov, grid_spec)
+        det = abs(np.linalg.det(A))
+        A_inv = np.linalg.inv(A)
+        # cubic interpolation keeps the re-gridding error well below the
+        # entropy-shift and moment tolerances; clip the slight undershoot
+        if self.dim == 1:
+            z_old = (axes[0] - shift[0]) * A_inv[0, 0]
+            dens = CubicSpline(self.axes[0], self.density)(z_old)
+            inside = (z_old >= self.axes[0][0]) & (z_old <= self.axes[0][-1])
+            dens = np.where(inside, dens, 0.0)
+        else:
+            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+            pts = np.column_stack([g0.ravel(), g1.ravel()]) - shift
+            interp = RegularGridInterpolator(
+                self.axes, self.density, bounds_error=False, fill_value=0.0,
+                method="cubic",
+            )
+            dens = interp(pts @ A_inv.T).reshape(g0.shape)
+        dens = np.clip(dens, 0.0, None) / det
+        return GridBelief(axes, dens, t=self.t + 1, kind="predicted")
+
+    def _conditioned(self, ch, y, rng, resample_fraction):
+        ll = ch.log_density_batch(y, self.nodes()).reshape(self.density.shape)
+        peak = np.max(ll)
+        if not np.isfinite(peak):
+            raise DegenerateLikelihood("likelihood vanished on the whole grid")
+        dens = self.density * np.exp(ll - peak)
+        total = dens.sum() * self.cell_volume
+        if total <= 0.0 or not np.isfinite(total):
+            raise DegenerateLikelihood("posterior grid mass underflowed")
+        return GridBelief(self.axes, dens, t=self.t, kind="posterior"), False
+
+    def _weighted_points(self):
+        return self.nodes(), self.masses()
+
+
+# Liu-West shrinkage constant for the post-resample kernel: the plant has
+# no process noise, so without rejuvenation resampled duplicates could
+# never separate again and the support would collapse. The shrinkage
+# kernel preserves the posterior mean and covariance exactly.
+_LIU_WEST_A = 0.99
 
 
 @dataclass(frozen=True)
@@ -295,6 +361,40 @@ class ParticleBelief(Belief):
             "weights": self.weights.tolist(),
         }
 
+    def _pushed(self, A, shift, grid_spec):
+        return ParticleBelief(
+            self.states @ A.T + shift, self.weights.copy(), t=self.t + 1, kind="predicted"
+        )
+
+    def _conditioned(self, ch, y, rng, resample_fraction):
+        with np.errstate(divide="ignore"):
+            logw = np.log(self.weights) + ch.log_density_batch(y, self.states)
+        peak = np.max(logw)
+        if not np.isfinite(peak):
+            raise DegenerateLikelihood("all particle weights underflowed")
+        w = np.exp(logw - peak)
+        w_sum = w.sum()
+        if w_sum <= 0.0 or not np.isfinite(w_sum):
+            raise DegenerateLikelihood("all particle weights underflowed")
+        post = ParticleBelief(self.states.copy(), w / w_sum, t=self.t, kind="posterior")
+        if post.ess() >= resample_fraction * post.n_particles:
+            return post, False
+        if rng is None:
+            raise ValueError("particle update needs an rng once resampling triggers")
+        idx = _systematic_indices(post.weights, offset=float(rng.random()))
+        states = post.states[idx]
+        mu = post.mean()
+        cov = post.cov() + 1e-30 * np.eye(post.dim)
+        a = _LIU_WEST_A
+        h = np.sqrt(1.0 - a * a)
+        chol = np.linalg.cholesky(cov)
+        noise = rng.standard_normal(states.shape) @ (h * chol).T
+        states = mu + a * (states - mu) + noise
+        return ParticleBelief(states, None, t=self.t, kind="posterior"), True
+
+    def _weighted_points(self):
+        return self.states, self.weights
+
 
 def _systematic_indices(weights: np.ndarray, offset: float) -> np.ndarray:
     n = weights.shape[0]
@@ -321,31 +421,7 @@ class FilterStep:
 
 
 # ---------------------------------------------------------------------------
-# predict
-
-
-def predict(belief: Belief, decomp, u, grid_spec: GridSpec = DEFAULT_GRID_SPEC) -> Belief:
-    """Push a posterior at time t through the unstable dynamics to t+1."""
-    A = np.asarray(decomp.A_u, dtype=float)
-    B = np.asarray(decomp.B_u, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    shift = B @ u
-
-    if isinstance(belief, GaussianBelief):
-        mean = A @ belief.mean_vec + shift
-        cov = A @ belief.cov_mat @ A.T
-        return GaussianBelief(mean, cov, t=belief.t + 1, kind="predicted")
-
-    if isinstance(belief, GridBelief):
-        return _predict_grid(belief, A, shift, grid_spec)
-
-    if isinstance(belief, ParticleBelief):
-        states = belief.states @ A.T + shift
-        return ParticleBelief(
-            states, belief.weights.copy(), t=belief.t + 1, kind="predicted"
-        )
-
-    raise TypeError(f"unknown belief type {type(belief)!r}")
+# predict / update
 
 
 def grid_axes_from_moments(mean, cov, spec: GridSpec) -> tuple:
@@ -365,37 +441,12 @@ def grid_axes_from_moments(mean, cov, spec: GridSpec) -> tuple:
     return tuple(axes)
 
 
-def _predict_grid(belief: GridBelief, A, shift, spec: GridSpec) -> GridBelief:
-    mu = A @ belief.mean() + shift
-    cov = A @ belief.cov() @ A.T
-    axes = grid_axes_from_moments(mu, cov, spec)
-    det = abs(np.linalg.det(A))
-    A_inv = np.linalg.inv(A)
-    # cubic interpolation keeps the re-gridding error well below the
-    # entropy-shift and moment tolerances; clip the slight undershoot
-    if belief.dim == 1:
-        from scipy.interpolate import CubicSpline
-
-        z_old = (axes[0] - shift[0]) * A_inv[0, 0]
-        spline = CubicSpline(belief.axes[0], belief.density)
-        dens = spline(z_old)
-        inside = (z_old >= belief.axes[0][0]) & (z_old <= belief.axes[0][-1])
-        dens = np.where(inside, dens, 0.0)
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([g0.ravel(), g1.ravel()]) - shift
-        old_pts = pts @ A_inv.T
-        interp = RegularGridInterpolator(
-            belief.axes, belief.density, bounds_error=False, fill_value=0.0,
-            method="cubic",
-        )
-        dens = interp(old_pts).reshape(g0.shape)
-    dens = np.clip(dens, 0.0, None) / det
-    return GridBelief(axes, dens, t=belief.t + 1, kind="predicted")
-
-
-# ---------------------------------------------------------------------------
-# update
+def predict(belief: Belief, decomp, u, grid_spec: GridSpec = DEFAULT_GRID_SPEC) -> Belief:
+    """Push a posterior at time t through the unstable dynamics to t+1."""
+    A = np.asarray(decomp.A_u, dtype=float)
+    B = np.asarray(decomp.B_u, dtype=float)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    return belief._pushed(A, B @ u, grid_spec)
 
 
 def update(
@@ -413,18 +464,7 @@ def update(
     drop is sign-constrained.
     """
     h_pred = belief_pred.entropy_bits()
-
-    if isinstance(belief_pred, GaussianBelief):
-        post = _update_kalman(belief_pred, ch, y)
-        resampled = False
-    elif isinstance(belief_pred, GridBelief):
-        post = _update_grid(belief_pred, ch, y)
-        resampled = False
-    elif isinstance(belief_pred, ParticleBelief):
-        post, resampled = _update_particles(belief_pred, ch, y, rng, resample_fraction)
-    else:
-        raise TypeError(f"unknown belief type {type(belief_pred)!r}")
-
+    post, resampled = belief_pred._conditioned(ch, y, rng, resample_fraction)
     h_post = post.entropy_bits()
     cmi_channel = None
     if ch.support == "discrete":
@@ -441,98 +481,18 @@ def update(
     )
 
 
-def _update_kalman(belief: GaussianBelief, ch: ChannelModel, y) -> GaussianBelief:
-    if not isinstance(ch, LinearGaussianChannel):
-        raise IncompatibleChannel(
-            "the Gaussian/Kalman representation is exact only for the "
-            "linear-gaussian channel; use a grid or particle filter"
-        )
-    y = np.asarray(y, dtype=float).reshape(-1)
-    C, R = ch.C, ch.R
-    P = belief.cov_mat
-    S = C @ P @ C.T + R
-    K = np.linalg.solve(S.T, C @ P).T
-    mean = belief.mean_vec + K @ (y - C @ belief.mean_vec)
-    I_KC = np.eye(belief.dim) - K @ C
-    cov = I_KC @ P @ I_KC.T + K @ R @ K.T  # Joseph form
-    return GaussianBelief(mean, cov, t=belief.t, kind="posterior")
-
-
-def _update_grid(belief: GridBelief, ch: ChannelModel, y) -> GridBelief:
-    ll = ch.log_density_batch(y, belief.nodes()).reshape(belief.density.shape)
-    peak = np.max(ll)
-    if not np.isfinite(peak):
-        raise DegenerateLikelihood("likelihood vanished on the whole grid")
-    dens = belief.density * np.exp(ll - peak)
-    total = dens.sum() * belief.cell_volume
-    if total <= 0.0 or not np.isfinite(total):
-        raise DegenerateLikelihood("posterior grid mass underflowed")
-    return GridBelief(belief.axes, dens, t=belief.t, kind="posterior")
-
-
-# Liu-West shrinkage constant for the post-resample kernel: the plant has
-# no process noise, so without rejuvenation resampled duplicates could
-# never separate again and the support would collapse. The shrinkage
-# kernel preserves the posterior mean and covariance exactly.
-_LIU_WEST_A = 0.99
-
-
-def _update_particles(belief, ch, y, rng, resample_fraction):
-    with np.errstate(divide="ignore"):
-        logw = np.log(belief.weights) + ch.log_density_batch(y, belief.states)
-    peak = np.max(logw)
-    if not np.isfinite(peak):
-        raise DegenerateLikelihood("all particle weights underflowed")
-    w = np.exp(logw - peak)
-    w_sum = w.sum()
-    if w_sum <= 0.0 or not np.isfinite(w_sum):
-        raise DegenerateLikelihood("all particle weights underflowed")
-    w = w / w_sum
-    post = ParticleBelief(belief.states.copy(), w, t=belief.t, kind="posterior")
-    resampled = False
-    if post.ess() < resample_fraction * post.n_particles:
-        if rng is None:
-            raise ValueError("particle update needs an rng once resampling triggers")
-        idx = _systematic_indices(post.weights, offset=float(rng.random()))
-        states = post.states[idx]
-        mu = post.mean()
-        cov = post.cov() + 1e-30 * np.eye(post.dim)
-        a = _LIU_WEST_A
-        h = np.sqrt(1.0 - a * a)
-        chol = np.linalg.cholesky(cov)
-        noise = rng.standard_normal(states.shape) @ (h * chol).T
-        states = mu + a * (states - mu) + noise
-        post = ParticleBelief(states, None, t=belief.t, kind="posterior")
-        resampled = True
-    return post, resampled
-
-
 def _discrete_predictive_entropy_bits(belief_pred: Belief, ch: ChannelModel) -> float:
     """Entropy (bits) of the predictive observation pmf under belief_pred.
 
     For a deterministic quantizer this equals the conditional mutual
     information carried by the observation.
     """
-    if isinstance(belief_pred, GridBelief):
-        pts, w = belief_pred.nodes(), belief_pred.masses()
-    elif isinstance(belief_pred, ParticleBelief):
-        pts, w = belief_pred.states, belief_pred.weights
-    else:
-        raise IncompatibleChannel("discrete predictive needs a grid or particle belief")
+    pts, w = belief_pred._weighted_points()
     labels = ch.deterministic_labels(pts)
     _, inverse = np.unique(labels, axis=0, return_inverse=True)
     pmf = np.bincount(inverse, weights=w)
     pmf = pmf[pmf > 0]
     return float(-np.sum(pmf * np.log2(pmf)))
-
-
-# ---------------------------------------------------------------------------
-# moments / entropy as free operations
-
-
-def entropy(belief: Belief) -> float:
-    """Differential entropy of a belief in bits."""
-    return belief.entropy_bits()
 
 
 def moments(belief: Belief):
@@ -541,7 +501,7 @@ def moments(belief: Belief):
 
 
 # ---------------------------------------------------------------------------
-# initial beliefs and the run-facing facade
+# initial beliefs
 
 
 def make_initial_belief(
@@ -570,21 +530,3 @@ def make_initial_belief(
         return ParticleBelief(np.atleast_2d(states), None, t=0, kind="predicted")
     raise ValueError(f"unknown filter kind {kind!r}")
 
-
-class BayesFilter:
-    """Holds the current belief pair for one run; thin wrapper over the ops."""
-
-    def __init__(self, decomp, belief: Belief, grid_spec: GridSpec = DEFAULT_GRID_SPEC):
-        self.decomp = decomp
-        self.grid_spec = grid_spec
-        self.belief_pred = belief
-        self.belief_post = None
-
-    def update(self, ch: ChannelModel, y, rng=None) -> FilterStep:
-        step = update(self.belief_pred, ch, y, rng=rng)
-        self.belief_post = step.belief_post
-        return step
-
-    def predict(self, u) -> Belief:
-        self.belief_pred = predict(self.belief_post, self.decomp, u, self.grid_spec)
-        return self.belief_pred

@@ -78,9 +78,6 @@ class InfoLedger:
         T = len(self.rows) - 1 if T is None else T
         return self.rows[T].di_cum / (T + 1)
 
-    def cmi_trace(self) -> np.ndarray:
-        return np.array([r.cmi for r in self.rows])
-
 
 def record_step(ledger: InfoLedger, step) -> InfoLedger:
     """Append one filter step to the ledger (in place) and return it."""

@@ -102,9 +102,6 @@ class ModeDecomposition:
         z = np.asarray(z, dtype=float)
         return z[: self.n_u], z[self.n_u :]
 
-    def to_modes(self, x: np.ndarray) -> np.ndarray:
-        return self.T @ np.asarray(x, dtype=float)
-
     def from_modes(self, z: np.ndarray) -> np.ndarray:
         return self.T_inv @ np.asarray(z, dtype=float)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sensebound.audits as audits_mod
 from conftest import fd_hessian_1d
 from sensebound.audits import (
     audit_assumption1,
@@ -305,3 +306,20 @@ class TestAuditRun:
         )
         assert not audit.verdicts["assumption1"].applicable
         assert audit.verdicts["assumption1"].passed is None
+
+    def test_prior_without_hessian_skips_accumulation(self, scalar_double):
+        ch = make_channel("tanh-gaussian", scale=1.0, R=[[0.04]])
+        zs, ys, us = make_gaussian_trajectory(scalar_double, ch, 8)
+        audit = audit_run(ch, scalar_double, LaplacePrior(), zs, ys, us, np.ones(8), L=2)
+        assert audit.accumulation is None
+        assert audit.alpha_hat is not None
+
+    def test_attribute_error_in_accumulation_propagates(self, scalar_double, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AttributeError("bug inside lemma2_accumulate")
+
+        monkeypatch.setattr(audits_mod, "lemma2_accumulate", broken)
+        ch = make_channel("tanh-gaussian", scale=1.0, R=[[0.04]])
+        zs, ys, us = make_gaussian_trajectory(scalar_double, ch, 8)
+        with pytest.raises(AttributeError, match="bug inside"):
+            audit_run(ch, scalar_double, GaussianPrior([0.0], [[1.0]]), zs, ys, us, np.ones(8))

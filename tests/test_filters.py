@@ -1,9 +1,10 @@
-import importlib
+import types
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import sensebound.entropy as entropy_mod
 import sensebound.filters as filters_mod
 from sensebound.channels import make_channel
 from sensebound.entropy import _kth_gap_1d, knn_entropy_nats, nats_to_bits
@@ -18,7 +19,6 @@ from sensebound.filters import (
     GridBelief,
     GridSpec,
     ParticleBelief,
-    entropy,
     make_initial_belief,
     moments,
     predict,
@@ -28,9 +28,6 @@ from sensebound.loop import RunContext, run_closed_loop
 from sensebound.priors import GaussianPrior
 from sensebound.report import run_csv_text
 from sensebound.system import SystemModel, decompose, design_gain
-
-# the package re-exports a function named `entropy` over the submodule name
-entropy_mod = importlib.import_module("sensebound.entropy")
 
 H_STD_NORMAL_BITS = 0.5 * np.log2(2.0 * np.pi * np.e)  # 2.047095585180641
 
@@ -60,7 +57,14 @@ class TestEntropies:
     def test_singular_covariance(self):
         b = GaussianBelief([0.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(SingularCovariance):
-            entropy(b)
+            b.entropy_bits()
+
+    def test_entropy_submodule_not_shadowed(self):
+        import sensebound
+        import sensebound.entropy as m
+
+        assert isinstance(m, types.ModuleType)
+        assert sensebound.entropy is m
 
     def test_knn_estimator_on_gaussian(self):
         rng = np.random.default_rng(4)

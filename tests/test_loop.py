@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sensebound.channels import LinearGaussianChannel, make_channel
+from sensebound.config import build_context
+from sensebound.experiments import load_bundled
 from sensebound.loop import (
     OutcomeThresholds,
     RunContext,
@@ -33,6 +37,12 @@ def kalman_ctx(a=2.0, r=1.0, horizon=200, mode="predict", gain_pole=0.5, guard=1
         horizon=horizon,
         divergence_guard=guard,
     )
+
+
+def replayed_errors(ctx, rec):
+    """Posterior-mean errors z_hat - z_u, re-derived from the recorded (u, y)."""
+    steps = replay_filter(ctx.decomp, ctx.channel, ctx.prior, ctx.filter_kind, rec.u, rec.y)
+    return np.array([s.belief_post.mean() for s in steps]) - rec.z_u
 
 
 class TestClosedLoop:
@@ -69,16 +79,19 @@ class TestClosedLoop:
         """z_{t+1} - A_cl z_t recomputes to B_u K e_t (update timing)."""
         ctx = kalman_ctx(mode="update", horizon=60)
         rec = run_closed_loop(ctx, 21, 0)
+        e = replayed_errors(ctx, rec)
         A_cl = ctx.decomp.A_u + ctx.decomp.B_u @ ctx.gain.K
         for t in range(rec.steps - 1):
             lhs = rec.z_u[t + 1] - A_cl @ rec.z_u[t]
-            w_t = ctx.decomp.B_u @ ctx.gain.K @ rec.e[t]
+            w_t = ctx.decomp.B_u @ ctx.gain.K @ e[t]
             assert lhs == pytest.approx(w_t, abs=1e-9)
 
     def test_error_recomputable(self):
-        rec = run_closed_loop(kalman_ctx(horizon=40), 33, 0)
-        assert np.allclose(rec.e, rec.z_hat - rec.z_u)
-        assert np.allclose(rec.err_norm_sq, np.sum(rec.e**2, axis=1))
+        ctx = kalman_ctx(horizon=40)
+        rec = run_closed_loop(ctx, 33, 0)
+        e = replayed_errors(ctx, rec)
+        assert e.shape == (rec.steps, 1)
+        assert np.allclose(rec.err_norm_sq, np.sum(e**2, axis=1))
 
     def test_measurability_canary(self):
         """In predict timing, u_t cannot depend on y_t: spiking the current
@@ -255,3 +268,17 @@ class TestReplay:
         )
         for i, step in enumerate(steps):
             assert step.h_post == pytest.approx(rec.ledger.rows[i].h_post, abs=1e-12)
+
+    def test_replay_matches_grid_ledger_exactly(self):
+        """The loop and the replay drive predict/update separately; on a
+        grid run they must agree on every ledger entropy bit for bit."""
+        ctx = replace(build_context(load_bundled("sign-threshold-easy")), horizon=6)
+        rec = run_closed_loop(ctx, 17, 3)
+        assert ctx.filter_kind == "grid" and rec.steps == 6
+        assert rec.y.shape == (6, ctx.channel.obs_dim)
+        steps = replay_filter(
+            ctx.decomp, ctx.channel, ctx.prior, "grid", rec.u, rec.y, grid_spec=ctx.grid_spec
+        )
+        assert [(s.h_pred, s.h_post) for s in steps] == [
+            (row.h_pred, row.h_post) for row in rec.ledger.rows
+        ]
