@@ -66,10 +66,17 @@ class CurvatureAudit:
         }
 
 
-def audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L: int) -> AssumptionVerdict:
+def audit_assumption1(
+    ch, decomp, z_trace, y_trace, inputs, L: int, channel_at=None
+) -> AssumptionVerdict:
     """Window the pulled-back observation Hessians and find the worst top
     eigenvalue: alpha_hat is the largest margin by which the windowed sums
-    stay negative definite."""
+    stay negative definite.
+
+    channel_at(k) is the channel of step k, for time-varying noise; by
+    default every step uses ch.
+    """
+    at = channel_at or (lambda k: ch)
     if L < 1:
         raise ValueError("window length must be >= 1")
     n_steps = len(y_trace)
@@ -80,7 +87,7 @@ def audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L: int) -> Assumptio
         S = np.zeros((decomp.n_u, decomp.n_u))
         for k in range(t - L + 1, t + 1):
             S = S + pulled_back_hessian(
-                ch, decomp, y_trace[k], k, t, z_trace[t], inputs=inputs
+                at(k), decomp, y_trace[k], k, t, z_trace[t], inputs=inputs
             )
         eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
         lam_max = float(eigs[-1])
@@ -251,18 +258,22 @@ def lemma2_accumulate(
     inputs,
     c: float = DEFAULT_NEG_DEF_C,
     keep_hessians: bool = False,
+    channel_at=None,
 ) -> CurvatureAccumulation:
     """Accumulate H_t = (A^-t)^T H_prior (A^-t) + sum_k pulled-back H_obs,k.
 
     Uses the equivalent one-step recursion
     H_t = (A^-1)^T H_{t-1} (A^-1) + H_obs,t with H_obs evaluated along the
-    recorded trajectory. first_negative_t is the first time the trace
-    enters the lambda_max <= -c regime and stays there through the
-    trailing half of the audited horizon; None when positive excursions
-    keep recurring that late (the log-concavity-violation signature).
+    recorded trajectory, through channel_at(t) when the channel varies
+    with t (as in audit_assumption1). first_negative_t is the first time
+    the trace enters the lambda_max <= -c regime and stays there through
+    the trailing half of the audited horizon; None when positive
+    excursions keep recurring that late (the log-concavity-violation
+    signature).
     """
     if c <= 0:
         raise ValueError("negative-definiteness threshold c must be positive")
+    at = channel_at or (lambda k: ch)
     ch._require_smooth()
     A_u = np.asarray(decomp.A_u, dtype=float)
     mags = np.abs(np.linalg.eigvals(A_u))
@@ -279,7 +290,7 @@ def lemma2_accumulate(
     for t in range(len(y_trace)):
         if t > 0:
             H = A_inv.T @ H @ A_inv
-        H_obs = ch.log_likelihood(y_trace[t], np.asarray(z_trace[t]).reshape(-1)).hessian
+        H_obs = at(t).log_likelihood(y_trace[t], np.asarray(z_trace[t]).reshape(-1)).hessian
         H = 0.5 * ((H + H_obs) + (H + H_obs).T)
         lam_trace.append(float(np.max(np.linalg.eigvalsh(H))))
         if keep_hessians:
@@ -309,16 +320,19 @@ def audit_run(
     L: int = 2,
     kappa_cap: float = DEFAULT_KAPPA_CAP,
     neg_def_c: float = DEFAULT_NEG_DEF_C,
+    channel_at=None,
 ) -> CurvatureAudit:
     """Run the three assumption audits against one recorded trajectory.
 
     Non-smooth channels make the curvature audits inapplicable rather
     than failed, mirroring the scope of the assumptions themselves.
+    channel_at(k), when given, is the channel of step k (time-varying
+    noise); each curvature term is evaluated with it.
     """
     verdicts = {}
     alpha_hat = None
     try:
-        v1 = audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L)
+        v1 = audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L, channel_at)
         alpha_hat = v1.statistic
     except UnsupportedDerivative as exc:
         v1 = AssumptionVerdict(
@@ -353,7 +367,10 @@ def audit_run(
     accumulation = None
     if hasattr(prior, "hessian_logpdf"):
         try:
-            acc = lemma2_accumulate(ch, decomp, prior, z_trace, y_trace, inputs, c=neg_def_c)
+            acc = lemma2_accumulate(
+                ch, decomp, prior, z_trace, y_trace, inputs, c=neg_def_c,
+                channel_at=channel_at,
+            )
             lam = acc.lambda_max_trace
             accumulation = {
                 "first_negative_t": acc.first_negative_t,

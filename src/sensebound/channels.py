@@ -99,6 +99,11 @@ class _GaussianNoiseChannel(ChannelModel):
     def obs_dim(self) -> int:
         return self.R.shape[0]
 
+    @property
+    def noise_factor(self) -> np.ndarray:
+        """Lower Cholesky factor L of R: the noise is L w, w ~ N(0, I)."""
+        return self._chol
+
     # g, g', g'' are elementwise; LinearGaussianChannel overrides everything.
     def _g(self, X):
         raise NotImplementedError

@@ -4,6 +4,8 @@ All estimators here return nats; callers convert to bits at public
 boundaries via :func:`nats_to_bits`.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
@@ -66,6 +68,18 @@ def _kth_gap_1d(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _unit_jitter(shape: tuple) -> np.ndarray:
+    """The fixed-seed standard normals behind the kNN tie-break jitter.
+
+    Every call with one sample shape draws the same values, so they are
+    drawn once per shape and shared read-only.
+    """
+    z = np.random.default_rng(0x5EED).standard_normal(shape)
+    z.setflags(write=False)
+    return z
+
+
 def knn_entropy_nats(samples, k: int = 4) -> float:
     """Kozachenko-Leonenko k-NN entropy estimate for equal-weight samples.
 
@@ -89,8 +103,7 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
     # keep the jitter above the float spacing at the data's magnitude even
     # when the spread collapses, else exact duplicates survive it
     scale = np.maximum(np.std(x, axis=0), 1e-4 * (1.0 + np.abs(x).max(axis=0)))
-    jitter_rng = np.random.default_rng(0x5EED)
-    xj = x + 1e-10 * scale * jitter_rng.standard_normal(x.shape)
+    xj = x + 1e-10 * scale * _unit_jitter(x.shape)
     if d == 1:
         eps = _kth_gap_1d(xj[:, 0], k)
     else:

@@ -168,14 +168,18 @@ class GaussianBelief(Belief):
                 "linear-gaussian channel; use a grid or particle filter"
             )
         y = np.asarray(y, dtype=float).reshape(-1)
-        C, R = ch.C, ch.R
-        P = self.cov_mat
-        S = C @ P @ C.T + R
-        K = np.linalg.solve(S.T, C @ P).T
+        C, R, P = ch.C, ch.R, self.cov_mat
+        K = self.kalman_gain(ch)
         mean = self.mean_vec + K @ (y - C @ self.mean_vec)
         I_KC = np.eye(self.dim) - K @ C
         cov = I_KC @ P @ I_KC.T + K @ R @ K.T  # Joseph form
         return GaussianBelief(mean, cov, t=self.t, kind="posterior"), False
+
+    def kalman_gain(self, ch: LinearGaussianChannel) -> np.ndarray:
+        """K = P C^T (C P C^T + R)^{-1}; it depends on the covariance only."""
+        C, P = ch.C, self.cov_mat
+        S = C @ P @ C.T + ch.R
+        return np.linalg.solve(S.T, C @ P).T
 
 
 @dataclass(frozen=True)

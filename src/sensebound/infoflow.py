@@ -70,6 +70,26 @@ class InfoLedger:
         )
         return self
 
+    def head(self, k: int) -> "InfoLedger":
+        """The ledger as it stood after its first k rows, closed with the
+        predicted entropy that followed them.
+
+        Runs of one Kalman ensemble share a data-independent entropy trace
+        and differ only in where they stop, so each takes a head of one
+        ledger. The head is closed: it keeps di_cum but not the running
+        sum's compensation term, so it is not meant to record further steps.
+        """
+        if not 0 <= k <= len(self.rows):
+            raise ValueError(f"k={k} outside 0..{len(self.rows)}")
+        head = InfoLedger(self.r_exp, self.h0, self.expansion)
+        head.rows = self.rows[:k]
+        if k:
+            head._di_sum = self.rows[k - 1].di_cum
+            head.terminal_h_pred = (
+                self.rows[k].h_pred if k < len(self.rows) else self.terminal_h_pred
+            )
+        return head
+
     @property
     def di_cum(self) -> float:
         return self._di_sum

@@ -12,6 +12,11 @@ Two controller timings are supported and never mixed within a run:
 Runs are independent units: each owns its plant state, filter and random
 stream (split off the master seed by run index), so ensembles parallelise
 trivially and reductions use exact summation to stay order-independent.
+
+`run_closed_loop` is the scalar reference for every filter. Kalman
+ensembles run in blocks instead (`run_kalman_block`): the Riccati
+recursion does not depend on the data, so a block computes it once and
+carries every run's state and filter mean as one row of an array.
 """
 
 import math
@@ -26,7 +31,7 @@ import numpy as np
 from . import filters
 from .audits import CurvatureAudit, audit_run
 from .errors import DegenerateLikelihood
-from .filters import DEFAULT_GRID_SPEC, GridSpec, make_initial_belief
+from .filters import DEFAULT_GRID_SPEC, GaussianBelief, GridSpec, make_initial_belief
 from .infoflow import InfoLedger, ensemble_mean_ledger
 from .system import FeedbackGain, ModeDecomposition, SystemModel
 
@@ -132,12 +137,9 @@ def run_closed_loop(
         ctx.prior, ctx.filter_kind, grid_spec=ctx.grid_spec,
         n_particles=ctx.n_particles, rng=rng,
     )
-    expansion = (
-        decomp.r_exp
-        if decomp.n_u > 0
-        else float(np.log2(abs(np.linalg.det(trk.A_u))))
+    ledger = InfoLedger(
+        r_exp=decomp.r_exp, h0=belief.entropy_bits(), expansion=_expansion(decomp, trk)
     )
-    ledger = InfoLedger(r_exp=decomp.r_exp, h0=belief.entropy_bits(), expansion=expansion)
 
     K = ctx.gain.K if ctx.gain is not None else None
     rows_t, zs, us, ys, sn, en, cond = ([] for _ in range(7))
@@ -145,6 +147,8 @@ def run_closed_loop(
     halted = degenerate = False
     halted_t = degenerate_t = None
     beliefs_json = [] if collect_beliefs else None
+    x = decomp.from_modes(np.concatenate([z_u, z_s]))
+    x_sq = float(x @ x)
 
     for t in range(ctx.horizon):
         ch_t = ctx.channel_at(t)
@@ -165,12 +169,11 @@ def run_closed_loop(
             u_t = K @ step.belief_post.mean()
 
         e_t = step.belief_post.mean() - z_u
-        x_t = decomp.from_modes(np.concatenate([z_u, z_s]))
         rows_t.append(t)
         zs.append(z_u.copy())
         us.append(u_t.copy())
         ys.append(y_t)
-        sn.append(float(x_t @ x_t))
+        sn.append(x_sq)
         en.append(float(e_t @ e_t))
         cond.append(step.cond_number)
         cmi_channel.append(step.cmi_channel)
@@ -183,8 +186,9 @@ def run_closed_loop(
         belief = filters.predict(step.belief_post, trk, u_t, ctx.grid_spec)
         ledger.terminal_h_pred = belief.entropy_bits()
 
-        x_next = decomp.from_modes(np.concatenate([z_u, z_s]))
-        if float(x_next @ x_next) > ctx.divergence_guard:
+        x = decomp.from_modes(np.concatenate([z_u, z_s]))
+        x_sq = float(x @ x)
+        if x_sq > ctx.divergence_guard:
             halted, halted_t = True, t + 1
             break
 
@@ -210,19 +214,183 @@ def run_closed_loop(
         degenerate_t=degenerate_t,
         beliefs_json=beliefs_json,
     )
-    if collect_audits and record.steps > 0:
-        record.audits = audit_run(
-            ctx.channel_at(0) if ctx.noise_gamma is None else ctx.channel,
-            trk,
-            ctx.prior,
-            record.z_u,
-            record.y,
-            record.u,
-            record.cond,
-            L=min(audit_window, record.steps),
-            kappa_cap=kappa_cap,
-        )
+    if collect_audits:
+        record.audits = _audit(ctx, record, audit_window, kappa_cap)
     return record
+
+
+def _expansion(decomp: ModeDecomposition, trk: ModeDecomposition) -> float:
+    """Entropy production of the tracked block, log2|det A_block|."""
+    if decomp.n_u > 0:
+        return decomp.r_exp
+    return float(np.log2(abs(np.linalg.det(trk.A_u))))
+
+
+def _audit(
+    ctx: RunContext, record: RunRecord, audit_window: int, kappa_cap: float
+) -> Optional[CurvatureAudit]:
+    """The curvature audits of a finished run (None for a run with no
+    step); each Hessian term is evaluated with the channel of its own step."""
+    if record.steps == 0:
+        return None
+    return audit_run(
+        ctx.channel,
+        tracked_block(ctx.decomp),
+        ctx.prior,
+        record.z_u,
+        record.y,
+        record.u,
+        record.cond,
+        L=min(audit_window, record.steps),
+        kappa_cap=kappa_cap,
+        channel_at=ctx.channel_at,
+    )
+
+
+def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X.
+
+    The sum runs column by column in a fixed order, so a row's bits depend
+    on that row alone; a BLAS matmul picks its kernel, and with it the
+    summation order, by the shape of the whole block. Like a BLAS matvec it
+    starts from +0, so with one column it gives the scalar loop's bits,
+    signed zeros included.
+    """
+    out = np.zeros((X.shape[0], M.shape[0]))
+    for j in range(M.shape[1]):
+        out += X[:, j : j + 1] * M[:, j]
+    return out
+
+
+def _rows_sq(X: np.ndarray) -> np.ndarray:
+    """x @ x for every row x of X, row-independent like `_rows_times`."""
+    out = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        out = out + X[:, j] * X[:, j]
+    return out
+
+
+def run_kalman_block(
+    ctx: RunContext,
+    master_seed: int,
+    runs: range,
+    collect_audits: bool = False,
+    audit_window: int = 2,
+    kappa_cap: float = 1e6,
+    collect_beliefs: bool = False,
+) -> list:
+    """The Kalman runs with the given indices, as one batch.
+
+    Gives the records `run_closed_loop` gives for each index: bit for bit
+    when n = m = p = 1, else to rounding (the scalar loop's BLAS matvecs
+    sum in another order), and always the same bits at any block size.
+
+    The covariances, gains and entropies do not depend on the data, so one
+    zero-mean Gaussian belief is driven through `filters.update` and
+    `filters.predict` for the whole block; its ledger rows are shared and
+    each run keeps the head it lived through. Every run's modes and filter
+    mean are one row of an array, and its random variates are drawn up
+    front from its own stream in the order the scalar loop draws them.
+    Observations are C z + L w from the channel's matrices, the law of
+    `LinearGaussianChannel.sample`. Runs that cross the divergence guard
+    leave the arrays.
+    """
+    decomp = ctx.decomp
+    trk = tracked_block(decomp)
+    n, n_u, m = decomp.n, trk.n_u, ctx.model.m
+    p, T, N = ctx.channel.obs_dim, ctx.horizon, len(runs)
+
+    Z, Zs, W = np.empty((N, n_u)), np.empty((N, n - n_u)), np.empty((N, T, p))
+    for r, i in enumerate(runs):
+        rng = np.random.default_rng([int(master_seed), int(i)])
+        Z[r] = np.asarray(ctx.prior.sample(rng), dtype=float).reshape(-1)
+        if n > n_u:
+            Zs[r] = rng.standard_normal(n - n_u)
+        W[r] = rng.standard_normal((T, p))
+
+    start = make_initial_belief(ctx.prior, ctx.filter_kind)
+    M = np.tile(start.mean_vec, (N, 1))
+    belief = GaussianBelief(np.zeros(n_u), start.cov_mat, kind="predicted")
+    ledger = InfoLedger(
+        r_exp=decomp.r_exp, h0=belief.entropy_bits(), expansion=_expansion(decomp, trk)
+    )
+    K = ctx.gain.K if ctx.gain is not None else None
+    y0, u0 = np.zeros(p), np.zeros(m)
+
+    z_h, u_h, y_h = np.empty((N, T, n_u)), np.empty((N, T, m)), np.empty((N, T, p))
+    sn_h, en_h = np.empty((N, T)), np.empty((N, T))
+    mean_h = np.empty((N, T, n_u)) if collect_beliefs else None
+    cond, posts = [], []
+    halted_t = np.zeros(N, dtype=int)  # 0: still running
+    alive = np.arange(N)
+
+    def state_sq(Z, Zs):
+        return _rows_sq(_rows_times(np.concatenate([Z, Zs], axis=1), decomp.T_inv))
+
+    x_sq = state_sq(Z, Zs)
+
+    for t in range(T):
+        if alive.size == 0:
+            break
+        ch_t = ctx.channel_at(t)
+        if ctx.controller_mode == "predict" and K is not None:
+            U = _rows_times(M, K)
+        else:
+            U = np.zeros((alive.size, m))
+        step = filters.update(belief, ch_t, y0)
+        ledger.record(step)
+        Y = _rows_times(Z, ch_t.C) + _rows_times(W[alive, t], ch_t.noise_factor)
+        M = M + _rows_times(Y - _rows_times(M, ch_t.C), belief.kalman_gain(ch_t))
+        if ctx.controller_mode == "update" and K is not None:
+            U = _rows_times(M, K)
+
+        z_h[alive, t], u_h[alive, t], y_h[alive, t] = Z, U, Y
+        sn_h[alive, t], en_h[alive, t] = x_sq, _rows_sq(M - Z)
+        cond.append(step.cond_number)
+        if collect_beliefs:
+            mean_h[alive, t] = M
+            posts.append(step.belief_post.to_json_dict())
+
+        Z = _rows_times(Z, trk.A_u) + _rows_times(U, trk.B_u)
+        Zs = _rows_times(Zs, trk.A_s) + _rows_times(U, trk.B_s)
+        belief = filters.predict(step.belief_post, trk, u0, ctx.grid_spec)
+        M = _rows_times(M, trk.A_u) + _rows_times(U, trk.B_u)
+        ledger.terminal_h_pred = belief.entropy_bits()
+
+        x_sq = state_sq(Z, Zs)
+        out = x_sq > ctx.divergence_guard
+        if out.any():
+            halted_t[alive[out]] = t + 1
+            keep = ~out
+            alive, Z, Zs, M, x_sq = alive[keep], Z[keep], Zs[keep], M[keep], x_sq[keep]
+
+    cond = np.array(cond)
+    records = []
+    for r, i in enumerate(runs):
+        s = int(halted_t[r]) or T
+        record = RunRecord(
+            master_seed=int(master_seed),
+            run_index=int(i),
+            t=np.arange(s),
+            z_u=z_h[r, :s],
+            u=u_h[r, :s],
+            y=y_h[r, :s],
+            state_norm_sq=sn_h[r, :s],
+            err_norm_sq=en_h[r, :s],
+            cond=cond[:s],
+            ledger=ledger.head(s),
+            halted=bool(halted_t[r]),
+            halted_t=int(halted_t[r]) or None,
+            beliefs_json=(
+                [{**posts[t], "mean": mean_h[r, t].tolist()} for t in range(s)]
+                if collect_beliefs
+                else None
+            ),
+        )
+        if collect_audits:
+            record.audits = _audit(ctx, record, audit_window, kappa_cap)
+        records.append(record)
+    return records
 
 
 @dataclass
@@ -245,15 +413,11 @@ class EnsembleStats:
     runs: list = field(default_factory=list)
 
 
-def _run_one(args):
-    ctx, master_seed, idx, collect_audits, audit_window, kappa_cap, collect_beliefs = args
-    return run_closed_loop(
-        ctx, master_seed, idx,
-        collect_audits=collect_audits,
-        audit_window=audit_window,
-        kappa_cap=kappa_cap,
-        collect_beliefs=collect_beliefs,
-    )
+def _run_chunk(args):
+    ctx, master_seed, runs, opts = args
+    if ctx.filter_kind == "kalman":
+        return run_kalman_block(ctx, master_seed, runs, **opts)
+    return [run_closed_loop(ctx, master_seed, i, **opts) for i in runs]
 
 
 def run_ensemble(
@@ -268,21 +432,33 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run n_runs independent loops and reduce per-step statistics.
 
+    Kalman ensembles run as one block of consecutive runs per worker
+    (`run_kalman_block`); other filters run one `run_closed_loop` per run.
     Statistics at each t average over the runs still alive at t; exact
     summation makes the reduction independent of completion order, so the
     same master seed gives identical results at any worker count.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
-    tasks = [
-        (ctx, master_seed, i, collect_audits, audit_window, kappa_cap, collect_beliefs)
-        for i in range(n_runs)
-    ]
+    opts = dict(
+        collect_audits=collect_audits,
+        audit_window=audit_window,
+        kappa_cap=kappa_cap,
+        collect_beliefs=collect_beliefs,
+    )
+    if ctx.filter_kind == "kalman":
+        k = min(max(workers, 1), n_runs)
+        edges = [n_runs * j // k for j in range(k + 1)]
+        chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    else:
+        chunks = [range(i, i + 1) for i in range(n_runs)]
+    tasks = [(ctx, master_seed, c, opts) for c in chunks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, tasks, chunksize=max(1, n_runs // (4 * workers))))
+            done = pool.map(_run_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            records = [r for chunk in done for r in chunk]
     else:
-        records = [_run_one(t) for t in tasks]
+        records = [r for task in tasks for r in _run_chunk(task)]
 
     horizon = ctx.horizon
     mean_state, mean_err, mean_cmi, alive = [], [], [], []

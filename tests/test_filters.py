@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 import sensebound.entropy as entropy_mod
 import sensebound.filters as filters_mod
@@ -338,3 +339,20 @@ class TestKnnFastPath:
         rec = run_closed_loop(ctx, master_seed=1, run_index=0)
         assert rec.steps == 6
         assert len(calls) == 2 * ctx.horizon + 1
+
+    def test_jitter_drawn_once_per_shape(self):
+        """The cached jitter is the fixed-seed draw every call used to make,
+        shared read-only, and the estimate is unchanged by the cache."""
+        sample = np.random.default_rng(8).standard_normal(3001)
+        x = sample[:, None]
+        fresh = np.random.default_rng(0x5EED).standard_normal(x.shape)
+        scale = np.maximum(np.std(x, axis=0), 1e-4 * (1.0 + np.abs(x).max(axis=0)))
+        eps = _kth_gap_1d((x + 1e-10 * scale * fresh)[:, 0], 4)
+        n = x.shape[0]
+        want = float(digamma(n) - digamma(4) + np.log(2.0) + np.mean(np.log(eps)))
+        assert knn_entropy_nats(sample) == want
+        jitter = entropy_mod._unit_jitter(x.shape)
+        assert np.array_equal(jitter, fresh) and not jitter.flags.writeable
+        hits = entropy_mod._unit_jitter.cache_info().hits
+        assert knn_entropy_nats(sample * 2.0) != want
+        assert entropy_mod._unit_jitter.cache_info().hits == hits + 1

@@ -17,7 +17,7 @@ from sensebound.loop import (
     tracked_block,
 )
 from sensebound.priors import GaussianPrior
-from sensebound.system import SystemModel, decompose, design_gain
+from sensebound.system import ModeDecomposition, SystemModel, decompose, design_gain
 
 
 def kalman_ctx(a=2.0, r=1.0, horizon=200, mode="predict", gain_pole=0.5, guard=1e12):
@@ -51,6 +51,23 @@ class TestClosedLoop:
         ens = run_ensemble(kalman_ctx(), 500, master_seed=101)
         tail = float(np.mean(ens.mean_err_sq[-50:]))
         assert tail == pytest.approx(kalman_error_floor(2.0, 1.0), rel=0.05)
+
+    def test_modal_state_mapped_once_per_step(self, monkeypatch):
+        """x at the end of step t is x at the start of step t+1: one
+        from_modes call per step plus the initial state."""
+        ctx = kalman_ctx(horizon=12)
+        calls = []
+        original = ModeDecomposition.from_modes
+
+        def counting(self, z):
+            calls.append(1)
+            return original(self, z)
+
+        ref = run_closed_loop(ctx, 8, 2)
+        monkeypatch.setattr(ModeDecomposition, "from_modes", counting)
+        rec = run_closed_loop(ctx, 8, 2)
+        assert len(calls) == ctx.horizon + 1
+        assert rec.state_norm_sq.tobytes() == ref.state_norm_sq.tobytes()
 
     def test_open_loop_divergence_flag(self):
         rec = run_closed_loop(kalman_ctx(mode="none"), 7, 0)

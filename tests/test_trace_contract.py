@@ -36,3 +36,17 @@ def test_tracer_sees_every_layer_of_a_quantizer_run():
     assert calls["filters.update"] == calls["filters.discrete_pmf"] == 60
     # every original is restored once the traced call ends
     assert not hasattr(sensebound.filters.update, "__wrapped__")
+
+
+def test_tracer_sees_the_kalman_block():
+    """A Kalman ensemble runs as one block per worker: the covariance pass
+    calls filters.update and filters.predict once per step of the block,
+    and the scalar driver is not used."""
+    tracer = load_spans().Tracer()
+    cfg = load_bundled("kalman-baseline")
+    with tracer.instrument(sensebound):
+        sensebound.report.run_experiment(cfg, write=False, runs=3, horizon=100)
+    _, calls, _, _ = tracer.take()
+    assert calls["filters.update"] == calls["filters.predict"] == 100
+    assert calls["entropy.gaussian"] > 0
+    assert calls["loop.driver"] == 0
