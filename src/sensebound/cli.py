@@ -62,7 +62,9 @@ def _build_parser() -> _Parser:
         )
         sp.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
-            help="worker processes for ensemble runs",
+            help="worker processes for grid and particle ensembles; Kalman "
+            "ensembles run as one in-process block, because each worker would "
+            "repeat the shared Riccati steps",
         )
 
     sp = sub.add_parser("decompose", help="print the mode decomposition of a system")

@@ -28,6 +28,25 @@ class LedgerRow:
     cmi: float
     di_cum: float
 
+    def csv_cells(self) -> str:
+        """h_pred,h_post,cmi,di_cum as run-CSV cells, each repr(float(x)).
+
+        Rows are frozen, and the runs of a Kalman block share theirs, so
+        the text is formatted once and memoised on the row. The memo is
+        derived, so it is left out of the pickled state.
+        """
+        text = self.__dict__.get("_csv")
+        if text is None:
+            text = (
+                f"{float(self.h_pred)!r},{float(self.h_post)!r},"
+                f"{float(self.cmi)!r},{float(self.di_cum)!r}"
+            )
+            object.__setattr__(self, "_csv", text)
+        return text
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_csv"}
+
 
 class InfoLedger:
     """Per-run trace of entropies and cumulative directed information (bits).
@@ -249,6 +268,36 @@ def sandwich_check(belief, logconcave_hint: Optional[bool] = None) -> SandwichRe
     )
 
 
+def exact_step_means(traces) -> list:
+    """The mean at each step over the traces that reach it.
+
+    Traces may be ragged (a halted run is short): the mean at step t
+    averages the traces longer than t. math.fsum rounds the exact sum once,
+    so the means do not depend on the order of the traces. Sorted longest
+    first, the traces that reach step t are a prefix of one stacked (T, N)
+    array, and each step sums one contiguous slice of a row.
+    """
+    traces = sorted(traces, key=len, reverse=True)
+    if not traces:
+        return []
+    stack = np.empty((len(traces[0]), len(traces)))
+    for j, tr in enumerate(traces):
+        stack[: len(tr), j] = tr
+    means, n = [], len(traces)
+    for t in range(len(traces[0])):
+        while len(traces[n - 1]) <= t:
+            n -= 1
+        means.append(math.fsum(stack[t, :n].tolist()) / n)
+    return means
+
+
+@dataclass(frozen=True)
+class _MeanStep:
+    t: int
+    h_pred: float
+    h_post: float
+
+
 def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLedger:
     """Average per-step ledger traces across runs of equal length.
 
@@ -265,17 +314,10 @@ def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLe
         h0=math.fsum(lg.h0 for lg in full) / n,
         expansion=full[0].expansion,
     )
-
-    @dataclass
-    class _Row:
-        t: int
-        h_pred: float
-        h_post: float
-
-    for t in range(T):
-        h_pred = math.fsum(lg.rows[t].h_pred for lg in full) / n
-        h_post = math.fsum(lg.rows[t].h_post for lg in full) / n
-        mean.record(_Row(t=t, h_pred=h_pred, h_post=h_post))
+    h_pred = exact_step_means([[row.h_pred for row in lg.rows[:T]] for lg in full])
+    h_post = exact_step_means([[row.h_post for row in lg.rows[:T]] for lg in full])
+    for t, (hp, hq) in enumerate(zip(h_pred, h_post)):
+        mean.record(_MeanStep(t=t, h_pred=hp, h_post=hq))
     terms = [lg.terminal_h_pred for lg in full if lg.terminal_h_pred is not None]
     if len(terms) == len(full):
         mean.terminal_h_pred = math.fsum(terms) / n

@@ -14,14 +14,14 @@ stream (split off the master seed by run index), so ensembles parallelise
 trivially and reductions use exact summation to stay order-independent.
 
 `run_closed_loop` is the scalar reference for every filter. Kalman
-ensembles run in blocks instead (`run_kalman_block`): the Riccati
-recursion does not depend on the data, so a block computes it once and
+ensembles run as one block instead (`run_kalman_block`): the Riccati
+recursion does not depend on the data, so the block computes it once and
 carries every run's state and filter mean as one row of an array.
 """
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import filters
 from .audits import CurvatureAudit, audit_run
 from .errors import DegenerateLikelihood
 from .filters import DEFAULT_GRID_SPEC, GaussianBelief, GridSpec, make_initial_belief
-from .infoflow import InfoLedger, ensemble_mean_ledger
+from .infoflow import InfoLedger, ensemble_mean_ledger, exact_step_means
 from .system import FeedbackGain, ModeDecomposition, SystemModel
 
 DIVERGENCE_GUARD = 1e12
@@ -413,13 +413,6 @@ class EnsembleStats:
     runs: list = field(default_factory=list)
 
 
-def _run_chunk(args):
-    ctx, master_seed, runs, opts = args
-    if ctx.filter_kind == "kalman":
-        return run_kalman_block(ctx, master_seed, runs, **opts)
-    return [run_closed_loop(ctx, master_seed, i, **opts) for i in runs]
-
-
 def run_ensemble(
     ctx: RunContext,
     n_runs: int,
@@ -432,11 +425,13 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run n_runs independent loops and reduce per-step statistics.
 
-    Kalman ensembles run as one block of consecutive runs per worker
-    (`run_kalman_block`); other filters run one `run_closed_loop` per run.
-    Statistics at each t average over the runs still alive at t; exact
-    summation makes the reduction independent of completion order, so the
-    same master seed gives identical results at any worker count.
+    Kalman ensembles run as one in-process block (`run_kalman_block`)
+    whatever `workers` is: the block's cost is mostly the shared Riccati
+    steps, which every worker would repeat. Grid and particle runs are one
+    `run_closed_loop` each, spread over `workers` processes. Statistics at
+    each t average over the runs still alive at t; exact summation makes
+    the reduction independent of completion order, so the same master seed
+    gives identical results at any worker count.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
@@ -447,35 +442,26 @@ def run_ensemble(
         collect_beliefs=collect_beliefs,
     )
     if ctx.filter_kind == "kalman":
-        k = min(max(workers, 1), n_runs)
-        edges = [n_runs * j // k for j in range(k + 1)]
-        chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
-    else:
-        chunks = [range(i, i + 1) for i in range(n_runs)]
-    tasks = [(ctx, master_seed, c, opts) for c in chunks]
-    if workers > 1:
+        records = run_kalman_block(ctx, master_seed, range(n_runs), **opts)
+    elif workers > 1:
+        one_run = partial(run_closed_loop, ctx, master_seed, **opts)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_run_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-            records = [r for chunk in done for r in chunk]
+            chunksize = max(1, n_runs // (4 * workers))
+            records = list(pool.map(one_run, range(n_runs), chunksize=chunksize))
     else:
-        records = [r for task in tasks for r in _run_chunk(task)]
+        records = [run_closed_loop(ctx, master_seed, i, **opts) for i in range(n_runs)]
 
     horizon = ctx.horizon
-    mean_state, mean_err, mean_cmi, alive = [], [], [], []
-    has_channel_cmi = any(r.cmi_channel_trace is not None for r in records)
-    mean_cmi_ch = [] if has_channel_cmi else None
-    for t in range(horizon):
-        at_t = [r for r in records if r.steps > t]
-        if not at_t:
-            break
-        alive.append(len(at_t))
-        mean_state.append(math.fsum(r.state_norm_sq[t] for r in at_t) / len(at_t))
-        mean_err.append(math.fsum(r.err_norm_sq[t] for r in at_t) / len(at_t))
-        mean_cmi.append(math.fsum(r.ledger.rows[t].cmi for r in at_t) / len(at_t))
-        if mean_cmi_ch is not None:
-            vals = [_channel_cmi_at(r, t) for r in at_t]
-            vals = [v for v in vals if v is not None]
-            mean_cmi_ch.append(math.fsum(vals) / len(vals) if vals else float("nan"))
+    steps = np.array([r.steps for r in records])
+    mean_state = exact_step_means([r.state_norm_sq for r in records])
+    mean_err = exact_step_means([r.err_norm_sq for r in records])
+    mean_cmi = exact_step_means([[row.cmi for row in r.ledger.rows] for r in records])
+    alive = (np.arange(len(mean_state))[:, None] < steps).sum(axis=1)
+    channel = [r.cmi_channel_trace for r in records if r.cmi_channel_trace is not None]
+    mean_cmi_ch = None
+    if channel:
+        mean_cmi_ch = exact_step_means(channel)
+        mean_cmi_ch += [float("nan")] * (len(alive) - len(mean_cmi_ch))
 
     completed = [r.ledger for r in records if r.steps >= horizon]
     mean_ledger = ensemble_mean_ledger(completed, horizon) if completed else None
@@ -494,7 +480,7 @@ def run_ensemble(
         mean_err_sq=np.array(mean_err),
         mean_cmi=np.array(mean_cmi),
         mean_cmi_channel=np.array(mean_cmi_ch) if mean_cmi_ch is not None else None,
-        alive=np.array(alive, dtype=int),
+        alive=alive,
         n_halted=n_halted,
         n_degenerate=sum(1 for r in records if r.degenerate),
         fraction_halted_by=frac_halted_by,
@@ -502,11 +488,6 @@ def run_ensemble(
         di_rate=di_rate,
         runs=records,
     )
-
-
-def _channel_cmi_at(record: RunRecord, t: int):
-    tr = record.cmi_channel_trace
-    return None if tr is None or t >= len(tr) else float(tr[t])
 
 
 @dataclass(frozen=True)

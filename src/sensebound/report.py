@@ -21,7 +21,12 @@ import numpy as np
 
 from .config import ExperimentConfig, build_context, default_thresholds
 from .errors import EmptySeries, SenseboundError
-from .infoflow import NecessityVerdict, necessity_audit, rate_balance_check
+from .infoflow import (
+    NecessityVerdict,
+    exact_step_means,
+    necessity_audit,
+    rate_balance_check,
+)
 from .loop import EnsembleStats, classify_outcome, run_ensemble
 
 SCHEMA_VERSION = 1
@@ -35,10 +40,7 @@ CSV_COLUMNS = (
     "cmi_bits",
     "di_cum_bits",
 )
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 def to_jsonable(obj):
@@ -56,36 +58,44 @@ def to_jsonable(obj):
 
 
 def run_csv_text(record, run_id: int) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for i in range(record.steps):
-        row = record.ledger.rows[i]
-        w.writerow(
-            [
-                int(record.t[i]),
-                run_id,
-                _fmt(record.state_norm_sq[i]),
-                _fmt(record.err_norm_sq[i]),
-                _fmt(row.h_pred),
-                _fmt(row.h_post),
-                _fmt(row.cmi),
-                _fmt(row.di_cum),
-            ]
-        )
-    return buf.getvalue()
+    """One run's CSV. Each row is one f-string; floats are repr(float(x)),
+    and the four ledger cells come memoised from the ledger row."""
+    t = record.t.astype(int).tolist()
+    sn = np.asarray(record.state_norm_sq, dtype=float).tolist()
+    en = np.asarray(record.err_norm_sq, dtype=float).tolist()
+    rows = record.ledger.rows[: record.steps]
+    lines = [CSV_HEADER]
+    lines += [
+        f"{ti},{run_id},{s!r},{e!r},{row.csv_cells()}\n"
+        for ti, s, e, row in zip(t, sn, en, rows, strict=True)
+    ]
+    return "".join(lines)
 
 
 def read_run_csv(path) -> dict:
-    cols = {c: [] for c in CSV_COLUMNS}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise SenseboundError(f"unexpected CSV columns in {path}: {reader.fieldnames}")
-        for row in reader:
-            for c in CSV_COLUMNS:
-                cols[c].append(float(row[c]))
-    return {c: np.asarray(v) for c, v in cols.items()}
+    """The columns of one run CSV, as float arrays.
+
+    A wrong header, a row with a missing or extra cell and a cell that is
+    not a number each raise SenseboundError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        body = fh.read()
+    if header != CSV_HEADER:
+        got = header.rstrip("\n").split(",")
+        raise SenseboundError(f"unexpected CSV columns in {path}: {got}")
+    values = np.empty((0, len(CSV_COLUMNS)))
+    if body.strip():
+        try:
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SenseboundError(f"malformed run CSV {path}: {exc}") from exc
+    if values.shape[1] != len(CSV_COLUMNS):
+        raise SenseboundError(
+            f"malformed run CSV {path}: rows have {values.shape[1]} cells, "
+            f"expected {len(CSV_COLUMNS)}"
+        )
+    return {c: values[:, k] for k, c in enumerate(CSV_COLUMNS)}
 
 
 # ---------------------------------------------------------------------------
@@ -497,23 +507,17 @@ def recompute_summary_from_csvs(bundle_dir: str) -> dict:
         raise SenseboundError(f"no run CSVs under {bundle_dir!r}")
     datas = [read_run_csv(os.path.join(runs_dir, n)) for n in names]
     horizon = max(len(d["t"]) for d in datas)
-    mean_err, mean_state, mean_cmi = [], [], []
-    for t in range(horizon):
-        at_t = [d for d in datas if len(d["t"]) > t]
-        if not at_t:
-            break
-        mean_err.append(math.fsum(d["err_norm_sq"][t] for d in at_t) / len(at_t))
-        mean_state.append(math.fsum(d["state_norm_sq"][t] for d in at_t) / len(at_t))
-        mean_cmi.append(math.fsum(d["cmi_bits"][t] for d in at_t) / len(at_t))
     full = [d for d in datas if len(d["t"]) == horizon]
     di_rate = (
-        math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon if full else None
+        math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
+        if horizon
+        else None
     )
     return {
         "n_runs": len(datas),
         "horizon": horizon,
-        "mean_err_sq": mean_err,
-        "mean_state_sq": mean_state,
-        "mean_cmi_bits": mean_cmi,
+        "mean_err_sq": exact_step_means([d["err_norm_sq"] for d in datas]),
+        "mean_state_sq": exact_step_means([d["state_norm_sq"] for d in datas]),
+        "mean_cmi_bits": exact_step_means([d["cmi_bits"] for d in datas]),
         "di_rate_bits_per_step": di_rate,
     }

@@ -1,8 +1,11 @@
-from dataclasses import replace
+import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import sensebound.loop as loop_mod
 from sensebound.channels import LinearGaussianChannel, make_channel
 from sensebound.config import build_context
 from sensebound.experiments import load_bundled
@@ -17,6 +20,7 @@ from sensebound.loop import (
     tracked_block,
 )
 from sensebound.priors import GaussianPrior
+from sensebound.report import run_experiment
 from sensebound.system import ModeDecomposition, SystemModel, decompose, design_gain
 
 
@@ -208,6 +212,52 @@ class TestEnsemble:
         e2 = run_ensemble(kalman_ctx(horizon=30), 16, master_seed=9, workers=2)
         assert np.array_equal(e1.mean_err_sq, e2.mean_err_sq)
         assert e1.mean_ledger.di_cum == e2.mean_ledger.di_cum
+
+    def test_kalman_ensemble_starts_no_pool(self, monkeypatch):
+        """Kalman ensembles run as one in-process block at any worker count."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a Kalman ensemble started a process pool")
+
+        monkeypatch.setattr(loop_mod, "ProcessPoolExecutor", no_pool)
+        ens = run_ensemble(kalman_ctx(horizon=10), 5, master_seed=9, workers=2)
+        assert len(ens.runs) == 5
+
+    def test_grid_worker_pool_matches_serial(self, monkeypatch):
+        """Grid runs go through the process pool at workers > 1 and give the
+        serial records, ledgers and summary."""
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(loop_mod, "ProcessPoolExecutor", CountingPool)
+        cfg = load_bundled("sign-threshold-easy")
+        ctx = replace(build_context(cfg), horizon=30)
+        serial = run_ensemble(ctx, 3, master_seed=4, workers=1)
+        pooled = run_ensemble(ctx, 3, master_seed=4, workers=2)
+        assert pools == [2]
+        assert [r.run_index for r in pooled.runs] == [0, 1, 2]
+        for a, b in zip(serial.runs, pooled.runs, strict=True):
+            for f in fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "ledger":
+                    assert x.rows == y.rows
+                    assert (x.h0, x.terminal_h_pred, x.di_cum) == (
+                        y.h0, y.terminal_h_pred, y.di_cum)
+                elif isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert x == y, f.name
+        summaries = [
+            run_experiment(load_bundled("sign-threshold-easy"), write=False, seed=4,
+                           runs=3, horizon=30, workers=w).summary
+            for w in (1, 2)
+        ]
+        assert json.dumps(summaries[0], sort_keys=True) == json.dumps(summaries[1], sort_keys=True)
+        assert pools == [2, 2]
 
 
 class TestClassification:

@@ -1,0 +1,207 @@
+"""Run CSVs: the writer against the csv-module serialisation it replaced,
+and the read-back against the DictReader parse it replaced."""
+
+import csv
+import io
+import math
+import os
+import pickle
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from sensebound.channels import make_channel
+from sensebound.cli import main
+from sensebound.config import build_context
+from sensebound.errors import SenseboundError
+from sensebound.experiments import load_bundled
+from sensebound.infoflow import InfoLedger, LedgerRow
+from sensebound.loop import RunContext, run_closed_loop, run_kalman_block
+from sensebound.priors import GaussianPrior
+from sensebound.report import (
+    CSV_COLUMNS,
+    read_run_csv,
+    recompute_summary_from_csvs,
+    run_csv_text,
+    run_experiment,
+)
+from sensebound.system import SystemModel, decompose, design_gain
+
+
+def reference_csv_text(record, run_id) -> str:
+    """csv.writer with one repr(float(x)) per float cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for i in range(record.steps):
+        row = record.ledger.rows[i]
+        floats = (record.state_norm_sq[i], record.err_norm_sq[i],
+                  row.h_pred, row.h_post, row.cmi, row.di_cum)
+        w.writerow([int(record.t[i]), run_id, *(repr(float(x)) for x in floats)])
+    return buf.getvalue()
+
+
+def reference_read(path) -> dict:
+    cols = {c: [] for c in CSV_COLUMNS}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            for c in CSV_COLUMNS:
+                cols[c].append(float(row[c]))
+    return {c: np.asarray(v) for c, v in cols.items()}
+
+
+def reference_recompute(bundle_dir) -> dict:
+    """Per-step scans over the runs alive at each t."""
+    runs_dir = os.path.join(bundle_dir, "runs")
+    datas = [reference_read(os.path.join(runs_dir, n)) for n in sorted(os.listdir(runs_dir))]
+    horizon = max(len(d["t"]) for d in datas)
+    out = {"mean_err_sq": [], "mean_state_sq": [], "mean_cmi_bits": []}
+    for t in range(horizon):
+        at_t = [d for d in datas if len(d["t"]) > t]
+        for key, col in (("mean_err_sq", "err_norm_sq"), ("mean_state_sq", "state_norm_sq"),
+                         ("mean_cmi_bits", "cmi_bits")):
+            out[key].append(math.fsum(d[col][t] for d in at_t) / len(at_t))
+    full = [d for d in datas if len(d["t"]) == horizon]
+    out["di_rate_bits_per_step"] = math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
+    return out
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def particle_ctx():
+    model = SystemModel([[2.0]], [[1.0]])
+    dec = decompose(model)
+    return RunContext(
+        model=model, decomp=dec,
+        channel=make_channel("tanh-gaussian", scale=1.0, R=[[0.01]]),
+        prior=GaussianPrior([0.0], [[0.04]]), filter_kind="particle",
+        gain=design_gain(dec, method="lqr"), controller_mode="update",
+        horizon=5, n_particles=256,
+    )
+
+
+def bundled_ctx(name, **changes):
+    return replace(build_context(load_bundled(name)), **changes)
+
+
+class TestWriter:
+    def assert_reference(self, records):
+        for rec in records:
+            assert run_csv_text(rec, rec.run_index) == reference_csv_text(rec, rec.run_index)
+
+    def test_kalman_block(self):
+        block = run_kalman_block(bundled_ctx("kalman-baseline", horizon=20), 3, range(4))
+        self.assert_reference(block)
+        # the block's runs share ledger rows: a second pass reads the memo
+        self.assert_reference(block)
+
+    def test_grid(self):
+        self.assert_reference([run_closed_loop(bundled_ctx("sign-threshold-easy", horizon=6), 2, 1)])
+
+    def test_particle(self):
+        self.assert_reference([run_closed_loop(particle_ctx(), 4, 0)])
+
+    def test_halted_runs(self):
+        ctx = bundled_ctx("shrinking-noise", divergence_guard=30.0)
+        block = run_kalman_block(ctx, 77, range(3, 11))
+        assert any(0 < r.steps < ctx.horizon for r in block)
+        self.assert_reference(block)
+        ref = run_closed_loop(ctx, 77, next(r.run_index for r in block if r.halted))
+        assert ref.halted
+        self.assert_reference([ref])
+
+    def test_signed_zero_and_numpy_scalars(self):
+        rec = run_kalman_block(bundled_ctx("kalman-baseline", horizon=2), 1, range(1))[0]
+        ledger = InfoLedger(r_exp=1.0, h0=0.5)
+        ledger.rows = [
+            LedgerRow(t=0, h_pred=np.float64(-0.0), h_post=0.0, cmi=-0.0, di_cum=np.float64(1e-300)),
+            LedgerRow(t=1, h_pred=np.float64(2.5), h_post=-1e16, cmi=float("inf"), di_cum=float("nan")),
+        ]
+        rec = replace(rec, state_norm_sq=np.array([-0.0, 0.1]),
+                      err_norm_sq=np.array([1e-5, -0.0]), ledger=ledger)
+        text = run_csv_text(rec, 12)
+        assert text == reference_csv_text(rec, 12)
+        assert text.splitlines()[1] == "0,12,-0.0,1e-05,-0.0,0.0,-0.0,1e-300"
+
+    def test_memo_is_not_pickled(self):
+        row = LedgerRow(t=0, h_pred=1.0, h_post=0.5, cmi=0.5, di_cum=0.5)
+        plain = pickle.dumps(row)
+        assert row.csv_cells() == "1.0,0.5,0.5,0.5"
+        assert pickle.dumps(row) == plain
+        assert pickle.loads(plain) == row
+
+
+class TestReadBack:
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        out = tmp_path / "b"
+        run_experiment(load_bundled("kalman-baseline"), out_dir=str(out), seed=3, runs=3,
+                       horizon=100)
+        return out
+
+    def test_columns_equal_reference(self, bundle):
+        path = bundle / "runs" / "run_00001.csv"
+        got, want = read_run_csv(path), reference_read(path)
+        for c in CSV_COLUMNS:
+            assert bits(got[c]) == bits(want[c]), c
+
+    def test_halted_bundle_means_equal_reference(self, tmp_path):
+        cfg = load_bundled("shrinking-noise")
+        cfg.run["divergence_guard"] = 30.0
+        bundle = run_experiment(cfg, out_dir=str(tmp_path / "h"), seed=77, runs=12)
+        assert 0 < bundle.summary["n_halted"] < 12
+        got = recompute_summary_from_csvs(str(tmp_path / "h"))
+        want = reference_recompute(str(tmp_path / "h"))
+        for key, value in want.items():
+            assert bits(got[key]) == bits(value), key
+        assert len(got["mean_err_sq"]) == 60
+
+    @pytest.mark.parametrize("edit", ["missing", "non-numeric", "missing-and-extra"])
+    def test_malformed_row_names_the_file(self, bundle, edit, capsys):
+        path = bundle / "runs" / "run_00002.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        if edit == "missing":
+            lines[3] = ",".join(cells[:-1]) + "\n"
+        elif edit == "non-numeric":
+            lines[3] = ",".join(cells[:4] + ["n/a"] + cells[5:]) + "\n"
+        else:
+            lines[3] = ",".join(cells[:-1]) + "\n"
+            lines[5] = lines[5].rstrip("\n") + ",0.0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(SenseboundError, match="run_00002.csv"):
+            read_run_csv(path)
+        assert main(["report", "--bundle", str(bundle)]) == 1
+        assert "run_00002.csv" in capsys.readouterr().err
+
+    def test_single_short_row_names_the_file(self, tmp_path):
+        path = tmp_path / "run_00000.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n0,0,1.0,2.0\n")
+        with pytest.raises(SenseboundError, match="run_00000.csv"):
+            read_run_csv(path)
+
+    def test_wrong_header_rejected(self, bundle, capsys):
+        path = bundle / "runs" / "run_00000.csv"
+        text = path.read_text()
+        path.write_text(text.replace("err_norm_sq", "error", 1))
+        with pytest.raises(SenseboundError, match="unexpected CSV columns"):
+            read_run_csv(path)
+        assert main(["report", "--bundle", str(bundle)]) == 1
+
+    def test_header_only_file_is_an_empty_run(self, tmp_path):
+        path = tmp_path / "run_00000.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n")
+        data = read_run_csv(path)
+        assert all(data[c].shape == (0,) for c in CSV_COLUMNS)
+
+    def test_bundle_of_empty_runs_has_no_rate(self, tmp_path):
+        """Runs that went degenerate at t = 0 leave header-only CSVs."""
+        (tmp_path / "runs").mkdir()
+        for i in range(2):
+            (tmp_path / "runs" / f"run_{i:05d}.csv").write_text(",".join(CSV_COLUMNS) + "\n")
+        got = recompute_summary_from_csvs(str(tmp_path))
+        assert (got["n_runs"], got["horizon"], got["di_rate_bits_per_step"]) == (2, 0, None)
+        assert got["mean_err_sq"] == got["mean_cmi_bits"] == []

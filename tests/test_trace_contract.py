@@ -39,7 +39,7 @@ def test_tracer_sees_every_layer_of_a_quantizer_run():
 
 
 def test_tracer_sees_the_kalman_block():
-    """A Kalman ensemble runs as one block per worker: the covariance pass
+    """A Kalman ensemble runs as one in-process block: the covariance pass
     calls filters.update and filters.predict once per step of the block,
     and the scalar driver is not used."""
     tracer = load_spans().Tracer()
@@ -50,3 +50,18 @@ def test_tracer_sees_the_kalman_block():
     assert calls["filters.update"] == calls["filters.predict"] == 100
     assert calls["entropy.gaussian"] > 0
     assert calls["loop.driver"] == 0
+
+
+def test_written_kalman_bundle_keeps_the_layer_split(tmp_path):
+    """Writing a Kalman bundle: one report.csv span per run, time inside
+    loop.ensemble itself (the block and the reduction), no scalar driver."""
+    tracer = load_spans().Tracer()
+    cfg = load_bundled("kalman-baseline")
+    with tracer.instrument(sensebound):
+        sensebound.report.run_experiment(cfg, out_dir=str(tmp_path / "b"), runs=3,
+                                         horizon=100, workers=2)
+    self_s, calls, _, _ = tracer.take()
+    assert calls["report.csv"] == 3
+    assert calls["loop.ensemble"] == 1 and self_s["loop.ensemble"] > 0
+    assert calls["loop.driver"] == 0
+    assert calls["report.write"] == 1
