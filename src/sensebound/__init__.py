@@ -30,7 +30,7 @@ from .channels import (
     make_channel,
     pulled_back_hessian,
 )
-from .config import ExperimentConfig, build_context, parse_config, parse_config_file
+from .config import ExperimentConfig, build_context, parse_config
 from .entropy import gaussian_entropy_nats, grid_entropy_nats, knn_entropy_nats, nats_to_bits
 from .filters import (
     Belief,

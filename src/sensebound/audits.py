@@ -19,6 +19,7 @@ from .errors import PreconditionViolated, UnknownPriorFamily, UnsupportedDerivat
 from .priors import GaussianPrior, StudentTPrior
 
 DEFAULT_KAPPA_CAP = 1e6
+DEFAULT_AUDIT_WINDOW = 2
 DEFAULT_NEG_DEF_C = 0.01
 
 
@@ -317,7 +318,7 @@ def audit_run(
     y_trace,
     inputs,
     cond_trace,
-    L: int = 2,
+    L: int = DEFAULT_AUDIT_WINDOW,
     kappa_cap: float = DEFAULT_KAPPA_CAP,
     neg_def_c: float = DEFAULT_NEG_DEF_C,
     channel_at=None,

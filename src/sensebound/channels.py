@@ -67,6 +67,11 @@ class ChannelModel:
     def obs_dim(self) -> int:
         raise NotImplementedError
 
+    @property
+    def state_dim(self) -> int:
+        """Length of the state the channel observes (coordinatewise: obs_dim)."""
+        return self.obs_dim
+
     def sample(self, x, rng) -> np.ndarray:
         raise NotImplementedError
 
@@ -159,7 +164,7 @@ class LinearGaussianChannel(_GaussianNoiseChannel):
 
     kind = "linear-gaussian"
 
-    def __init__(self, C, R):
+    def __init__(self, C=1.0, R=1.0):
         C = np.atleast_2d(np.asarray(C, dtype=float))
         super().__init__(R)
         if C.shape[0] != self.R.shape[0]:
@@ -268,11 +273,11 @@ class SignQuantizerChannel(ChannelModel):
     support = "discrete"
 
     def __init__(self, levels: int = 2, dim: int = 1):
-        if levels < 2:
-            raise ValueError("need at least 2 quantizer levels")
         self.levels = int(levels)
         self.dim = int(dim)
-        self.thresholds = np.arange(levels - 1) - (levels - 2) / 2.0
+        if self.levels < 2:
+            raise ValueError("need at least 2 quantizer levels")
+        self.thresholds = np.arange(self.levels - 1) - (self.levels - 2) / 2.0
 
     @property
     def obs_dim(self) -> int:
@@ -402,14 +407,15 @@ def pulled_back_hessian(ch, decomp, y_k, k: int, t: int, z_t, inputs=None) -> np
     return M.T @ H @ M
 
 
+# The channel kinds. A kind's config keys are its constructor's parameters.
+CHANNELS = {
+    cls.kind: cls
+    for cls in (LinearGaussianChannel, TanhGaussianChannel, CubicGaussianChannel,
+                SignQuantizerChannel, ModuloGaussianChannel)
+}
+
+
 def make_channel(kind: str, **params) -> ChannelModel:
-    factories = {
-        "linear-gaussian": LinearGaussianChannel,
-        "tanh-gaussian": TanhGaussianChannel,
-        "cubic-gaussian": CubicGaussianChannel,
-        "sign-quantizer": SignQuantizerChannel,
-        "modulo-gaussian": ModuloGaussianChannel,
-    }
-    if kind not in factories:
-        raise ValueError(f"unknown channel kind {kind!r}; known: {sorted(factories)}")
-    return factories[kind](**params)
+    if kind not in CHANNELS:
+        raise ValueError(f"unknown channel kind {kind!r}; known: {sorted(CHANNELS)}")
+    return CHANNELS[kind](**params)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_config, parse_config_file
+from .config import OUTPUT_FORMATS, build_system, parse_config
 from .errors import SenseboundError
 from .experiments import bundled_names, bundled_text
 from .report import (
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--horizon", type=int, default=None, help="override horizon")
         sp.add_argument("--out", default=None, help="output bundle directory")
         sp.add_argument(
-            "--format", choices=("csv", "json"), default=None,
+            "--format", choices=OUTPUT_FORMATS, default=None,
             help="restrict bundle outputs to one format",
         )
         sp.add_argument(
@@ -73,10 +73,14 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("run", help="run one experiment and write its bundle")
     add_common(sp)
 
-    sp = sub.add_parser("sweep", help="vary one scalar parameter over a list")
+    sp = sub.add_parser("sweep", help="vary one parameter over a list of values")
     add_common(sp)
     sp.add_argument("--param", required=True, help="dotted parameter path, e.g. channel.R")
-    sp.add_argument("--values", required=True, help="comma-separated JSON scalars")
+    sp.add_argument(
+        "--values", required=True,
+        help='comma-separated JSON values, read as one JSON list: "0.5,1.0" or '
+        '"[[0.25]],[[1.0]]"',
+    )
 
     sp = sub.add_parser("audit", help="run with assumption audits enabled")
     add_common(sp)
@@ -86,10 +90,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_config(args):
+def _config_text(args) -> str:
     if getattr(args, "config", None):
-        return parse_config_file(args.config)
-    return parse_config(bundled_text(args.experiment))
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return bundled_text(args.experiment)
 
 
 def _resolve_seed(args):
@@ -100,11 +105,7 @@ def _resolve_seed(args):
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _load_config(args)
-    from .config import build_model
-    from .system import decompose
-
-    decomp = decompose(build_model(cfg), cond_cap=float(cfg.system.get("cond_cap", 1e8)))
+    _, decomp = build_system(parse_config(_config_text(args)))
     out = {
         "n": decomp.n,
         "n_u": decomp.n_u,
@@ -122,12 +123,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_run(args, force_audit: bool = False) -> int:
-    cfg = _load_config(args)
+    cfg = parse_config(_config_text(args))
     if args.format is not None:
         cfg.outputs["formats"] = [args.format]
     if force_audit:
         cfg.run["audit"] = True
-        cfg.run.setdefault("runs", 1)
     bundle = run_experiment(
         cfg,
         out_dir=args.out,
@@ -169,15 +169,13 @@ def _cmd_run(args, force_audit: bool = False) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = bundled_text(args.experiment)
+    text = _config_text(args)
     try:
-        values = [json.loads(v) for v in args.values.split(",")]
+        values = json.loads("[" + args.values + "]")
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"--values must be comma-separated JSON scalars: {exc}")
+        raise _UsageError(f"--values must be comma-separated JSON values: {exc}")
+    if not values:
+        raise _UsageError("--values is empty")
     out = args.out or "out/sweep"
     result = run_sweep(
         text, args.param, values, out, seed=_resolve_seed(args),

@@ -11,52 +11,81 @@ Values are JSON fragments (numbers, strings, booleans, arrays, objects);
 a bare unquoted token is taken as a string. Parsing stops at the first
 error and reports the offending line; validation reports the dotted field
 path of the first bad field.
+
+system, run and outputs take fixed keys; channel, prior, filter and
+controller take their selector keys plus those of the selected kind, its
+constructor's parameters. Any other key is an error. Builders pass on only
+the keys a config sets, so every default lives in its constructor.
 """
 
+import inspect
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import make_channel
+from .channels import CHANNELS
 from .errors import ParseError, ValidationError
 from .filters import GridSpec
-from .loop import RunContext, kalman_error_floor
-from .priors import make_prior
-from .system import SystemModel, decompose, design_gain
+from .loop import DEFAULT_HORIZON, OutcomeThresholds, RunContext, kalman_error_floor, tracked_block
+from .priors import PRIORS, GaussianPrior
+from .system import GAIN_DESIGNS, SystemModel, decompose, design_gain
 
-_SECTIONS = ("system", "channel", "prior", "filter", "controller", "run", "outputs")
+SECTIONS = ("system", "channel", "prior", "filter", "controller", "run", "outputs")
 
-CHANNEL_KINDS = (
-    "linear-gaussian",
-    "tanh-gaussian",
-    "cubic-gaussian",
-    "sign-quantizer",
-    "modulo-gaussian",
-)
-PRIOR_FAMILIES = ("gaussian", "student-t", "laplace", "exponential", "uniform")
-FILTER_KINDS = ("kalman", "grid", "particle")
+CHANNEL_KINDS = tuple(CHANNELS)
+PRIOR_FAMILIES = tuple(PRIORS)
 CONTROLLER_MODES = ("none", "predict", "update")
-GAIN_DESIGNS = ("lqr", "deadbeat", "place")
+OUTPUT_FORMATS = ("csv", "json")  # all are written unless outputs.formats names some
 
-_KNOWN_KEYS = {
+
+def kind_keys(factory) -> dict:
+    """A kind's config keys mapped to whether each is required: the
+    parameters its constructor takes by position or keyword. The builder
+    supplies the positional-only and keyword-only ones."""
+    return {
+        name: p.default is p.empty
+        for name, p in inspect.signature(factory).parameters.items()
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    }
+
+
+FILTER_KEYS = {"kalman": {}, "grid": kind_keys(GridSpec), "particle": {"particles": False}}
+FILTER_KINDS = tuple(FILTER_KEYS)
+
+# the keys of a kinded section that select its kind, not the kind's own
+_SELECTOR_KEYS = {
+    "channel": ("kind", "schedule", "extension"),
+    "prior": ("family",),
+    "filter": ("kind",),
+    "controller": ("mode", "design"),
+}
+_FIXED_KEYS = {
     "": {"experiment"},
     "system": {"A", "B", "allow_stable", "cond_cap"},
-    "channel": {"kind", "C", "R", "scale", "r", "period", "levels", "dim",
-                "schedule", "extension"},
-    "prior": {"family", "mean", "cov", "df", "scale", "rate", "low", "high"},
-    "filter": {"kind", "cells_per_std", "half_width_stds", "max_cells", "particles"},
-    "controller": {"mode", "design", "target_pole", "poles", "q", "r"},
     "run": {"horizon", "runs", "seed", "divergence_guard", "tail_window",
             "bound_state", "bound_error", "zero_threshold", "audit",
             "audit_window", "kappa_cap"},
     "outputs": {"dir", "formats", "svg", "debug_beliefs"},
 }
+# RunContext (field, cast) set from (section, key); unset keys keep the
+# field's default
+_CONTEXT_OPTIONS = {
+    ("run", "horizon"): ("horizon", int),
+    ("run", "divergence_guard"): ("divergence_guard", float),
+    ("run", "audit"): ("collect_audits", bool),
+    ("run", "audit_window"): ("audit_window", int),
+    ("run", "kappa_cap"): ("kappa_cap", float),
+    ("filter", "particles"): ("n_particles", int),
+    ("outputs", "debug_beliefs"): ("collect_beliefs", bool),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description with defaults filled in."""
+    """Validated experiment description: each section's keys as written.
+    Defaults are never filled in; they stay with the constructors."""
 
     experiment: str = "unnamed"
     system: dict = dc_field(default_factory=dict)
@@ -69,16 +98,7 @@ class ExperimentConfig:
     source_text: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "system": self.system,
-            "channel": self.channel,
-            "prior": self.prior,
-            "filter": self.filter,
-            "controller": self.controller,
-            "run": self.run,
-            "outputs": self.outputs,
-        }
+        return {"experiment": self.experiment, **{s: getattr(self, s) for s in SECTIONS}}
 
 
 def _parse_value(raw: str, line_no: int):
@@ -95,7 +115,7 @@ def _parse_value(raw: str, line_no: int):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; first error wins."""
-    sections = {name: {} for name in _SECTIONS}
+    sections = {name: {} for name in SECTIONS}
     top = {}
     current = ""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -106,9 +126,9 @@ def parse_config(text: str) -> ExperimentConfig:
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", line=line_no)
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in SECTIONS:
                 raise ParseError(
-                    f"unknown section [{name}]; known: {', '.join(_SECTIONS)}",
+                    f"unknown section [{name}]; known: {', '.join(SECTIONS)}",
                     line=line_no,
                 )
             current = name
@@ -117,8 +137,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"expected 'key = value', got {line!r}", line=line_no)
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        known = _KNOWN_KEYS[current]
-        if key not in known:
+        known = _FIXED_KEYS.get(current)
+        if known is not None and key not in known:
             dotted = f"{current}.{key}" if current else key
             raise ParseError(
                 f"unknown key {dotted!r}; known: {', '.join(sorted(known))}",
@@ -128,23 +148,10 @@ def parse_config(text: str) -> ExperimentConfig:
         (sections[current] if current else top)[key] = value
 
     cfg = ExperimentConfig(
-        experiment=str(top.get("experiment", "unnamed")),
-        system=sections["system"],
-        channel=sections["channel"],
-        prior=sections["prior"],
-        filter=sections["filter"],
-        controller=sections["controller"],
-        run=sections["run"],
-        outputs=sections["outputs"],
-        source_text=text,
+        experiment=str(top.get("experiment", "unnamed")), source_text=text, **sections
     )
     validate_config(cfg)
     return cfg
-
-
-def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def _require(cond, field_path, message):
@@ -152,9 +159,55 @@ def _require(cond, field_path, message):
         raise ValidationError(message, field=field_path)
 
 
+class _Kinds(NamedTuple):
+    channel: str
+    prior: str
+    filter: str
+    mode: str
+    design: str
+
+
+def _kinds(cfg: ExperimentConfig) -> _Kinds:
+    """The kind each section selects, its default if the config names none."""
+    channel_kind = cfg.channel.get("kind", "linear-gaussian")
+    return _Kinds(
+        channel_kind,
+        cfg.prior.get("family", "gaussian"),
+        cfg.filter.get("kind", "kalman" if channel_kind == "linear-gaussian" else "grid"),
+        cfg.controller.get("mode", "predict"),
+        cfg.controller.get("design", "lqr"),
+    )
+
+
+def _params(cfg: ExperimentConfig, section: str) -> dict:
+    """The keys a section sets for its kind: all but its selector keys."""
+    return {k: v for k, v in getattr(cfg, section).items() if k not in _SELECTOR_KEYS[section]}
+
+
+def _check_keys(cfg: ExperimentConfig, section: str, keys: dict, what: str) -> None:
+    """Reject a key of the section that `what` does not take, and a
+    required key it leaves out."""
+    for key in _params(cfg, section):
+        _require(key in keys, f"{section}.{key}",
+                 f"{what} takes no key {key!r} (its keys: {', '.join(keys) or 'none'})")
+    for key, required in keys.items():
+        _require(not required or key in getattr(cfg, section), f"{section}.{key}",
+                 f"{what} needs {key!r}")
+
+
+def _tail_window(run: dict, horizon: int) -> int:
+    return int(run.get("tail_window", max(1, horizon // 4)))
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    sys_c, ch, pr = cfg.system, cfg.channel, cfg.prior
-    fl, ctl, run = cfg.filter, cfg.controller, cfg.run
+    sys_c, ch, ctl, run = cfg.system, cfg.channel, cfg.controller, cfg.run
+    kind, family, fkind, mode, design = _kinds(cfg)
+
+    for section in ("system", "run", "outputs"):
+        known = _FIXED_KEYS[section]
+        for key in getattr(cfg, section):
+            _require(key in known, f"{section}.{key}",
+                     f"unknown key; known: {', '.join(sorted(known))}")
 
     _require("A" in sys_c, "system.A", "system matrix A is required")
     A = np.atleast_2d(np.asarray(sys_c["A"], dtype=float))
@@ -165,9 +218,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         B = B[:, None] if B.ndim == 1 else B
         _require(B.shape[0] == n, "system.B", f"B must have {n} rows")
 
-    kind = ch.get("kind", "linear-gaussian")
     _require(kind in CHANNEL_KINDS, "channel.kind",
              f"unknown channel kind {kind!r}; known: {', '.join(CHANNEL_KINDS)}")
+    _check_keys(cfg, "channel", kind_keys(CHANNELS[kind]), f"channel kind {kind!r}")
+    _require("extension" not in ch or "schedule" in ch, "channel.extension",
+             "extension opts in to a per-step schedule, and no schedule is set")
     if "schedule" in ch:
         _require(bool(ch.get("extension", False)), "channel.schedule",
                  "a per-step parameter schedule is a flagged extension beyond the "
@@ -180,135 +235,121 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(kind != "sign-quantizer", "channel.schedule",
                  "the sign quantizer has no noise parameter to schedule")
 
-    family = pr.get("family", "gaussian")
     _require(family in PRIOR_FAMILIES, "prior.family",
              f"unknown prior family {family!r}; known: {', '.join(PRIOR_FAMILIES)}")
+    _check_keys(cfg, "prior", kind_keys(PRIORS[family]), f"prior family {family!r}")
 
-    fkind = fl.get("kind", _default_filter_kind(kind))
     _require(fkind in FILTER_KINDS, "filter.kind",
              f"unknown filter kind {fkind!r}; known: {', '.join(FILTER_KINDS)}")
+    _check_keys(cfg, "filter", FILTER_KEYS[fkind], f"filter kind {fkind!r}")
     if fkind == "kalman":
         _require(kind == "linear-gaussian", "filter.kind",
                  "the Kalman representation is exact only for the linear-gaussian channel")
         _require(family == "gaussian", "filter.kind",
                  "the Kalman representation needs a gaussian prior")
 
-    mode = ctl.get("mode", "predict")
     _require(mode in CONTROLLER_MODES, "controller.mode",
              f"unknown controller mode {mode!r}; known: {', '.join(CONTROLLER_MODES)}")
-    design = ctl.get("design", "lqr")
-    _require(design in GAIN_DESIGNS, "controller.design",
-             f"unknown gain design {design!r}; known: {', '.join(GAIN_DESIGNS)}")
+    if mode == "none":
+        _require("design" not in ctl, "controller.design",
+                 "mode 'none' applies no control, so it takes no gain design")
+        _check_keys(cfg, "controller", {}, "controller mode 'none'")
+    else:
+        _require(design in tuple(GAIN_DESIGNS), "controller.design",
+                 f"unknown gain design {design!r}; known: {', '.join(GAIN_DESIGNS)}")
+        _check_keys(cfg, "controller", kind_keys(GAIN_DESIGNS[design]),
+                    f"gain design {design!r}")
 
-    horizon = int(run.get("horizon", 100))
+    horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")
-    runs = int(run.get("runs", 1))
-    _require(runs >= 1, "run.runs", "runs must be >= 1")
-    tail = int(run.get("tail_window", max(1, horizon // 4)))
+    _require("runs" not in run or int(run["runs"]) >= 1, "run.runs", "runs must be >= 1")
+    tail = _tail_window(run, horizon)
     _require(horizon >= 2 * tail, "run.tail_window",
              f"horizon {horizon} must be at least twice the tail window {tail}")
 
-    formats = cfg.outputs.get("formats", ["csv", "json"])
-    for f in formats:
-        _require(f in ("csv", "json"), "outputs.formats", f"unknown format {f!r}")
-
-
-def _default_filter_kind(channel_kind: str) -> str:
-    return "kalman" if channel_kind == "linear-gaussian" else "grid"
+    for f in cfg.outputs.get("formats", OUTPUT_FORMATS):
+        _require(f in OUTPUT_FORMATS, "outputs.formats", f"unknown format {f!r}")
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each passes on only the keys the config sets, so the defaults
+# are the constructors' and RunContext's
 
 
-def build_model(cfg: ExperimentConfig) -> SystemModel:
+def _given(section: dict, **casts) -> dict:
+    """{key: cast(value)} for each key of `casts` that the section sets."""
+    return {k: cast(section[k]) for k, cast in casts.items() if k in section}
+
+
+def _construct(section: str, factory, *args, **params):
+    """factory(*args, **params); a value of the wrong type or out of range
+    is re-raised as a ValidationError naming the section."""
+    try:
+        return factory(*args, **params)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(str(exc), field=section) from exc
+
+
+def build_system(cfg: ExperimentConfig) -> tuple:
+    """The configured plant and its mode decomposition."""
     A = np.atleast_2d(np.asarray(cfg.system["A"], dtype=float))
     B = np.asarray(cfg.system.get("B", np.eye(A.shape[0])), dtype=float)
-    return SystemModel(A, B, allow_stable=bool(cfg.system.get("allow_stable", False)))
+    model = SystemModel(A, B, allow_stable=bool(cfg.system.get("allow_stable", False)))
+    return model, decompose(model, **_given(cfg.system, cond_cap=float))
 
 
 def build_channel(cfg: ExperimentConfig):
-    ch = dict(cfg.channel)
-    kind = ch.pop("kind", "linear-gaussian")
-    ch.pop("schedule", None)
-    ch.pop("extension", None)
-    params = {}
-    if kind == "linear-gaussian":
-        params["C"] = ch.get("C", [[1.0]])
-        params["R"] = ch.get("R", [[1.0]])
-    elif kind == "tanh-gaussian":
-        params["scale"] = ch.get("scale", 1.0)
-        params["R"] = ch.get("R", [[ch.get("r", 1.0)]])
-    elif kind == "cubic-gaussian":
-        params["R"] = ch.get("R", [[ch.get("r", 1.0)]])
-    elif kind == "sign-quantizer":
-        params["levels"] = int(ch.get("levels", 2))
-        params["dim"] = int(ch.get("dim", 1))
-    elif kind == "modulo-gaussian":
-        params["period"] = ch.get("period", 1.0)
-        params["r"] = ch.get("r", 0.04)
-        params["dim"] = int(ch.get("dim", 1))
-    return make_channel(kind, **params)
+    return _construct("channel", CHANNELS[_kinds(cfg).channel], **_params(cfg, "channel"))
 
 
 def build_prior(cfg: ExperimentConfig, n_u: int):
-    pr = dict(cfg.prior)
-    family = pr.pop("family", "gaussian")
-    if family == "gaussian":
-        mean = pr.get("mean", [0.0] * n_u)
-        cov = pr.get("cov", np.eye(n_u).tolist())
-        return make_prior("gaussian", mean=mean, cov=cov)
-    return make_prior(family, **pr)
-
-
-def build_grid_spec(cfg: ExperimentConfig) -> GridSpec:
-    fl = cfg.filter
-    return GridSpec(
-        half_width_stds=float(fl.get("half_width_stds", 8.0)),
-        cells_per_std=int(fl.get("cells_per_std", 24)),
-        max_cells=int(fl.get("max_cells", 2**20)),
-    )
+    """The configured prior; a gaussian one is N(0, I) over the n_u tracked
+    modes unless the config sets its mean or covariance."""
+    cls = PRIORS[_kinds(cfg).prior]
+    context = {"dim": n_u} if cls is GaussianPrior else {}
+    return _construct("prior", cls, **context, **_params(cfg, "prior"))
 
 
 def build_context(cfg: ExperimentConfig) -> RunContext:
-    from .loop import tracked_block
+    model, decomp = build_system(cfg)
+    n_u = tracked_block(decomp).n_u
+    kinds = _kinds(cfg)
 
-    model = build_model(cfg)
-    cond_cap = float(cfg.system.get("cond_cap", 1e8))
-    decomp = decompose(model, cond_cap=cond_cap)
     channel = build_channel(cfg)
-    prior = build_prior(cfg, tracked_block(decomp).n_u)
-    fkind = cfg.filter.get("kind", _default_filter_kind(channel.kind))
+    dim_key = next(k for k in ("C", "dim", "R") if k in kind_keys(type(channel)))
+    _require(channel.state_dim == n_u, f"channel.{dim_key}",
+             f"the channel observes a state of length {channel.state_dim}, "
+             f"but the filter tracks {n_u} modes")
+    prior = build_prior(cfg, n_u)
+    _require(prior.dim == n_u, "prior.mean" if "mean" in cfg.prior else "prior.family",
+             f"the prior has dimension {prior.dim}, but the filter tracks {n_u} modes")
 
-    ctl = cfg.controller
-    mode = ctl.get("mode", "predict")
     gain = None
-    if mode != "none" and decomp.n_u > 0:
-        gain = design_gain(
-            decomp,
-            method=ctl.get("design", "lqr"),
-            q=ctl.get("q"),
-            r=ctl.get("r"),
-            poles=ctl.get("poles"),
-            target_pole=float(ctl.get("target_pole", 0.0)),
-        )
+    if kinds.mode != "none" and decomp.n_u > 0:
+        gain = _construct("controller", design_gain, decomp, kinds.design,
+                          **_params(cfg, "controller"))
+    for key in cfg.controller:
+        _require(key == "mode" or gain is not None, f"controller.{key}",
+                 "the plant has no unstable mode, so no gain is designed")
 
+    options = {
+        name: cast(getattr(cfg, section)[key])
+        for (section, key), (name, cast) in _CONTEXT_OPTIONS.items()
+        if key in getattr(cfg, section)
+    }
+    if kinds.filter == "grid":
+        options["grid_spec"] = _construct("filter", GridSpec, **_params(cfg, "filter"))
     sched = cfg.channel.get("schedule")
-    gamma = float(sched["gamma"]) if sched else None
-
     return RunContext(
         model=model,
         decomp=decomp,
         channel=channel,
         prior=prior,
-        filter_kind=fkind,
+        filter_kind=kinds.filter,
         gain=gain,
-        controller_mode=mode,
-        horizon=int(cfg.run.get("horizon", 100)),
-        grid_spec=build_grid_spec(cfg),
-        n_particles=int(cfg.filter.get("particles", 2**14)),
-        noise_gamma=gamma,
-        divergence_guard=float(cfg.run.get("divergence_guard", 1e12)),
+        controller_mode=kinds.mode,
+        noise_gamma=float(sched["gamma"]) if sched else None,
+        **options,
     )
 
 
@@ -316,11 +357,7 @@ def default_thresholds(cfg: ExperimentConfig, ctx: RunContext):
     """Bound thresholds: explicit config values win; otherwise 10x the
     analytic Kalman floor when the baseline is scalar linear-gaussian,
     else 10x the initial second moment."""
-    from .loop import OutcomeThresholds
-
     run = cfg.run
-    horizon = ctx.horizon
-    tail = int(run.get("tail_window", max(1, horizon // 4)))
     prior_cov = np.atleast_2d(ctx.prior.cov)
     init_sq = float(np.trace(prior_cov) + ctx.prior.mean @ ctx.prior.mean)
 
@@ -335,6 +372,6 @@ def default_thresholds(cfg: ExperimentConfig, ctx: RunContext):
     return OutcomeThresholds(
         bound_state=bound_state,
         bound_error=bound_error,
-        zero_threshold=float(run.get("zero_threshold", 1e-3)),
-        tail_window=tail,
+        tail_window=_tail_window(run, ctx.horizon),
+        **_given(run, zero_threshold=float),
     )

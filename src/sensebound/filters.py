@@ -46,11 +46,18 @@ class GridSpec:
     cells_per_std: int = 24
     max_cells: int = 2**20
 
+    def __post_init__(self):
+        # config values arrive as parsed JSON: hold the declared types
+        object.__setattr__(self, "half_width_stds", float(self.half_width_stds))
+        object.__setattr__(self, "cells_per_std", int(self.cells_per_std))
+        object.__setattr__(self, "max_cells", int(self.max_cells))
+
     def nodes_per_axis(self) -> int:
         return 2 * int(round(self.half_width_stds * self.cells_per_std)) + 1
 
 
 DEFAULT_GRID_SPEC = GridSpec()
+DEFAULT_PARTICLES = 2**14
 
 
 def _condition_number(cov: np.ndarray) -> float:
@@ -512,7 +519,7 @@ def make_initial_belief(
     prior,
     kind: str,
     grid_spec: GridSpec = DEFAULT_GRID_SPEC,
-    n_particles: int = 2**14,
+    n_particles: int = DEFAULT_PARTICLES,
     rng=None,
 ) -> Belief:
     if kind in ("kalman", "gaussian"):

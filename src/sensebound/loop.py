@@ -29,13 +29,16 @@ import numpy as np
 # filters.update and filters.predict are called through the module, so a
 # wrapper patched onto it (the span tracer in perfbench/) sees every call
 from . import filters
-from .audits import CurvatureAudit, audit_run
+from .audits import DEFAULT_AUDIT_WINDOW, DEFAULT_KAPPA_CAP, CurvatureAudit, audit_run
 from .errors import DegenerateLikelihood
-from .filters import DEFAULT_GRID_SPEC, GaussianBelief, GridSpec, make_initial_belief
+from .filters import (
+    DEFAULT_GRID_SPEC, DEFAULT_PARTICLES, GaussianBelief, GridSpec, make_initial_belief,
+)
 from .infoflow import InfoLedger, ensemble_mean_ledger, exact_step_means
 from .system import FeedbackGain, ModeDecomposition, SystemModel
 
 DIVERGENCE_GUARD = 1e12
+DEFAULT_HORIZON = 100
 
 
 def tracked_block(decomp: ModeDecomposition) -> ModeDecomposition:
@@ -62,7 +65,8 @@ def tracked_block(decomp: ModeDecomposition) -> ModeDecomposition:
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything a single run needs, prebuilt once per experiment."""
+    """Everything a single run needs, prebuilt once per experiment,
+    including what each run records besides its trajectory."""
 
     model: SystemModel
     decomp: ModeDecomposition
@@ -71,11 +75,15 @@ class RunContext:
     filter_kind: str
     gain: Optional[FeedbackGain]
     controller_mode: str = "predict"  # "none" | "predict" | "update"
-    horizon: int = 100
+    horizon: int = DEFAULT_HORIZON
     grid_spec: GridSpec = DEFAULT_GRID_SPEC
-    n_particles: int = 2**14
+    n_particles: int = DEFAULT_PARTICLES
     noise_gamma: Optional[float] = None  # extension: R_t = R * gamma^t
     divergence_guard: float = DIVERGENCE_GUARD
+    collect_audits: bool = False  # curvature audits of each finished run
+    audit_window: int = DEFAULT_AUDIT_WINDOW
+    kappa_cap: float = DEFAULT_KAPPA_CAP
+    collect_beliefs: bool = False  # each step's posterior, as JSON
 
     def channel_at(self, t: int):
         if self.noise_gamma is None:
@@ -114,15 +122,7 @@ class RunRecord:
         return not self.halted and not self.degenerate
 
 
-def run_closed_loop(
-    ctx: RunContext,
-    master_seed: int = 0,
-    run_index: int = 0,
-    collect_audits: bool = False,
-    audit_window: int = 2,
-    kappa_cap: float = 1e6,
-    collect_beliefs: bool = False,
-) -> RunRecord:
+def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -> RunRecord:
     """Execute one run of the loop: act, sense, update, advance."""
     rng = np.random.default_rng([int(master_seed), int(run_index)])
     decomp = ctx.decomp
@@ -146,7 +146,7 @@ def run_closed_loop(
     cmi_channel = []
     halted = degenerate = False
     halted_t = degenerate_t = None
-    beliefs_json = [] if collect_beliefs else None
+    beliefs_json = [] if ctx.collect_beliefs else None
     x = decomp.from_modes(np.concatenate([z_u, z_s]))
     x_sq = float(x @ x)
 
@@ -177,7 +177,7 @@ def run_closed_loop(
         en.append(float(e_t @ e_t))
         cond.append(step.cond_number)
         cmi_channel.append(step.cmi_channel)
-        if collect_beliefs:
+        if ctx.collect_beliefs:
             beliefs_json.append(step.belief_post.to_json_dict())
 
         z_u = trk.A_u @ z_u + trk.B_u @ u_t
@@ -214,8 +214,8 @@ def run_closed_loop(
         degenerate_t=degenerate_t,
         beliefs_json=beliefs_json,
     )
-    if collect_audits:
-        record.audits = _audit(ctx, record, audit_window, kappa_cap)
+    if ctx.collect_audits:
+        record.audits = _audit(ctx, record)
     return record
 
 
@@ -226,9 +226,7 @@ def _expansion(decomp: ModeDecomposition, trk: ModeDecomposition) -> float:
     return float(np.log2(abs(np.linalg.det(trk.A_u))))
 
 
-def _audit(
-    ctx: RunContext, record: RunRecord, audit_window: int, kappa_cap: float
-) -> Optional[CurvatureAudit]:
+def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
     """The curvature audits of a finished run (None for a run with no
     step); each Hessian term is evaluated with the channel of its own step."""
     if record.steps == 0:
@@ -241,8 +239,8 @@ def _audit(
         record.y,
         record.u,
         record.cond,
-        L=min(audit_window, record.steps),
-        kappa_cap=kappa_cap,
+        L=min(ctx.audit_window, record.steps),
+        kappa_cap=ctx.kappa_cap,
         channel_at=ctx.channel_at,
     )
 
@@ -270,15 +268,7 @@ def _rows_sq(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_kalman_block(
-    ctx: RunContext,
-    master_seed: int,
-    runs: range,
-    collect_audits: bool = False,
-    audit_window: int = 2,
-    kappa_cap: float = 1e6,
-    collect_beliefs: bool = False,
-) -> list:
+def run_kalman_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     """The Kalman runs with the given indices, as one batch.
 
     Gives the records `run_closed_loop` gives for each index: bit for bit
@@ -319,7 +309,7 @@ def run_kalman_block(
 
     z_h, u_h, y_h = np.empty((N, T, n_u)), np.empty((N, T, m)), np.empty((N, T, p))
     sn_h, en_h = np.empty((N, T)), np.empty((N, T))
-    mean_h = np.empty((N, T, n_u)) if collect_beliefs else None
+    mean_h = np.empty((N, T, n_u)) if ctx.collect_beliefs else None
     cond, posts = [], []
     halted_t = np.zeros(N, dtype=int)  # 0: still running
     alive = np.arange(N)
@@ -347,7 +337,7 @@ def run_kalman_block(
         z_h[alive, t], u_h[alive, t], y_h[alive, t] = Z, U, Y
         sn_h[alive, t], en_h[alive, t] = x_sq, _rows_sq(M - Z)
         cond.append(step.cond_number)
-        if collect_beliefs:
+        if ctx.collect_beliefs:
             mean_h[alive, t] = M
             posts.append(step.belief_post.to_json_dict())
 
@@ -383,12 +373,12 @@ def run_kalman_block(
             halted_t=int(halted_t[r]) or None,
             beliefs_json=(
                 [{**posts[t], "mean": mean_h[r, t].tolist()} for t in range(s)]
-                if collect_beliefs
+                if ctx.collect_beliefs
                 else None
             ),
         )
-        if collect_audits:
-            record.audits = _audit(ctx, record, audit_window, kappa_cap)
+        if ctx.collect_audits:
+            record.audits = _audit(ctx, record)
         records.append(record)
     return records
 
@@ -414,14 +404,7 @@ class EnsembleStats:
 
 
 def run_ensemble(
-    ctx: RunContext,
-    n_runs: int,
-    master_seed: int = 0,
-    workers: int = 1,
-    collect_audits: bool = False,
-    audit_window: int = 2,
-    kappa_cap: float = 1e6,
-    collect_beliefs: bool = False,
+    ctx: RunContext, n_runs: int, master_seed: int = 0, workers: int = 1
 ) -> EnsembleStats:
     """Run n_runs independent loops and reduce per-step statistics.
 
@@ -435,21 +418,15 @@ def run_ensemble(
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
-    opts = dict(
-        collect_audits=collect_audits,
-        audit_window=audit_window,
-        kappa_cap=kappa_cap,
-        collect_beliefs=collect_beliefs,
-    )
     if ctx.filter_kind == "kalman":
-        records = run_kalman_block(ctx, master_seed, range(n_runs), **opts)
+        records = run_kalman_block(ctx, master_seed, range(n_runs))
     elif workers > 1:
-        one_run = partial(run_closed_loop, ctx, master_seed, **opts)
+        one_run = partial(run_closed_loop, ctx, master_seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, n_runs // (4 * workers))
             records = list(pool.map(one_run, range(n_runs), chunksize=chunksize))
     else:
-        records = [run_closed_loop(ctx, master_seed, i, **opts) for i in range(n_runs)]
+        records = [run_closed_loop(ctx, master_seed, i) for i in range(n_runs)]
 
     horizon = ctx.horizon
     steps = np.array([r.steps for r in records])
@@ -570,7 +547,7 @@ def kalman_error_floor(a: float, r: float) -> float:
 
 def replay_filter(decomp, channel, prior, filter_kind, us, ys,
                   grid_spec: GridSpec = DEFAULT_GRID_SPEC,
-                  n_particles: int = 2**14, rng=None):
+                  n_particles: int = DEFAULT_PARTICLES, rng=None):
     """Run a filter offline against a recorded (u, y) sequence.
 
     Bayes updates only depend on the realized inputs and observations, so

@@ -16,8 +16,13 @@ class GaussianPrior:
     family = "gaussian"
     smooth = True
 
-    def __init__(self, mean, cov):
+    def __init__(self, mean=None, cov=None, *, dim: int = 1):
+        """N(mean, cov); mean defaults to zero in `dim` dimensions, cov to I."""
+        if mean is None:
+            mean = np.zeros(dim)
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        if cov is None:
+            cov = np.eye(self.mean.size)
         self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise DimensionMismatch(
@@ -103,31 +108,32 @@ class StudentTPrior:
 
 
 class LaplacePrior:
+    """1-D Laplace with scale b (location 0)."""
+
     family = "laplace"
     smooth = False
 
-    def __init__(self, scale=1.0, loc=0.0):
+    def __init__(self, scale=1.0):
         self.scale = float(scale)
-        self.loc = float(loc)
 
     @property
     def dim(self) -> int:
         return 1
 
     def sample(self, rng, size=None):
-        draw = rng.laplace(self.loc, self.scale, size=size)
+        draw = rng.laplace(0.0, self.scale, size=size)
         return np.atleast_1d(draw) if size is None else np.asarray(draw)[..., None]
 
     def logpdf_batch(self, Z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(Z, dtype=float))[:, 0]
-        return -np.abs(z - self.loc) / self.scale - np.log(2.0 * self.scale)
+        return -np.abs(z) / self.scale - np.log(2.0 * self.scale)
 
     def entropy_nats(self) -> float:
         return 1.0 + np.log(2.0 * self.scale)
 
     @property
     def mean(self):
-        return np.array([self.loc])
+        return np.array([0.0])
 
     @property
     def cov(self):
@@ -201,16 +207,15 @@ class UniformPrior:
         return np.array([[w * w / 12.0]])
 
 
+# The prior families. A family's config keys are its constructor's
+# parameters, less the keyword-only ones, which the builder supplies.
+PRIORS = {
+    cls.family: cls
+    for cls in (GaussianPrior, StudentTPrior, LaplacePrior, ExponentialPrior, UniformPrior)
+}
+
+
 def make_prior(family: str, **params):
-    families = {
-        "gaussian": GaussianPrior,
-        "student-t": StudentTPrior,
-        "laplace": LaplacePrior,
-        "exponential": ExponentialPrior,
-        "uniform": UniformPrior,
-    }
-    if family not in families:
-        raise UnknownPriorFamily(
-            f"unknown prior family {family!r}; known: {sorted(families)}"
-        )
-    return families[family](**params)
+    if family not in PRIORS:
+        raise UnknownPriorFamily(f"unknown prior family {family!r}; known: {sorted(PRIORS)}")
+    return PRIORS[family](**params)

@@ -19,7 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, build_context, default_thresholds
+from .config import (
+    OUTPUT_FORMATS, SECTIONS, ExperimentConfig, build_context, default_thresholds, parse_config,
+    validate_config,
+)
 from .errors import EmptySeries, SenseboundError
 from .infoflow import (
     NecessityVerdict,
@@ -309,16 +312,7 @@ def run_experiment(
     master_seed = int(seed if seed is not None else cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
-    ens = run_ensemble(
-        ctx,
-        n_runs,
-        master_seed=master_seed,
-        workers=workers,
-        collect_audits=bool(cfg.run.get("audit", False)),
-        audit_window=int(cfg.run.get("audit_window", 2)),
-        kappa_cap=float(cfg.run.get("kappa_cap", 1e6)),
-        collect_beliefs=bool(cfg.outputs.get("debug_beliefs", False)),
-    )
+    ens = run_ensemble(ctx, n_runs, master_seed=master_seed, workers=workers)
     thresholds = default_thresholds(cfg, ctx)
     outcome = classify_outcome(ens, thresholds)
     verdict = None
@@ -335,7 +329,7 @@ def run_experiment(
     csv_names, svg_names = [], []
     out_path = out_dir if out_dir is not None else cfg.outputs.get("dir", "out")
     if write:
-        formats = cfg.outputs.get("formats", ["csv", "json"])
+        formats = cfg.outputs.get("formats", OUTPUT_FORMATS)
         want_svg = bool(cfg.outputs.get("svg", True))
         files = {}
         if "csv" in formats:
@@ -346,12 +340,11 @@ def run_experiment(
         if "json" in formats:
             files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         files["config.cfg"] = cfg.source_text or _render_config(cfg)
-        if bool(cfg.outputs.get("debug_beliefs", False)):
-            for r in ens.runs:
-                if r.beliefs_json is not None:
-                    files[os.path.join("beliefs", f"run_{r.run_index:05d}.json")] = (
-                        json.dumps(to_jsonable(r.beliefs_json), indent=1) + "\n"
-                    )
+        for r in ens.runs:
+            if r.beliefs_json is not None:
+                files[os.path.join("beliefs", f"run_{r.run_index:05d}.json")] = (
+                    json.dumps(to_jsonable(r.beliefs_json), indent=1) + "\n"
+                )
         for r in ens.runs:
             if r.audits is not None:
                 files[os.path.join("audits", f"run_{r.run_index:05d}.json")] = (
@@ -399,7 +392,7 @@ def run_experiment(
 
 def _render_config(cfg: ExperimentConfig) -> str:
     lines = [f'experiment = "{cfg.experiment}"']
-    for section in ("system", "channel", "prior", "filter", "controller", "run", "outputs"):
+    for section in SECTIONS:
         data = getattr(cfg, section)
         if not data:
             continue
@@ -452,16 +445,14 @@ def run_sweep(
     seed: Optional[int] = None,
     workers: int = 1,
 ) -> dict:
-    """Vary one scalar parameter over a list; one summary row per point."""
-    from .config import parse_config
-
+    """Vary one parameter over a list of values; one summary row per point.
+    Each point is validated before it runs, so a key the configured kind
+    does not read fails the sweep instead of giving identical rows."""
     rows = []
     violation = False
     for v in values:
         cfg = parse_config(base_cfg_text)
         set_config_value(cfg, param, v)
-        from .config import validate_config
-
         validate_config(cfg)
         bundle = run_experiment(cfg, seed=seed, workers=workers, write=False)
         s = bundle.summary

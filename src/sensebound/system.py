@@ -237,22 +237,52 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def design_gain(
-    decomp: ModeDecomposition,
-    method: str = "lqr",
-    q=None,
-    r=None,
-    poles=None,
-    target_pole: float = 0.0,
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
-) -> FeedbackGain:
-    """Design K with rho(A_u + B_u K) < 1 for the unstable pair.
+def _lqr_gain(A, B, /, q=None, r=None, *, max_iter: int = 10_000, tol: float = 1e-12):
+    """Fixed-point Riccati iteration; identity weights by default."""
+    Q = np.eye(A.shape[0]) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
+    R = np.eye(B.shape[1]) if r is None else np.atleast_2d(np.asarray(r, dtype=float))
+    P = Q.copy()
+    for _ in range(max_iter):
+        BtP = B.T @ P
+        gain = np.linalg.solve(R + BtP @ B, BtP @ A)
+        P_next = Q + A.T @ P @ (A - B @ gain)
+        P_next = 0.5 * (P_next + P_next.T)
+        if np.max(np.abs(P_next - P)) <= tol * max(1.0, np.max(np.abs(P_next))):
+            P = P_next
+            break
+        P = P_next
+    else:
+        raise RiccatiDivergence(
+            f"regulator iteration did not converge in {max_iter} iterations"
+        )
+    BtP = B.T @ P
+    return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
-    Methods: "lqr" (fixed-point Riccati iteration, identity weights by
-    default), "deadbeat" (scalar plants only, places the pole at
-    target_pole), "place" (explicit pole list via scipy).
-    """
+
+def _deadbeat_gain(A, B, /, target_pole=0.0):
+    """Scalar plants only: places the pole at target_pole."""
+    if A.shape[0] != 1 or B.shape[1] != 1:
+        raise NotStabilizable("deadbeat design is provided for scalar plants only")
+    a = float(A[0, 0])
+    b = float(B[0, 0])
+    if b == 0.0:
+        raise NotStabilizable("scalar control gain b is zero")
+    return np.array([[(target_pole - a) / b]])
+
+
+def _place_gain(A, B, /, poles):
+    """An explicit pole list, via scipy."""
+    return -scipy.signal.place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
+
+
+# The gain designs. A design's config keys are its parameters after (A, B);
+# the keyword-only ones are not config keys.
+GAIN_DESIGNS = {"lqr": _lqr_gain, "deadbeat": _deadbeat_gain, "place": _place_gain}
+
+
+def design_gain(decomp: ModeDecomposition, method: str = "lqr", **params) -> FeedbackGain:
+    """Design K with rho(A_u + B_u K) < 1 for the unstable pair, by the
+    GAIN_DESIGNS entry `method` with keyword `params`."""
     A = np.asarray(decomp.A_u, dtype=float)
     B = np.asarray(decomp.B_u, dtype=float)
     n_u = decomp.n_u
@@ -264,41 +294,9 @@ def design_gain(
             f"controllability matrix of the unstable pair has rank "
             f"{np.linalg.matrix_rank(ctrb)} < {n_u}"
         )
-
-    if method == "deadbeat":
-        if n_u != 1 or B.shape[1] != 1:
-            raise NotStabilizable("deadbeat design is provided for scalar plants only")
-        a = float(A[0, 0])
-        b = float(B[0, 0])
-        if b == 0.0:
-            raise NotStabilizable("scalar control gain b is zero")
-        K = np.array([[(target_pole - a) / b]])
-    elif method == "place":
-        if poles is None:
-            raise ValueError("method='place' needs an explicit pole list")
-        placed = scipy.signal.place_poles(A, B, np.asarray(poles, dtype=float))
-        K = -placed.gain_matrix
-    elif method == "lqr":
-        Q = np.eye(n_u) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
-        R = np.eye(B.shape[1]) if r is None else np.atleast_2d(np.asarray(r, dtype=float))
-        P = Q.copy()
-        for _ in range(max_iter):
-            BtP = B.T @ P
-            gain = np.linalg.solve(R + BtP @ B, BtP @ A)
-            P_next = Q + A.T @ P @ (A - B @ gain)
-            P_next = 0.5 * (P_next + P_next.T)
-            if np.max(np.abs(P_next - P)) <= tol * max(1.0, np.max(np.abs(P_next))):
-                P = P_next
-                break
-            P = P_next
-        else:
-            raise RiccatiDivergence(
-                f"regulator iteration did not converge in {max_iter} iterations"
-            )
-        BtP = B.T @ P
-        K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-    else:
+    if method not in GAIN_DESIGNS:
         raise ValueError(f"unknown gain design method {method!r}")
+    K = GAIN_DESIGNS[method](A, B, **params)
 
     rho = float(np.max(np.abs(np.linalg.eigvals(A + B @ K))))
     if rho >= 1.0:

@@ -1,0 +1,199 @@
+"""Every config key is honoured or rejected.
+
+A kinded section (channel, prior, filter, controller) takes its selector
+keys plus the keys of the chosen kind, which are that kind's constructor
+parameters. A stray key, a missing required key and a constructor value
+out of range each give a ValidationError naming the field, and
+`sensebound run` exits 1 with an `error:` line instead of a traceback.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from sensebound.channels import CHANNELS
+from sensebound.cli import main
+from sensebound.config import FILTER_KEYS, build_context, kind_keys, parse_config, validate_config
+from sensebound.errors import ValidationError
+from sensebound.priors import PRIORS
+from sensebound.report import set_config_value
+from sensebound.system import GAIN_DESIGNS
+
+BASE = {
+    "system": "A = [[2.0]]",
+    "channel": 'kind = "linear-gaussian"',
+    "prior": 'family = "gaussian"',
+    "filter": 'kind = "kalman"',
+    "controller": 'mode = "predict"',
+    "run": "horizon = 20\nruns = 2\nseed = 7",
+}
+
+
+def config_text(**sections) -> str:
+    merged = {**BASE, **sections}
+    return 'experiment = "keys"\n' + "".join(f"[{k}]\n{v}\n" for k, v in merged.items())
+
+
+TANH = 'kind = "tanh-gaussian"\nR = [[0.01]]'
+GRID = 'kind = "grid"'
+
+REJECTED = [
+    ("tanh-C", dict(channel=TANH + "\nC = [[1.0]]", filter=GRID), "channel.C"),
+    ("linear-levels", dict(channel='kind = "linear-gaussian"\nlevels = 4'), "channel.levels"),
+    ("tanh-r", dict(channel='kind = "tanh-gaussian"\nr = 0.01', filter=GRID), "channel.r"),
+    ("gaussian-df", dict(prior='family = "gaussian"\ndf = 5'), "prior.df"),
+    ("laplace-mean", dict(prior='family = "laplace"\nmean = [0.0]', filter=GRID), "prior.mean"),
+    ("student-t-no-df", dict(prior='family = "student-t"', filter=GRID), "prior.df"),
+    ("grid-particles", dict(filter=GRID + "\nparticles = 1024"), "filter.particles"),
+    ("kalman-cells", dict(filter='kind = "kalman"\ncells_per_std = 12'), "filter.cells_per_std"),
+    ("lqr-target-pole", dict(controller='design = "lqr"\ntarget_pole = 0.5'),
+     "controller.target_pole"),
+    ("none-design", dict(controller='mode = "none"\ndesign = "lqr"'), "controller.design"),
+    ("place-no-poles", dict(controller='design = "place"'), "controller.poles"),
+    ("laplace-loc", dict(prior='family = "laplace"\nloc = 0.5', filter=GRID), "prior.loc"),
+    ("design-list", dict(controller='design = ["lqr"]'), "controller.design"),
+    ("extension-no-schedule", dict(channel='kind = "sign-quantizer"\nextension = true',
+                                   filter=GRID), "channel.extension"),
+]
+
+
+@pytest.mark.parametrize("sections, field", [c[1:] for c in REJECTED],
+                         ids=[c[0] for c in REJECTED])
+def test_stray_or_missing_key_names_field(sections, field):
+    with pytest.raises(ValidationError) as err:
+        parse_config(config_text(**sections))
+    assert err.value.field == field
+
+
+def test_each_kind_takes_its_own_keys():
+    """The rejected keys are accepted by the kinds that read them."""
+    accepted = [
+        dict(channel=TANH + "\nscale = 2.0", filter=GRID),
+        dict(channel='kind = "sign-quantizer"\nlevels = 4', filter=GRID),
+        dict(prior='family = "student-t"\ndf = 5', filter=GRID),
+        dict(filter='kind = "particle"\nparticles = 64'),
+        dict(filter=GRID + "\ncells_per_std = 12"),
+        dict(controller='design = "deadbeat"\ntarget_pole = 0.5'),
+        dict(controller='design = "place"\npoles = [0.5]'),
+        dict(controller='mode = "none"'),
+    ]
+    for sections in accepted:
+        build_context(parse_config(config_text(**sections)))
+
+
+def test_design_keys_need_an_unstable_mode():
+    stable = dict(system="A = [[0.5]]\nallow_stable = true")
+    build_context(parse_config(config_text(**stable)))
+    cfg = parse_config(config_text(**stable, controller='design = "deadbeat"\ntarget_pole = 0.9'))
+    with pytest.raises(ValidationError) as err:
+        build_context(cfg)
+    assert err.value.field == "controller.design"
+
+
+def test_swept_key_is_validated():
+    cfg = parse_config(config_text())
+    set_config_value(cfg, "run.foo", 1)
+    with pytest.raises(ValidationError) as err:
+        validate_config(cfg)
+    assert err.value.field == "run.foo"
+
+
+def run_cli(tmp_path, text, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "b"), "--workers", "1"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sections, field",
+    [
+        (dict(prior='family = "uniform"\nlow = 1.0\nhigh = 0.5', filter=GRID), "prior"),
+        (dict(prior='family = "student-t"\ndf = 2', filter=GRID), "prior"),
+        (dict(channel='kind = "sign-quantizer"\nlevels = 1', filter=GRID), "channel"),
+        (dict(channel='kind = "modulo-gaussian"\nperiod = 0', filter=GRID), "channel"),
+    ],
+    ids=["uniform-high-le-low", "student-t-df-le-2", "quantizer-one-level", "modulo-period-0"],
+)
+def test_out_of_range_value_exits_one(tmp_path, capsys, sections, field):
+    code, err = run_cli(tmp_path, config_text(**sections), capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
+def test_channel_must_observe_the_tracked_modes(tmp_path, capsys):
+    """C acts on the unstable modes: one here, not the two plant states."""
+    text = config_text(
+        system="A = [[2.0, 0.0], [0.0, 0.5]]",
+        channel='kind = "linear-gaussian"\nC = [[1.0, 0.0]]\nR = [[1.0]]',
+    )
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith("error: channel.C: ")
+
+
+TWO_MODES = config_text(
+    system="A = [[2.0, 0.0], [0.0, 3.0]]",
+    channel='kind = "linear-gaussian"\nC = [[1.0, 0.0], [0.0, 1.0]]\nR = [[1.0, 0.0], [0.0, 1.0]]',
+    controller='design = "lqr"',
+    run="horizon = 200\nruns = 2\nseed = 7",
+)
+
+
+def test_sweep_over_matrices(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TWO_MODES)
+    code = main([
+        "sweep", "--config", str(path), "--param", "channel.R",
+        "--values", "[[1.0, 0.0], [0.0, 1.0]],[[0.5, 0.0], [0.0, 0.5]]",
+        "--out", str(tmp_path / "sw"), "--workers", "1",
+    ])
+    assert code == 0
+    rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+    assert [r["value"] for r in rows] == [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]]
+    assert rows[0]["tail_mean_err_sq"] != rows[1]["tail_mean_err_sq"]
+
+
+@pytest.mark.parametrize("values", ["[1,", "", "1,,2"])
+def test_malformed_sweep_values_are_usage_errors(tmp_path, capsys, values):
+    path = tmp_path / "exp.cfg"
+    path.write_text(config_text())
+    code = main(["sweep", "--config", str(path), "--param", "channel.R", "--values", values,
+                 "--out", str(tmp_path / "sw"), "--workers", "1"])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_sweep_of_an_unread_key_fails_instead_of_writing_rows(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(config_text())
+    code = main(["sweep", "--config", str(path), "--param", "channel.levels", "--values", "2,4",
+                 "--out", str(tmp_path / "sw"), "--workers", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: channel.levels: ")
+    assert not (tmp_path / "sw").exists()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_example_config_builds():
+    blocks = re.findall(r"```ini\n(.*?)```", README, flags=re.DOTALL)
+    assert len(blocks) == 1
+    build_context(parse_config(blocks[0]))
+
+
+def test_readme_key_table_matches_the_constructors():
+    rows = re.findall(r"^\| (channel|prior|filter|controller) \| `([\w-]+)` \| (.*) \|$",
+                      README, flags=re.MULTILINE)
+    documented = {(section, kind): re.findall(r"`(\w+)`", keys) for section, kind, keys in rows}
+    actual = {
+        **{("channel", k): list(kind_keys(c)) for k, c in CHANNELS.items()},
+        **{("prior", k): list(kind_keys(c)) for k, c in PRIORS.items()},
+        **{("filter", k): list(keys) for k, keys in FILTER_KEYS.items()},
+        **{("controller", k): list(kind_keys(f)) for k, f in GAIN_DESIGNS.items()},
+    }
+    assert documented == actual

@@ -121,15 +121,16 @@ class TestBundledKalmanExperiments:
         run_experiment(cfg, out_dir=str(tmp_path / "b"), seed=4, runs=3, horizon=100)
         ctx = build_context(cfg)
         for i in range(3):
-            ref = run_closed_loop(ctx, 4, i, collect_beliefs=True)
+            ref = run_closed_loop(dataclasses.replace(ctx, collect_beliefs=True), 4, i)
             assert len(ref.beliefs_json) == 100
             written = (tmp_path / "b" / "beliefs" / f"run_{i:05d}.json").read_text()
             assert written == json.dumps(to_jsonable(ref.beliefs_json), indent=1) + "\n"
 
     def test_audited_records_equal_scalar_loop(self):
         ctx = bundled_ctx("shrinking-noise", horizon=20)
-        for rec in run_kalman_block(ctx, 3, range(2), collect_audits=True):
-            ref = run_closed_loop(ctx, 3, rec.run_index, collect_audits=True)
+        ctx = dataclasses.replace(ctx, collect_audits=True)
+        for rec in run_kalman_block(ctx, 3, range(2)):
+            ref = run_closed_loop(ctx, 3, rec.run_index)
             assert rec.audits is not None
             assert_records_equal(rec, ref)
 
