@@ -80,6 +80,16 @@ _CONTEXT_OPTIONS = {
     ("filter", "particles"): ("n_particles", int),
     ("outputs", "debug_beliefs"): ("collect_beliefs", bool),
 }
+# every key read as a number, with its cast
+_NUMERIC_KEYS = {
+    **{where: cast for where, (_, cast) in _CONTEXT_OPTIONS.items() if cast is not bool},
+    ("run", "runs"): int,
+    ("run", "seed"): int,
+    ("run", "tail_window"): int,
+    ("run", "bound_state"): float,
+    ("run", "bound_error"): float,
+    ("run", "zero_threshold"): float,
+}
 
 
 @dataclass
@@ -259,6 +269,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"unknown gain design {design!r}; known: {', '.join(GAIN_DESIGNS)}")
         _check_keys(cfg, "controller", kind_keys(GAIN_DESIGNS[design]),
                     f"gain design {design!r}")
+
+    for (section, key), cast in _NUMERIC_KEYS.items():
+        values = getattr(cfg, section)
+        if key not in values:
+            continue
+        try:
+            cast(values[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"expected a number, got {values[key]!r}",
+                                  field=f"{section}.{key}") from None
 
     horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")

@@ -9,6 +9,9 @@ Three interchangeable belief representations:
 - Particles: bootstrap filter with systematic resampling, the scalability
              path for everything else.
 
+`GridRows` holds many runs' 1-D grid beliefs as rows of two arrays and
+gives each row the bits its GridBelief would have.
+
 The predict step pushes the belief through z -> A_u z + B_u u exactly, so
 predicted entropy exceeds the previous posterior entropy by the expansion
 rate up to representation error.
@@ -19,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.linalg.lapack import dgtsv
 
 from .channels import ChannelModel, LinearGaussianChannel
 from .entropy import (
@@ -72,6 +76,7 @@ class Belief:
     """Common surface of the three posterior representations."""
 
     representation = "abstract"
+    batch = ()  # the leading shape of a block of beliefs; a single belief has none
 
     t: int
     kind: str  # "predicted" (given y^{t-1}) or "posterior" (given y^t)
@@ -252,16 +257,7 @@ class GridBelief(Belief):
         return (centered * w[:, None]).T @ centered
 
     def to_json_dict(self) -> dict:
-        return {
-            "representation": "grid",
-            "t": self.t,
-            "kind": self.kind,
-            "axes": [
-                {"start": float(a[0]), "step": float(a[1] - a[0]), "num": int(len(a))}
-                for a in self.axes
-            ],
-            "density": self.density.tolist(),
-        }
+        return _grid_json(self.t, self.kind, self.axes, self.density)
 
     def _pushed(self, A, shift, grid_spec):
         mu = A @ self.mean() + shift
@@ -300,6 +296,238 @@ class GridBelief(Belief):
 
     def _weighted_points(self):
         return self.nodes(), self.masses()
+
+
+def _grid_json(t: int, kind: str, axes, density: np.ndarray) -> dict:
+    return {
+        "representation": "grid",
+        "t": t,
+        "kind": kind,
+        "axes": [
+            {"start": float(a[0]), "step": float(a[1] - a[0]), "num": int(len(a))}
+            for a in axes
+        ],
+        "density": density.tolist(),
+    }
+
+
+@dataclass(frozen=True)
+class GridRows(Belief):
+    """A block of 1-D grid beliefs: row r is the GridBelief on the axis
+    `nodes[r]` with density `density[r]`.
+
+    Each method returns one value per row, with the bits the GridBelief
+    method gives for that row alone, so a row's bits do not depend on the
+    block. Moments are per-row BLAS dots (batched matmul calls the kernel
+    GridBelief's products call), entropies are per-row calls of
+    `grid_entropy_nats`, and the re-grid is `_rows_cubic_spline`.
+    `degenerate` marks the rows of a posterior whose likelihood vanished,
+    where GridBelief raises DegenerateLikelihood; such a row keeps its
+    predicted density and must leave the block.
+    """
+
+    representation = "grid"
+
+    nodes: np.ndarray  # (N, n), row r a uniform axis
+    density: np.ndarray  # (N, n), each row normalised on its axis
+    t: int = 0
+    kind: str = "posterior"
+    degenerate: Optional[np.ndarray] = None
+
+    @classmethod
+    def tile(cls, belief: GridBelief, n_rows: int) -> "GridRows":
+        """n_rows copies of a 1-D grid belief, its entropy evaluated once."""
+        rows = cls(np.tile(belief.axes[0], (n_rows, 1)), np.tile(belief.density, (n_rows, 1)),
+                   t=belief.t, kind=belief.kind)
+        object.__setattr__(rows, "_h_bits", np.full(n_rows, belief.entropy_bits()))
+        return rows
+
+    @property
+    def batch(self) -> tuple:
+        return (self.nodes.shape[0],)
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    @property
+    def cell_volume(self) -> np.ndarray:
+        return self.nodes[:, 1] - self.nodes[:, 0]
+
+    def masses(self) -> np.ndarray:
+        return self.density * self.cell_volume[:, None]
+
+    def take(self, keep) -> "GridRows":
+        """The rows selected by `keep`, with their entropies if evaluated."""
+        rows = GridRows(self.nodes[keep], self.density[keep], t=self.t, kind=self.kind)
+        h = self.__dict__.get("_h_bits")
+        if h is not None:
+            object.__setattr__(rows, "_h_bits", h[keep])
+        return rows
+
+    def _entropy_bits(self) -> np.ndarray:
+        return np.array([
+            nats_to_bits(grid_entropy_nats(d, v))
+            for d, v in zip(self.density, self.cell_volume.tolist())
+        ])
+
+    def _moment_rows(self):
+        """(means (N, 1), covariances (N, 1, 1)), evaluated once."""
+        memo = self.__dict__.get("_moments")
+        if memo is None:
+            w = self.masses()
+            mu = np.matmul(w[:, None, :], self.nodes[:, :, None])[:, 0]
+            centered = self.nodes - mu
+            cov = np.matmul((centered * w)[:, None, :], centered[:, :, None])
+            memo = (mu, cov)
+            object.__setattr__(self, "_moments", memo)
+        return memo
+
+    def mean(self) -> np.ndarray:
+        return self._moment_rows()[0]
+
+    def cov(self) -> np.ndarray:
+        return self._moment_rows()[1]
+
+    def cond_number(self) -> np.ndarray:
+        # a 1x1 covariance is its own eigenvalue
+        c = self.cov()[:, 0, 0] + COV_REGULARIZER
+        with np.errstate(invalid="ignore"):
+            return np.where(c <= 0.0, np.inf, c / c)
+
+    def to_json_dict(self) -> list:
+        """One GridBelief JSON dict per row."""
+        return [_grid_json(self.t, self.kind, (x,), d) for x, d in zip(self.nodes, self.density)]
+
+    def _pushed(self, A, shift, grid_spec):
+        mu, cov = self._moment_rows()
+        mu = np.matmul(A, mu[:, :, None])[:, :, 0] + shift
+        cov = np.matmul(np.matmul(A, cov), A.T)
+        nodes = _rows_axes(mu[:, 0], cov[:, 0, 0], grid_spec)
+        det = abs(np.linalg.det(A))
+        A_inv = np.linalg.inv(A)
+        z_old = (nodes - shift) * A_inv[0, 0]
+        dens = _rows_cubic_spline(self.nodes, self.density, z_old)
+        inside = (z_old >= self.nodes[:, :1]) & (z_old <= self.nodes[:, -1:])
+        dens = np.where(inside, dens, 0.0)
+        dens = np.clip(dens, 0.0, None) / det
+        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
+            raise DegenerateLikelihood("grid density must be finite and nonnegative")
+        mass = dens.sum(axis=1) * (nodes[:, 1] - nodes[:, 0])
+        if np.any(mass <= 0.0):
+            raise DegenerateLikelihood("grid density has no mass")
+        return GridRows(nodes, dens / mass[:, None], t=self.t + 1, kind="predicted")
+
+    def _conditioned(self, ch, y, rng, resample_fraction):
+        # the likelihood is evaluated state by state, so the rows that saw
+        # one observation (a quantizer has few) share one call
+        ll = np.empty(self.density.shape)
+        seen, which = _unique_rows(np.asarray(y, dtype=float))
+        for k, y_k in enumerate(seen):
+            rows = np.flatnonzero(which == k)
+            ll[rows] = ch.log_density_batch(y_k, self.nodes[rows].reshape(-1, 1)).reshape(
+                rows.size, -1)
+        peak = np.max(ll, axis=1)
+        bad = ~np.isfinite(peak)
+        dens = self.density * np.exp(ll - np.where(bad, 0.0, peak)[:, None])
+        total = dens.sum(axis=1) * self.cell_volume
+        bad |= ~((total > 0.0) & np.isfinite(total))
+        post = np.where(bad[:, None], self.density, dens / np.where(bad, 1.0, total)[:, None])
+        return GridRows(self.nodes, post, t=self.t, kind="posterior", degenerate=bad), False
+
+    def _weighted_points(self):
+        return self.nodes[:, :, None], self.masses()
+
+
+def _rows_axes(mean: np.ndarray, var: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """`grid_axes_from_moments` for N scalar beliefs at once: row r is the
+    axis it gives for (mean[r], var[r]), bit for bit, as `np.linspace`
+    computes it."""
+    num = spec.nodes_per_axis()
+    if num > spec.max_cells:
+        raise GridOverflow(f"{num}^1 cells exceed budget {spec.max_cells}")
+    sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1e-12)
+    half = spec.half_width_stds * sigma
+    lo, hi = mean - half, mean + half
+    delta = hi - lo
+    j = np.arange(num, dtype=float)
+    step = delta / (num - 1)
+    nodes = j * step[:, None]
+    flat = step == 0  # linspace's branch for a step that underflows
+    if flat.any():
+        nodes[flat] = (j / (num - 1)) * delta[flat, None]
+    nodes += lo[:, None]
+    nodes[:, -1] = hi
+    return nodes
+
+
+def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row r is `CubicSpline(x[r], y[r])(q[r])`, bit for bit, at the queries
+    inside [x[r, 0], x[r, -1]] (outside them it is some finite value).
+
+    The arithmetic is scipy's, elementwise on rows: `CubicSpline.__init__`
+    (not-a-knot ends) builds the tridiagonal system of the node slopes,
+    LAPACK dgtsv solves the N systems as one whose blocks are joined by zero
+    off-diagonals (the routine `solve_banded((1, 1), ...)` calls; a zero
+    coupling only ever adds exact zeros), `CubicHermiteSpline` turns slopes
+    into coefficients, and PPoly's evaluation is reproduced term by term
+    from the interval searchsorted(x, q, "right") - 1 clipped to [0, n-2].
+    """
+    N, n = x.shape
+    if n < 4:  # scipy's two- and three-node special cases
+        return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)])
+    dx = np.diff(x, axis=1)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = np.diff(y, axis=1) / dx
+
+    # gtsv's three diagonals and right-hand side, one row per system
+    diag, upper, lower = np.empty((N, n)), np.zeros((N, n)), np.zeros((N, n))
+    b = np.empty((N, n))
+    diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
+    upper[:, 1:-1] = dx[:, :-1]
+    lower[:, :-2] = dx[:, 1:]
+    b[:, 1:-1] = 3 * (dx[:, 1:] * slope[:, :-1] + dx[:, :-1] * slope[:, 1:])
+    d = x[:, 2] - x[:, 0]
+    diag[:, 0], upper[:, 0] = dx[:, 1], d
+    b[:, 0] = ((dx[:, 0] + 2 * d) * dx[:, 1] * slope[:, 0] + dx[:, 0] ** 2 * slope[:, 1]) / d
+    d = x[:, -1] - x[:, -3]
+    diag[:, -1], lower[:, -2] = dx[:, -2], d
+    b[:, -1] = (dx[:, -1] ** 2 * slope[:, -2] + (2 * d + dx[:, -1]) * dx[:, -2] * slope[:, -1]) / d
+    *_, s, info = dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], b.reshape(-1, 1),
+                        True, True, True, True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    s = s.reshape(N, n)
+
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - s[:, :-1]) / dx - t
+
+    i = _rows_interval(x, q)
+    flat = i + n * np.arange(N)[:, None]
+    k = i + (n - 1) * np.arange(N)[:, None]
+    u = q - x.ravel()[flat]
+    uu = u * u
+    return (
+        ((0.0 + y.ravel()[flat]) + s.ravel()[flat] * u) + c1.ravel()[k] * uu
+    ) + c0.ravel()[k] * (uu * u)
+
+
+def _rows_interval(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """clip(searchsorted(x[r], q[r], "right") - 1, 0, n - 2) for every row:
+    a guess from the uniform spacing, moved until x[r, i] <= q < x[r, i+1]."""
+    N, n = x.shape
+    base = n * np.arange(N)[:, None]
+    guess = np.clip((q - x[:, :1]) / (x[:, 1:2] - x[:, :1]), 0, n - 2)
+    k = base + guess.astype(np.intp)
+    flat = x.ravel()
+    while True:
+        up = (k < base + n - 2) & (flat[k + 1] <= q)
+        down = (k > base) & (flat[k] > q)
+        if not (up.any() or down.any()):
+            return k - base
+        k += up
+        k -= down
 
 
 # Liu-West shrinkage constant for the post-resample kernel: the plant has
@@ -453,11 +681,14 @@ def grid_axes_from_moments(mean, cov, spec: GridSpec) -> tuple:
 
 
 def predict(belief: Belief, decomp, u, grid_spec: GridSpec = DEFAULT_GRID_SPEC) -> Belief:
-    """Push a posterior at time t through the unstable dynamics to t+1."""
+    """Push a posterior at time t through the unstable dynamics to t+1.
+
+    A block of beliefs takes one input row per belief.
+    """
     A = np.asarray(decomp.A_u, dtype=float)
     B = np.asarray(decomp.B_u, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    return belief._pushed(A, B @ u, grid_spec)
+    u = np.asarray(u, dtype=float).reshape(*belief.batch, -1, 1)
+    return belief._pushed(A, (B @ u)[..., 0], grid_spec)
 
 
 def update(
@@ -492,16 +723,38 @@ def update(
     )
 
 
-def _discrete_predictive_entropy_bits(belief_pred: Belief, ch: ChannelModel) -> float:
-    """Entropy (bits) of the predictive observation pmf under belief_pred.
+def _discrete_predictive_entropy_bits(belief_pred: Belief, ch: ChannelModel):
+    """Entropy (bits) of the predictive observation pmf under belief_pred,
+    one per row for a block of beliefs.
 
     For a deterministic quantizer this equals the conditional mutual
     information carried by the observation.
     """
     pts, w = belief_pred._weighted_points()
-    labels = ch.deterministic_labels(pts)
-    _, inverse = np.unique(labels, axis=0, return_inverse=True)
-    pmf = np.bincount(inverse, weights=w)
+    _, inverse = _unique_rows(ch.deterministic_labels(pts))
+    if w.ndim == 1:
+        return _pmf_entropy_bits(np.bincount(inverse, weights=w))
+    # a block: row r counts in bins r*K..r*K+K-1, so one bincount adds each
+    # row's masses in the row's own order, as a bincount of that row would
+    k = int(inverse.max()) + 1
+    bins = inverse + k * np.arange(w.shape[0])[:, None]
+    pmf = np.bincount(bins.ravel(), weights=w.ravel(), minlength=k * w.shape[0])
+    return np.array([_pmf_entropy_bits(row) for row in pmf.reshape(-1, k)])
+
+
+def _unique_rows(a: np.ndarray):
+    """The distinct rows of a (..., cols) array, sorted, and the index of
+    each row among them: np.unique(axis=0, return_inverse=True) over the
+    leading axes. With one column a 1-D unique gives the same order and
+    indices without comparing rows, several times faster."""
+    if a.shape[-1] == 1:
+        values, inverse = np.unique(a[..., 0], return_inverse=True)
+        return values[:, None], inverse.reshape(a.shape[:-1])
+    values, inverse = np.unique(a.reshape(-1, a.shape[-1]), axis=0, return_inverse=True)
+    return values, inverse.reshape(a.shape[:-1])
+
+
+def _pmf_entropy_bits(pmf: np.ndarray) -> float:
     pmf = pmf[pmf > 0]
     return float(-np.sum(pmf * np.log2(pmf)))
 

@@ -109,6 +109,24 @@ class InfoLedger:
             )
         return head
 
+    def columns(self, steps, terminal) -> list:
+        """The per-run ledgers of a block ledger, whose entries hold one
+        value per run: run r keeps its first steps[r] rows, closed with
+        terminal[r] like a `head`."""
+        cols = [
+            np.array([getattr(row, f) for row in self.rows]).reshape(-1, len(steps)).T.tolist()
+            for f in ("h_pred", "h_post", "cmi", "di_cum")
+        ]
+        ledgers = []
+        for r, (k, term) in enumerate(zip(steps, terminal)):
+            run = InfoLedger(self.r_exp, self.h0, self.expansion)
+            run.rows = [LedgerRow(t, *(col[r][t] for col in cols)) for t in range(k)]
+            if k:
+                run._di_sum = run.rows[-1].di_cum
+            run.terminal_h_pred = term
+            ledgers.append(run)
+        return ledgers
+
     @property
     def di_cum(self) -> float:
         return self._di_sum

@@ -13,14 +13,19 @@ Runs are independent units: each owns its plant state, filter and random
 stream (split off the master seed by run index), so ensembles parallelise
 trivially and reductions use exact summation to stay order-independent.
 
-`run_closed_loop` is the scalar reference for every filter. Kalman
-ensembles run as one block instead (`run_kalman_block`): the Riccati
-recursion does not depend on the data, so the block computes it once and
-carries every run's state and filter mean as one row of an array.
+`run_closed_loop` is the scalar reference for every filter. Two kinds of
+ensemble run as blocks instead:
+
+- Kalman (`run_kalman_block`): the Riccati recursion does not depend on
+  the data, so the block computes it once and carries every run's state
+  and filter mean as one row of an array.
+- 1-D grid (`run_grid_block`): every run's axis and density are one row
+  of a `GridRows` belief, advanced for all runs at once by row operations
+  that give each run the scalar loop's bits.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -50,8 +55,6 @@ def tracked_block(decomp: ModeDecomposition) -> ModeDecomposition:
     """
     if decomp.n_u > 0:
         return decomp
-    from dataclasses import replace
-
     m = decomp.B_s.shape[1]
     return replace(
         decomp,
@@ -383,6 +386,135 @@ def run_kalman_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     return records
 
 
+def _rows_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X, each row by the kernel the single
+    product `M @ x` calls (batched matmul runs one product per row)."""
+    return np.matmul(M, X[:, :, None])[:, :, 0]
+
+
+def _rows_dot(X: np.ndarray) -> np.ndarray:
+    """x @ x for every row x of X, each row by the kernel of `x @ x`."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+
+
+def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
+    """The 1-D grid runs with the given indices, as one batch.
+
+    Gives, bit for bit, the record `run_closed_loop` gives for each index,
+    at any block size. Every run's axis and density are one row of the
+    arrays of a `GridRows` belief, which `filters.update` and
+    `filters.predict` advance once per step for the whole block; each of
+    its row operations and each small product here is the one the scalar
+    loop makes for that run. Each run keeps its own random stream, drawn
+    in the scalar loop's order. Runs that cross the divergence guard and
+    runs whose likelihood vanishes leave the arrays.
+    """
+    decomp = ctx.decomp
+    trk = tracked_block(decomp)
+    n, n_u, m = decomp.n, trk.n_u, ctx.model.m
+    p, T, N = ctx.channel.obs_dim, ctx.horizon, len(runs)
+
+    rngs = [np.random.default_rng([int(master_seed), int(i)]) for i in runs]
+    Z = np.array([np.asarray(ctx.prior.sample(g), dtype=float).reshape(-1) for g in rngs])
+    Zs = np.array([g.standard_normal(n - n_u) if n > n_u else np.zeros(0) for g in rngs])
+
+    start = make_initial_belief(ctx.prior, ctx.filter_kind, grid_spec=ctx.grid_spec)
+    belief = filters.GridRows.tile(start, N)
+    ledger = InfoLedger(
+        r_exp=decomp.r_exp, h0=start.entropy_bits(), expansion=_expansion(decomp, trk)
+    )
+    K = ctx.gain.K if ctx.gain is not None else None
+
+    z_h, u_h, y_h = np.empty((N, T, n_u)), np.empty((N, T, m)), np.empty((N, T, p))
+    sn_h, en_h, cond_h, cmi_h = (np.empty((N, T)) for _ in range(4))
+    beliefs = [[] for _ in runs] if ctx.collect_beliefs else None
+    steps = np.full(N, T)
+    halted, degenerate = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
+    terminal = np.empty(N)
+    has_cmi = False
+    alive = np.arange(N)
+
+    def state_sq(Z, Zs):
+        return _rows_dot(_rows_matvec(decomp.T_inv, np.concatenate([Z, Zs], axis=1)))
+
+    x_sq = state_sq(Z, Zs)
+
+    for t in range(T):
+        if alive.size == 0:
+            break
+        ch_t = ctx.channel_at(t)
+        if ctx.controller_mode == "predict" and K is not None:
+            U = _rows_matvec(K, belief.mean())
+        else:
+            U = np.zeros((alive.size, m))
+        Y = np.array([ch_t.sample(z, rngs[i]) for z, i in zip(Z, alive)], dtype=float)
+        step = filters.update(belief, ch_t, Y)
+        post, h_pred, h_post = step.belief_post, step.h_pred, step.h_post
+        cond, cmi = step.cond_number, step.cmi_channel
+        bad = post.degenerate
+        if bad.any():
+            steps[alive[bad]], degenerate[alive[bad]] = t, True
+            keep = ~bad
+            alive, Z, Zs, U, Y, x_sq = alive[keep], Z[keep], Zs[keep], U[keep], Y[keep], x_sq[keep]
+            post, h_pred, h_post, cond = post.take(keep), h_pred[keep], h_post[keep], cond[keep]
+            cmi = cmi[keep] if cmi is not None else None
+        hp, hq = np.full(N, np.nan), np.full(N, np.nan)
+        hp[alive], hq[alive] = h_pred, h_post
+        ledger.record(replace(step, h_pred=hp, h_post=hq))
+        if alive.size == 0:
+            break
+
+        if ctx.controller_mode == "update" and K is not None:
+            U = _rows_matvec(K, post.mean())
+        z_h[alive, t], u_h[alive, t], y_h[alive, t] = Z, U, Y
+        sn_h[alive, t], en_h[alive, t], cond_h[alive, t] = x_sq, _rows_dot(post.mean() - Z), cond
+        if cmi is not None:
+            cmi_h[alive, t], has_cmi = cmi, True
+        if beliefs is not None:
+            for i, snapshot in zip(alive, post.to_json_dict()):
+                beliefs[i].append(snapshot)
+
+        Z = _rows_matvec(trk.A_u, Z) + _rows_matvec(trk.B_u, U)
+        if n > n_u:
+            Zs = _rows_matvec(trk.A_s, Zs) + _rows_matvec(trk.B_s, U)
+        belief = filters.predict(post, trk, U, ctx.grid_spec)
+        terminal[alive] = belief.entropy_bits()
+
+        x_sq = state_sq(Z, Zs)
+        out = x_sq > ctx.divergence_guard
+        if out.any():
+            steps[alive[out]], halted[alive[out]] = t + 1, True
+            keep = ~out
+            alive, Z, Zs, x_sq, belief = alive[keep], Z[keep], Zs[keep], x_sq[keep], belief.take(keep)
+
+    ledgers = ledger.columns(steps, [float(h) if s else None for h, s in zip(terminal, steps)])
+    records = []
+    for r, i in enumerate(runs):
+        s = int(steps[r])
+        record = RunRecord(
+            master_seed=int(master_seed),
+            run_index=int(i),
+            t=np.arange(s),
+            z_u=z_h[r, :s],
+            u=u_h[r, :s],
+            y=y_h[r, :s],
+            state_norm_sq=sn_h[r, :s],
+            err_norm_sq=en_h[r, :s],
+            cond=cond_h[r, :s],
+            ledger=ledgers[r],
+            cmi_channel_trace=cmi_h[r, :s] if has_cmi and s else None,
+            halted=bool(halted[r]),
+            halted_t=s if halted[r] else None,
+            degenerate=bool(degenerate[r]),
+            degenerate_t=s if degenerate[r] else None,
+            beliefs_json=beliefs[r] if beliefs is not None else None,
+        )
+        if ctx.collect_audits:
+            record.audits = _audit(ctx, record)
+        records.append(record)
+    return records
+
+
 @dataclass
 class EnsembleStats:
     """Per-step ensemble means plus the averaged information ledger."""
@@ -410,8 +542,10 @@ def run_ensemble(
 
     Kalman ensembles run as one in-process block (`run_kalman_block`)
     whatever `workers` is: the block's cost is mostly the shared Riccati
-    steps, which every worker would repeat. Grid and particle runs are one
-    `run_closed_loop` each, spread over `workers` processes. Statistics at
+    steps, which every worker would repeat. 1-D grid ensembles run as one
+    `run_grid_block` per worker, on contiguous run ranges. Particle and
+    2-D grid runs are one `run_closed_loop` each, spread over `workers`
+    processes. Statistics at
     each t average over the runs still alive at t; exact summation makes
     the reduction independent of completion order, so the same master seed
     gives identical results at any worker count.
@@ -420,6 +554,16 @@ def run_ensemble(
         raise ValueError("need n_runs >= 1")
     if ctx.filter_kind == "kalman":
         records = run_kalman_block(ctx, master_seed, range(n_runs))
+    elif ctx.filter_kind == "grid" and tracked_block(ctx.decomp).n_u == 1:
+        workers = min(workers, n_runs)
+        if workers > 1:
+            edges = [n_runs * w // workers for w in range(workers + 1)]
+            blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = pool.map(partial(run_grid_block, ctx, master_seed), blocks)
+                records = [r for part in parts for r in part]
+        else:
+            records = run_grid_block(ctx, master_seed, range(n_runs))
     elif workers > 1:
         one_run = partial(run_closed_loop, ctx, master_seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:

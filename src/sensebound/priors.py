@@ -6,6 +6,8 @@ Hessian is positive in the tails). Laplace / exponential / uniform exist
 as sample sources for the entropy-gap checks.
 """
 
+import warnings
+
 import numpy as np
 
 from .entropy import gaussian_entropy_nats
@@ -33,13 +35,22 @@ class GaussianPrior:
         if sign <= 0:
             raise DimensionMismatch("prior covariance must be positive definite")
         self._log_norm = -0.5 * (self.dim * np.log(2 * np.pi) + logdet)
+        # numpy's multivariate_normal factors cov by SVD on every call;
+        # the factor is fixed, so it is taken once, as numpy takes it
+        u, s, vh = np.linalg.svd(self.cov)
+        if not np.allclose(np.dot(vh.T * s, vh), self.cov, rtol=1e-8, atol=1e-8):
+            warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning)
+        self._factor = u * np.sqrt(s)
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
     def sample(self, rng, size=None):
-        return rng.multivariate_normal(self.mean, self.cov, size=size)
+        """Draws bit-equal to rng.multivariate_normal(mean, cov, size)."""
+        shape = [] if size is None else list(np.atleast_1d(size))
+        x = rng.standard_normal(shape + [self.dim]).reshape(-1, self.dim)
+        return (self.mean + x @ self._factor.T).reshape(shape + [self.dim])
 
     def logpdf(self, z) -> float:
         d = np.asarray(z, dtype=float).reshape(-1) - self.mean

@@ -309,6 +309,8 @@ def run_experiment(
         cfg.run["horizon"] = int(horizon)
     if runs is not None:
         cfg.run["runs"] = int(runs)
+    if horizon is not None or runs is not None:
+        validate_config(cfg)  # an override must fit the rest of the config
     master_seed = int(seed if seed is not None else cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
@@ -444,17 +446,21 @@ def run_sweep(
     out_dir: str,
     seed: Optional[int] = None,
     workers: int = 1,
+    runs: Optional[int] = None,
+    horizon: Optional[int] = None,
 ) -> dict:
     """Vary one parameter over a list of values; one summary row per point.
     Each point is validated before it runs, so a key the configured kind
-    does not read fails the sweep instead of giving identical rows."""
+    does not read fails the sweep instead of giving identical rows. `runs`
+    and `horizon` override every point's, as they do for `run_experiment`."""
     rows = []
     violation = False
     for v in values:
         cfg = parse_config(base_cfg_text)
         set_config_value(cfg, param, v)
         validate_config(cfg)
-        bundle = run_experiment(cfg, seed=seed, workers=workers, write=False)
+        bundle = run_experiment(cfg, seed=seed, runs=runs, horizon=horizon, workers=workers,
+                                write=False)
         s = bundle.summary
         rows.append(
             {

@@ -285,6 +285,69 @@ class TestCli:
         assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
         assert "mean_cmi_bits" in capsys.readouterr().err
 
+    def test_sweep_passes_runs_and_horizon_to_every_point(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(cfg, **kwargs):
+            seen.append((kwargs["runs"], kwargs["horizon"]))
+            return run_experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(report_mod, "run_experiment", spy)
+        code = main([
+            "sweep", "--config", str(self._minimal(tmp_path)), "--param", "channel.R",
+            "--values", "[[0.25]],[[1.0]],[[4.0]]", "--runs", "3", "--horizon", "12",
+            "--out", str(tmp_path / "sw"), "--workers", "1",
+        ])
+        # three short runs may well fall short of r_exp (exit 2); the sweep ran
+        assert code in (0, 2)
+        assert seen == [(3, 12)] * 3
+
+    def test_sweep_rejects_format(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--config", str(self._minimal(tmp_path)), "--param", "channel.R",
+            "--values", "[[1.0]]", "--format", "csv", "--out", str(tmp_path / "sw"),
+        ])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("section, line, field", [
+        ("run", 'horizon = "abc"', "run.horizon"),
+        ("run", 'runs = "many"', "run.runs"),
+        ("run", "audit_window = [2]", "run.audit_window"),
+        ("run", 'kappa_cap = "big"', "run.kappa_cap"),
+        ("run", "divergence_guard = null", "run.divergence_guard"),
+        ("filter", 'particles = "lots"', "filter.particles"),
+    ])
+    def test_wrong_typed_key_is_an_error_not_a_traceback(self, tmp_path, capsys, section,
+                                                         line, field):
+        key = line.split("=")[0].strip()
+        text = "\n".join(k for k in MINIMAL.splitlines() if not k.startswith(f"{key} ="))
+        text = text.replace("[channel]", "[filter]\nkind = \"particle\"\n[channel]")
+        text = text.replace(f"[{section}]", f"[{section}]\n{line}", 1)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}:"), err
+        assert "Traceback" not in err
+
+    def test_horizon_override_checked_before_the_runs(self, tmp_path, capsys):
+        """--horizon below twice the experiment's tail window is a config
+        error, raised before any run, not a traceback after all of them."""
+        code = main(["run", "--experiment", "sign-threshold-easy", "--horizon", "20",
+                     "--out", str(tmp_path / "b"), "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: run.tail_window:")
+
+    @staticmethod
+    def _minimal(tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        return cfg_path
+
     def test_sweep_rows_independent_of_workers(self, tmp_path, monkeypatch):
         seen = []
 

@@ -356,3 +356,19 @@ class TestKnnFastPath:
         hits = entropy_mod._unit_jitter.cache_info().hits
         assert knn_entropy_nats(sample * 2.0) != want
         assert entropy_mod._unit_jitter.cache_info().hits == hits + 1
+
+
+class TestGaussianPriorDraws:
+    @pytest.mark.parametrize("mean, cov", [
+        ([0.3], [[2.5]]),
+        ([0.1, -1.0, 2.0], [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 0.7]]),
+    ], ids=["1-D", "3-D"])
+    @pytest.mark.parametrize("size", [None, 2**14])
+    def test_bit_equal_to_numpy(self, mean, cov, size):
+        """The covariance is factored once, and the draws are still
+        rng.multivariate_normal's, bit for bit."""
+        prior = GaussianPrior(mean, cov)
+        for seed in range(50):
+            got = prior.sample(np.random.default_rng(seed), size=size)
+            want = np.random.default_rng(seed).multivariate_normal(mean, cov, size=size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed

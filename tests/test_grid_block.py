@@ -1,0 +1,213 @@
+"""The batched 1-D grid path against the scalar reference loop.
+
+`run_ensemble` runs 1-D grid ensembles through `run_grid_block`; every
+record it emits must be, bit for bit, the one `run_closed_loop` gives for
+that run index, at any block size and worker count. The block's re-grid,
+`filters._rows_cubic_spline`, must give scipy's `CubicSpline` bits.
+"""
+
+import dataclasses
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
+
+from sensebound import filters
+from sensebound.channels import SignQuantizerChannel
+from sensebound.config import build_context, parse_config
+from sensebound.experiments import load_bundled
+from sensebound.filters import GridBelief, GridRows, GridSpec, ParticleBelief
+from sensebound.loop import run_closed_loop, run_ensemble, run_grid_block
+
+from test_kalman_block import assert_records_equal
+
+GRID_BUNDLED = (
+    "sign-threshold-easy", "entropy-balance", "sign-threshold-hard", "modulo-counterexample",
+)
+
+# A 3-level quantizer on a grid two posterior stds either side: the state
+# often leaves the grid across a threshold, so the likelihood vanishes on
+# every node. Some runs go degenerate early, some late, and the rest finish.
+DEGENERATE_MIX = """
+experiment = "degenerate-mix"
+
+[system]
+A = [[1.5]]
+B = [[1.0]]
+
+[channel]
+kind = "sign-quantizer"
+levels = 3
+
+[prior]
+family = "gaussian"
+mean = [0.4]
+cov = [[0.01]]
+
+[filter]
+kind = "grid"
+half_width_stds = 2.0
+
+[controller]
+mode = "update"
+
+[run]
+horizon = 40
+runs = 9
+seed = 3
+"""
+
+
+def bundled_ctx(name, **changes):
+    return replace(build_context(load_bundled(name)), **changes)
+
+
+def cases():
+    """(label, context, master seed, run count) of each differential case."""
+    return [
+        ("sign-threshold-easy", bundled_ctx("sign-threshold-easy"), 77, 9),
+        ("entropy-balance", bundled_ctx("entropy-balance"), 5, 9),
+        ("sign-threshold-hard", bundled_ctx("sign-threshold-hard"), 77, 9),
+        ("modulo-audited", bundled_ctx("modulo-counterexample", collect_audits=True), 1, 3),
+        ("degenerate-mix", build_context(parse_config(DEGENERATE_MIX)), 3, 9),
+        ("debug-beliefs", bundled_ctx("sign-threshold-easy", horizon=12, collect_beliefs=True),
+         2, 4),
+        # three nodes: the re-grid takes scipy's small-grid branches
+        ("three-nodes", bundled_ctx("sign-threshold-easy",
+                                    grid_spec=GridSpec(half_width_stds=0.06)), 1, 4),
+    ]
+
+
+@pytest.fixture(scope="module", params=cases(), ids=lambda c: c[0])
+def case(request):
+    label, ctx, seed, n = request.param
+    return label, ctx, seed, n, [run_closed_loop(ctx, seed, i) for i in range(n)]
+
+
+class TestBlockAgainstScalarLoop:
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_every_block_size(self, case, size):
+        _, ctx, seed, n, refs = case
+        size = size or n
+        blocks = [range(a, min(a + size, n)) for a in range(0, n, size)]
+        records = [r for b in blocks for r in run_grid_block(ctx, seed, b)]
+        assert [r.run_index for r in records] == list(range(n))
+        for rec, ref in zip(records, refs, strict=True):
+            assert_records_equal(rec, ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_worker_count(self, case, workers):
+        _, ctx, seed, n, refs = case
+        ens = run_ensemble(ctx, n, master_seed=seed, workers=workers)
+        for rec, ref in zip(ens.runs, refs, strict=True):
+            assert_records_equal(rec, ref)
+
+    def test_cases_cover_what_they_claim(self, case):
+        label, ctx, _, _, refs = case
+        if label == "sign-threshold-hard":
+            assert all(r.halted for r in refs)
+        if label == "modulo-audited":
+            assert all(r.audits is not None for r in refs)
+        if label == "degenerate-mix":
+            late = [r.degenerate_t for r in refs if r.degenerate and r.degenerate_t > 0]
+            assert late and any(r.completed for r in refs)
+        if label == "debug-beliefs":
+            assert all(len(r.beliefs_json) == r.steps for r in refs)
+        if label == "three-nodes":
+            assert ctx.grid_spec.nodes_per_axis() == 3
+            assert any(r.degenerate for r in refs) and any(r.halted for r in refs)
+
+
+def harvest_regrids(monkeypatch):
+    """(x, y, q) of every 1-D re-grid the scalar loop makes on a few runs of
+    each bundled grid experiment, recorded where GridBelief calls CubicSpline."""
+    seen = []
+
+    def recording(x, y):
+        spline = CubicSpline(x, y)
+
+        def call(q):
+            seen.append((np.array(x), np.array(y), np.array(q)))
+            return spline(q)
+
+        return call
+
+    monkeypatch.setattr(filters, "CubicSpline", recording)
+    for name in GRID_BUNDLED:
+        ctx = bundled_ctx(name)
+        for i in range(3 if name != "modulo-counterexample" else 1):
+            run_closed_loop(ctx, 11, i)
+    monkeypatch.undo()
+    return seen
+
+
+def test_row_spline_bits_equal_scipy(monkeypatch):
+    regrids = harvest_regrids(monkeypatch)
+    assert len(regrids) >= 500
+    assert sum(bool(np.any(y == 0.0)) for _, y, _ in regrids) >= 100
+    for a in range(0, len(regrids), 24):
+        x, y, q = (np.array(v) for v in zip(*regrids[a : a + 24]))
+        got = filters._rows_cubic_spline(x, y, q)
+        for xr, yr, qr, g in zip(x, y, q, got):
+            inside = (qr >= xr[0]) & (qr <= xr[-1])
+            want = np.clip(np.where(inside, CubicSpline(xr, yr)(qr), 0.0), 0.0, None)
+            assert np.clip(np.where(inside, g, 0.0), 0.0, None).tobytes() == want.tobytes()
+
+
+def test_row_spline_small_grids_use_scipy():
+    x = np.array([[0.0, 1.0, 2.0], [1.0, 1.5, 3.0]])
+    y = np.array([[1.0, 0.0, 2.0], [0.5, 0.25, 0.0]])
+    q = np.array([[0.5, 1.5, 2.0], [1.0, 2.0, 2.5]])
+    got = filters._rows_cubic_spline(x, y, q)
+    for r in range(2):
+        assert got[r].tobytes() == CubicSpline(x[r], y[r])(q[r]).tobytes()
+
+
+def axis0_pmf_bits(belief, ch) -> float:
+    """The discrete predictive entropy as computed before the 1-column path."""
+    pts, w = belief._weighted_points()
+    _, inverse = np.unique(ch.deterministic_labels(pts), axis=0, return_inverse=True)
+    pmf = np.bincount(inverse.reshape(-1), weights=w)
+    pmf = pmf[pmf > 0]
+    return float(-np.sum(pmf * np.log2(pmf)))
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_one_column_pmf_equals_axis0_path(levels):
+    ch = SignQuantizerChannel(levels=levels)
+    rng = np.random.default_rng(levels)
+    grids, parts = [], []
+    for _ in range(20):
+        mu, sd = rng.normal(0.0, 1.5), rng.uniform(0.2, 2.0)
+        axis = np.linspace(mu - 8 * sd, mu + 8 * sd, 385)
+        dens = np.exp(-0.5 * ((axis - mu) / sd) ** 2) * (rng.random(385) < 0.9)
+        grids.append(GridBelief((axis,), dens))
+        parts.append(ParticleBelief(rng.normal(mu, sd, 2000), rng.random(2000)))
+    for b in grids + parts:
+        got = filters._discrete_predictive_entropy_bits(b, ch)
+        assert got == axis0_pmf_bits(b, ch)
+    # a block of grids gives each grid's value
+    rows = GridRows(np.array([g.axes[0] for g in grids]), np.array([g.density for g in grids]))
+    block = filters._discrete_predictive_entropy_bits(rows, ch)
+    assert block.tolist() == [axis0_pmf_bits(g, ch) for g in grids]
+
+
+def test_record_fields_are_the_scalar_types():
+    ctx = bundled_ctx("sign-threshold-easy", horizon=5)
+    rec, ref = run_grid_block(ctx, 1, range(1))[0], run_closed_loop(ctx, 1, 0)
+    for f in dataclasses.fields(rec):
+        assert type(getattr(rec, f.name)) is type(getattr(ref, f.name)), f.name
+    assert [type(v) for v in dataclasses.astuple(rec.ledger.rows[0])] == [
+        type(v) for v in dataclasses.astuple(ref.ledger.rows[0])
+    ]
+
+
+def test_unique_rows_is_numpy_unique_over_rows():
+    rng = np.random.default_rng(4)
+    for cols in (1, 2, 3):
+        a = rng.integers(-2, 3, size=(5, 40, cols)).astype(float)
+        values, inverse = filters._unique_rows(a)
+        want_v, want_i = np.unique(a.reshape(-1, cols), axis=0, return_inverse=True)
+        assert np.array_equal(values, want_v)
+        assert np.array_equal(inverse, want_i.reshape(5, 40))

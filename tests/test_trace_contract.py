@@ -24,18 +24,31 @@ def load_spans():
 
 
 def test_tracer_sees_every_layer_of_a_quantizer_run():
+    """A 1-D grid ensemble runs as one block: filters.update, filters.predict
+    and the discrete pmf are called once per step of the block, the grid
+    entropy inside them, and the scalar driver is not used."""
     tracer = load_spans().Tracer()
     cfg = load_bundled("sign-threshold-easy")
     with tracer.instrument(sensebound):
         sensebound.report.run_experiment(cfg, write=False, runs=2, horizon=30)
     _, calls, _, _ = tracer.take()
-    for name in ("filters.update", "filters.predict", "filters.discrete_pmf",
-                 "entropy.grid", "loop.driver"):
-        assert calls[name] > 0, name
-    assert calls["loop.driver"] == 2
-    assert calls["filters.update"] == calls["filters.discrete_pmf"] == 60
+    assert calls["filters.update"] == calls["filters.predict"] == 30
+    assert calls["filters.discrete_pmf"] == 30
+    assert calls["entropy.grid"] > 0
+    assert calls["loop.driver"] == 0
     # every original is restored once the traced call ends
     assert not hasattr(sensebound.filters.update, "__wrapped__")
+
+
+def test_tracer_sees_the_scalar_driver():
+    """run_closed_loop, the scalar reference, is still traced as loop.driver."""
+    tracer = load_spans().Tracer()
+    ctx = sensebound.config.build_context(load_bundled("sign-threshold-easy"))
+    with tracer.instrument(sensebound):
+        sensebound.loop.run_closed_loop(ctx, 1, 0)
+    _, calls, _, _ = tracer.take()
+    assert calls["loop.driver"] == 1
+    assert calls["filters.update"] == calls["filters.discrete_pmf"] == ctx.horizon
 
 
 def test_tracer_sees_the_kalman_block():
