@@ -1,9 +1,11 @@
 """Memoryless observation channels p(y | z).
 
-Each channel exposes sampling, log-likelihood evaluation in nats, and,
-for the twice-differentiable kinds, closed-form gradient and Hessian with
-respect to the state argument. The library spans the regimes the
-experiment suite needs:
+Each channel writes its law once, as `observe(X, W)`: the observations of
+states X given `noise_dim` unit normals per observation, one row each or
+a single state; `sample` feeds it normals from a generator. Channels also
+evaluate the log-likelihood in nats and, for the twice-differentiable
+kinds, its closed-form gradient and Hessian in the state. The library
+spans the regimes the experiment suite needs:
 
 - linear-gaussian: exactly solvable baseline (Kalman-compatible)
 - tanh-gaussian:   smooth, log-concave saturating nonlinearity
@@ -43,6 +45,16 @@ class LikelihoodEval:
             object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float).reshape(-1))
 
 
+def rows_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X, or for X itself when it is one vector.
+
+    Each row goes through the kernel the single product `M @ x` calls
+    (batched matmul runs one product per row), so a row's bits are the
+    scalar product's and do not depend on the block around it.
+    """
+    return np.matmul(M, X[..., None])[..., 0]
+
+
 def _check_spd(R: np.ndarray, name: str = "R") -> np.ndarray:
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if R.shape[0] != R.shape[1]:
@@ -72,8 +84,28 @@ class ChannelModel:
         """Length of the state the channel observes (coordinatewise: obs_dim)."""
         return self.obs_dim
 
-    def sample(self, x, rng) -> np.ndarray:
+    @property
+    def noise_dim(self) -> int:
+        """Unit normals drawn per observation."""
+        return self.obs_dim
+
+    def _check_x(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.shape[0] != self.state_dim:
+            raise DimensionMismatch(
+                f"{self.kind} channel expects a state of length {self.state_dim}, "
+                f"got {x.shape[0]}"
+            )
+        return x
+
+    def observe(self, X, W) -> np.ndarray:
+        """The observations of the states X (rows, or one state) given the
+        unit normals W (`noise_dim` per observation): the channel's law."""
         raise NotImplementedError
+
+    def sample(self, x, rng) -> np.ndarray:
+        """One observation of state x, its noise drawn from rng."""
+        return self.observe(self._check_x(x), rng.standard_normal(self.noise_dim))
 
     def log_density_batch(self, y, X) -> np.ndarray:
         """Log-likelihood in nats for each state row of X against a fixed y."""
@@ -104,12 +136,8 @@ class _GaussianNoiseChannel(ChannelModel):
     def obs_dim(self) -> int:
         return self.R.shape[0]
 
-    @property
-    def noise_factor(self) -> np.ndarray:
-        """Lower Cholesky factor L of R: the noise is L w, w ~ N(0, I)."""
-        return self._chol
-
-    # g, g', g'' are elementwise; LinearGaussianChannel overrides everything.
+    # g, g', g'' are elementwise; LinearGaussianChannel has g = C x and
+    # overrides the likelihood.
     def _g(self, X):
         raise NotImplementedError
 
@@ -119,19 +147,8 @@ class _GaussianNoiseChannel(ChannelModel):
     def _g2(self, X):
         raise NotImplementedError
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.obs_dim:
-            raise DimensionMismatch(
-                f"{self.kind} channel maps R^{self.obs_dim} observations; "
-                f"got state of length {x.shape[0]}"
-            )
-        return x
-
-    def sample(self, x, rng) -> np.ndarray:
-        x = self._check_x(x)
-        noise = self._chol @ rng.standard_normal(self.obs_dim)
-        return self._g(x) + noise
+    def observe(self, X, W) -> np.ndarray:
+        return self._g(X) + rows_matvec(self._chol, W)
 
     def log_density_batch(self, y, X) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -177,17 +194,8 @@ class LinearGaussianChannel(_GaussianNoiseChannel):
     def state_dim(self) -> int:
         return self.C.shape[1]
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.state_dim:
-            raise DimensionMismatch(
-                f"channel expects state of length {self.state_dim}, got {x.shape[0]}"
-            )
-        return x
-
-    def sample(self, x, rng) -> np.ndarray:
-        x = self._check_x(x)
-        return self.C @ x + self._chol @ rng.standard_normal(self.obs_dim)
+    def _g(self, X):
+        return rows_matvec(self.C, X)
 
     def log_density_batch(self, y, X) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -271,6 +279,7 @@ class SignQuantizerChannel(ChannelModel):
     kind = "sign-quantizer"
     smoothness = "non-smooth"
     support = "discrete"
+    noise_dim = 0
 
     def __init__(self, levels: int = 2, dim: int = 1):
         self.levels = int(levels)
@@ -289,11 +298,8 @@ class SignQuantizerChannel(ChannelModel):
             return 2.0 * cells - 1.0
         return cells
 
-    def sample(self, x, rng) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"expected state of length {self.dim}")
-        return self._quantize(x)
+    def observe(self, X, W) -> np.ndarray:
+        return self._quantize(X)
 
     def deterministic_labels(self, X) -> np.ndarray:
         """Quantizer outputs for each state row; the channel is noiseless."""
@@ -335,11 +341,8 @@ class ModuloGaussianChannel(ChannelModel):
     def obs_dim(self) -> int:
         return self.dim
 
-    def sample(self, x, rng) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"expected state of length {self.dim}")
-        return np.mod(x + np.sqrt(self.r) * rng.standard_normal(self.dim), self.period)
+    def observe(self, X, W) -> np.ndarray:
+        return np.mod(X + np.sqrt(self.r) * W, self.period)
 
     def _wrap_terms(self, y, X):
         """Per-coordinate offsets d_k = y + k*period - x over the wrap window."""

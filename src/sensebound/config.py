@@ -80,6 +80,11 @@ _CONTEXT_OPTIONS = {
     ("filter", "particles"): ("n_particles", int),
     ("outputs", "debug_beliefs"): ("collect_beliefs", bool),
 }
+# every key that switches something on, as JSON true or false
+_BOOLEAN_KEYS = (
+    ("system", "allow_stable"), ("channel", "extension"), ("run", "audit"),
+    ("outputs", "svg"), ("outputs", "debug_beliefs"),
+)
 # every key read as a number, with its cast
 _NUMERIC_KEYS = {
     **{where: cast for where, (_, cast) in _CONTEXT_OPTIONS.items() if cast is not bool},
@@ -219,6 +224,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _require(key in known, f"{section}.{key}",
                      f"unknown key; known: {', '.join(sorted(known))}")
 
+    for section, key in _BOOLEAN_KEYS:
+        value = getattr(cfg, section).get(key, False)
+        _require(isinstance(value, bool), f"{section}.{key}",
+                 f"expected true or false, got {value!r}")
+
     _require("A" in sys_c, "system.A", "system matrix A is required")
     A = np.atleast_2d(np.asarray(sys_c["A"], dtype=float))
     _require(A.shape[0] == A.shape[1], "system.A", "A must be square")
@@ -234,7 +244,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require("extension" not in ch or "schedule" in ch, "channel.extension",
              "extension opts in to a per-step schedule, and no schedule is set")
     if "schedule" in ch:
-        _require(bool(ch.get("extension", False)), "channel.schedule",
+        _require(ch.get("extension", False), "channel.schedule",
                  "a per-step parameter schedule is a flagged extension beyond the "
                  "time-invariant observation model; set extension = true to opt in")
         sched = ch["schedule"]
@@ -314,7 +324,7 @@ def build_system(cfg: ExperimentConfig) -> tuple:
     """The configured plant and its mode decomposition."""
     A = np.atleast_2d(np.asarray(cfg.system["A"], dtype=float))
     B = np.asarray(cfg.system.get("B", np.eye(A.shape[0])), dtype=float)
-    model = SystemModel(A, B, allow_stable=bool(cfg.system.get("allow_stable", False)))
+    model = SystemModel(A, B, allow_stable=cfg.system.get("allow_stable", False))
     return model, decompose(model, **_given(cfg.system, cond_cap=float))
 
 

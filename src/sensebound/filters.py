@@ -9,8 +9,10 @@ Three interchangeable belief representations:
 - Particles: bootstrap filter with systematic resampling, the scalability
              path for everything else.
 
-`GridRows` holds many runs' 1-D grid beliefs as rows of two arrays and
-gives each row the bits its GridBelief would have.
+A block of runs' beliefs is one belief with a leading batch axis: a
+`GaussianBelief` with one mean row per run and the covariance they share,
+or a `GridRows` holding 1-D grids as rows. Each row gets the bits its own
+belief would have.
 
 The predict step pushes the belief through z -> A_u z + B_u u exactly, so
 predicted entropy exceeds the previous posterior entropy by the expansion
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.linalg.lapack import dgtsv
 
-from .channels import ChannelModel, LinearGaussianChannel
+from .channels import ChannelModel, LinearGaussianChannel, rows_matvec
 from .entropy import (
     gaussian_entropy_nats,
     grid_entropy_nats,
@@ -77,6 +79,7 @@ class Belief:
 
     representation = "abstract"
     batch = ()  # the leading shape of a block of beliefs; a single belief has none
+    degenerate = None  # a block's rows whose likelihood vanished (grids only)
 
     t: int
     kind: str  # "predicted" (given y^{t-1}) or "posterior" (given y^t)
@@ -111,6 +114,15 @@ class Belief:
         return _condition_number(self.cov())
 
     def to_json_dict(self) -> dict:
+        """The belief as JSON; a block gives one dict per row."""
+        raise NotImplementedError
+
+    def tiled(self, n_rows: int) -> "Belief":
+        """A block of n_rows copies of this belief, its entropy evaluated once."""
+        raise NotImplementedError(f"a {self.representation} belief has no block form")
+
+    def take(self, keep) -> "Belief":
+        """The rows of a block selected by `keep`, with their entropies if evaluated."""
         raise NotImplementedError
 
     def _pushed(self, A: np.ndarray, shift: np.ndarray, grid_spec: GridSpec) -> "Belief":
@@ -128,6 +140,10 @@ class Belief:
 
 @dataclass(frozen=True)
 class GaussianBelief(Belief):
+    """N(mean_vec, cov_mat); a block has one mean row per run and the one
+    covariance they share, so its entropy and condition number are single
+    values and the Kalman gain is computed once for the block."""
+
     representation = "gaussian"
 
     mean_vec: np.ndarray
@@ -138,8 +154,8 @@ class GaussianBelief(Belief):
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean_vec, dtype=float))
         P = np.atleast_2d(np.asarray(self.cov_mat, dtype=float))
-        if P.shape != (m.size, m.size):
-            raise DimensionMismatch(f"cov shape {P.shape} vs mean length {m.size}")
+        if P.shape != (m.shape[-1],) * 2:
+            raise DimensionMismatch(f"cov shape {P.shape} vs mean length {m.shape[-1]}")
         P = 0.5 * (P + P.T)
         if np.min(np.linalg.eigvalsh(P)) < -1e-10:
             raise SingularCovariance("covariance must be positive semidefinite")
@@ -147,8 +163,12 @@ class GaussianBelief(Belief):
         object.__setattr__(self, "cov_mat", P)
 
     @property
+    def batch(self) -> tuple:
+        return self.mean_vec.shape[:-1]
+
+    @property
     def dim(self) -> int:
-        return self.mean_vec.size
+        return self.mean_vec.shape[-1]
 
     def _entropy_bits(self) -> float:
         return nats_to_bits(gaussian_entropy_nats(self.cov_mat))
@@ -159,18 +179,33 @@ class GaussianBelief(Belief):
     def cov(self) -> np.ndarray:
         return self.cov_mat.copy()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "representation": "gaussian",
-            "t": self.t,
-            "kind": self.kind,
-            "mean": self.mean_vec.tolist(),
-            "cov": self.cov_mat.tolist(),
-        }
+    def to_json_dict(self):
+        cov = self.cov_mat.tolist()
+        rows = [
+            {"representation": "gaussian", "t": self.t, "kind": self.kind,
+             "mean": m.tolist(), "cov": cov}
+            for m in self.mean_vec.reshape(-1, self.dim)
+        ]
+        return rows if self.batch else rows[0]
+
+    def tiled(self, n_rows):
+        return self._with_mean(np.tile(self.mean_vec, (n_rows, 1)))
+
+    def take(self, keep):
+        return self._with_mean(self.mean_vec[keep])
+
+    def _with_mean(self, mean_vec) -> "GaussianBelief":
+        """This belief with other means; the covariance, and with it the
+        entropy, is the same."""
+        out = GaussianBelief(mean_vec, self.cov_mat, t=self.t, kind=self.kind)
+        if "_h_bits" in self.__dict__:
+            object.__setattr__(out, "_h_bits", self._h_bits)
+        return out
 
     def _pushed(self, A, shift, grid_spec):
         return GaussianBelief(
-            A @ self.mean_vec + shift, A @ self.cov_mat @ A.T, t=self.t + 1, kind="predicted"
+            rows_matvec(A, self.mean_vec) + shift, A @ self.cov_mat @ A.T,
+            t=self.t + 1, kind="predicted",
         )
 
     def _conditioned(self, ch, y, rng, resample_fraction):
@@ -179,19 +214,13 @@ class GaussianBelief(Belief):
                 "the Gaussian/Kalman representation is exact only for the "
                 "linear-gaussian channel; use a grid or particle filter"
             )
-        y = np.asarray(y, dtype=float).reshape(-1)
+        y = np.asarray(y, dtype=float).reshape(*self.batch, -1)
         C, R, P = ch.C, ch.R, self.cov_mat
-        K = self.kalman_gain(ch)
-        mean = self.mean_vec + K @ (y - C @ self.mean_vec)
+        K = np.linalg.solve((C @ P @ C.T + R).T, C @ P).T  # P C^T (C P C^T + R)^-1
+        mean = self.mean_vec + rows_matvec(K, y - rows_matvec(C, self.mean_vec))
         I_KC = np.eye(self.dim) - K @ C
         cov = I_KC @ P @ I_KC.T + K @ R @ K.T  # Joseph form
         return GaussianBelief(mean, cov, t=self.t, kind="posterior"), False
-
-    def kalman_gain(self, ch: LinearGaussianChannel) -> np.ndarray:
-        """K = P C^T (C P C^T + R)^{-1}; it depends on the covariance only."""
-        C, P = ch.C, self.cov_mat
-        S = C @ P @ C.T + ch.R
-        return np.linalg.solve(S.T, C @ P).T
 
 
 @dataclass(frozen=True)
@@ -258,6 +287,14 @@ class GridBelief(Belief):
 
     def to_json_dict(self) -> dict:
         return _grid_json(self.t, self.kind, self.axes, self.density)
+
+    def tiled(self, n_rows):
+        if self.dim != 1:
+            return super().tiled(n_rows)
+        rows = GridRows(np.tile(self.axes[0], (n_rows, 1)), np.tile(self.density, (n_rows, 1)),
+                        t=self.t, kind=self.kind)
+        object.__setattr__(rows, "_h_bits", np.full(n_rows, self.entropy_bits()))
+        return rows
 
     def _pushed(self, A, shift, grid_spec):
         mu = A @ self.mean() + shift
@@ -334,14 +371,6 @@ class GridRows(Belief):
     kind: str = "posterior"
     degenerate: Optional[np.ndarray] = None
 
-    @classmethod
-    def tile(cls, belief: GridBelief, n_rows: int) -> "GridRows":
-        """n_rows copies of a 1-D grid belief, its entropy evaluated once."""
-        rows = cls(np.tile(belief.axes[0], (n_rows, 1)), np.tile(belief.density, (n_rows, 1)),
-                   t=belief.t, kind=belief.kind)
-        object.__setattr__(rows, "_h_bits", np.full(n_rows, belief.entropy_bits()))
-        return rows
-
     @property
     def batch(self) -> tuple:
         return (self.nodes.shape[0],)
@@ -358,7 +387,6 @@ class GridRows(Belief):
         return self.density * self.cell_volume[:, None]
 
     def take(self, keep) -> "GridRows":
-        """The rows selected by `keep`, with their entropies if evaluated."""
         rows = GridRows(self.nodes[keep], self.density[keep], t=self.t, kind=self.kind)
         h = self.__dict__.get("_h_bits")
         if h is not None:
@@ -396,12 +424,11 @@ class GridRows(Belief):
             return np.where(c <= 0.0, np.inf, c / c)
 
     def to_json_dict(self) -> list:
-        """One GridBelief JSON dict per row."""
         return [_grid_json(self.t, self.kind, (x,), d) for x, d in zip(self.nodes, self.density)]
 
     def _pushed(self, A, shift, grid_spec):
         mu, cov = self._moment_rows()
-        mu = np.matmul(A, mu[:, :, None])[:, :, 0] + shift
+        mu = rows_matvec(A, mu) + shift
         cov = np.matmul(np.matmul(A, cov), A.T)
         nodes = _rows_axes(mu[:, 0], cov[:, 0, 0], grid_spec)
         det = abs(np.linalg.det(A))

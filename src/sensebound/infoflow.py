@@ -91,38 +91,39 @@ class InfoLedger:
 
     def head(self, k: int) -> "InfoLedger":
         """The ledger as it stood after its first k rows, closed with the
-        predicted entropy that followed them.
-
-        Runs of one Kalman ensemble share a data-independent entropy trace
-        and differ only in where they stop, so each takes a head of one
-        ledger. The head is closed: it keeps di_cum but not the running
-        sum's compensation term, so it is not meant to record further steps.
-        """
+        predicted entropy that followed them (see `columns`)."""
         if not 0 <= k <= len(self.rows):
             raise ValueError(f"k={k} outside 0..{len(self.rows)}")
-        head = InfoLedger(self.r_exp, self.h0, self.expansion)
-        head.rows = self.rows[:k]
-        if k:
-            head._di_sum = self.rows[k - 1].di_cum
-            head.terminal_h_pred = (
-                self.rows[k].h_pred if k < len(self.rows) else self.terminal_h_pred
-            )
-        return head
+        after = self.rows[k].h_pred if k < len(self.rows) else self.terminal_h_pred
+        return self.columns([k], [after if k else None])[0]
 
     def columns(self, steps, terminal) -> list:
-        """The per-run ledgers of a block ledger, whose entries hold one
-        value per run: run r keeps its first steps[r] rows, closed with
-        terminal[r] like a `head`."""
-        cols = [
-            np.array([getattr(row, f) for row in self.rows]).reshape(-1, len(steps)).T.tolist()
-            for f in ("h_pred", "h_post", "cmi", "di_cum")
-        ]
+        """The per-run ledgers of a block ledger: run r keeps its first
+        steps[r] rows, closed with terminal[r].
+
+        A row whose entropies are one value for the whole block (a Kalman
+        block's: its covariances do not depend on the data) is shared by
+        every run that lived through it, so each run's ledger is a head of
+        the block's. A row that holds one value per run is split. A run's
+        ledger is closed: it keeps di_cum but not the running sum's
+        compensation term, so it is not meant to record further steps.
+        """
+        rows = self.rows
+        if rows and np.ndim(rows[0].h_pred):
+            cols = [
+                np.array([getattr(row, f) for row in rows]).reshape(-1, len(steps)).T.tolist()
+                for f in ("h_pred", "h_post", "cmi", "di_cum")
+            ]
+            per_run = [[LedgerRow(t, *(col[r][t] for col in cols)) for t in range(k)]
+                       for r, k in enumerate(steps)]
+        else:
+            per_run = [rows[:k] for k in steps]
         ledgers = []
-        for r, (k, term) in enumerate(zip(steps, terminal)):
+        for run_rows, term in zip(per_run, terminal):
             run = InfoLedger(self.r_exp, self.h0, self.expansion)
-            run.rows = [LedgerRow(t, *(col[r][t] for col in cols)) for t in range(k)]
-            if k:
-                run._di_sum = run.rows[-1].di_cum
+            run.rows = run_rows
+            if run_rows:
+                run._di_sum = run_rows[-1].di_cum
             run.terminal_h_pred = term
             ledgers.append(run)
         return ledgers

@@ -13,15 +13,13 @@ Runs are independent units: each owns its plant state, filter and random
 stream (split off the master seed by run index), so ensembles parallelise
 trivially and reductions use exact summation to stay order-independent.
 
-`run_closed_loop` is the scalar reference for every filter. Two kinds of
-ensemble run as blocks instead:
-
-- Kalman (`run_kalman_block`): the Riccati recursion does not depend on
-  the data, so the block computes it once and carries every run's state
-  and filter mean as one row of an array.
-- 1-D grid (`run_grid_block`): every run's axis and density are one row
-  of a `GridRows` belief, advanced for all runs at once by row operations
-  that give each run the scalar loop's bits.
+`run_closed_loop` is the scalar reference for every filter. Kalman and
+1-D grid ensembles run as blocks instead (`run_block`): every run's
+state and belief are one row of a block belief and of the arrays around
+it, advanced for all runs at once by row operations that give each run
+the scalar loop's bits. A Kalman block's covariance, gain and entropies
+do not depend on the data, so they are computed once per step for all
+runs.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -36,9 +34,8 @@ import numpy as np
 from . import filters
 from .audits import DEFAULT_AUDIT_WINDOW, DEFAULT_KAPPA_CAP, CurvatureAudit, audit_run
 from .errors import DegenerateLikelihood
-from .filters import (
-    DEFAULT_GRID_SPEC, DEFAULT_PARTICLES, GaussianBelief, GridSpec, make_initial_belief,
-)
+from .channels import rows_matvec
+from .filters import DEFAULT_GRID_SPEC, DEFAULT_PARTICLES, GridSpec, make_initial_belief
 from .infoflow import InfoLedger, ensemble_mean_ledger, exact_step_means
 from .system import FeedbackGain, ModeDecomposition, SystemModel
 
@@ -248,181 +245,45 @@ def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
     )
 
 
-def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """M @ x for every row x of X.
-
-    The sum runs column by column in a fixed order, so a row's bits depend
-    on that row alone; a BLAS matmul picks its kernel, and with it the
-    summation order, by the shape of the whole block. Like a BLAS matvec it
-    starts from +0, so with one column it gives the scalar loop's bits,
-    signed zeros included.
-    """
-    out = np.zeros((X.shape[0], M.shape[0]))
-    for j in range(M.shape[1]):
-        out += X[:, j : j + 1] * M[:, j]
-    return out
-
-
-def _rows_sq(X: np.ndarray) -> np.ndarray:
-    """x @ x for every row x of X, row-independent like `_rows_times`."""
-    out = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        out = out + X[:, j] * X[:, j]
-    return out
-
-
-def run_kalman_block(ctx: RunContext, master_seed: int, runs: range) -> list:
-    """The Kalman runs with the given indices, as one batch.
-
-    Gives the records `run_closed_loop` gives for each index: bit for bit
-    when n = m = p = 1, else to rounding (the scalar loop's BLAS matvecs
-    sum in another order), and always the same bits at any block size.
-
-    The covariances, gains and entropies do not depend on the data, so one
-    zero-mean Gaussian belief is driven through `filters.update` and
-    `filters.predict` for the whole block; its ledger rows are shared and
-    each run keeps the head it lived through. Every run's modes and filter
-    mean are one row of an array, and its random variates are drawn up
-    front from its own stream in the order the scalar loop draws them.
-    Observations are C z + L w from the channel's matrices, the law of
-    `LinearGaussianChannel.sample`. Runs that cross the divergence guard
-    leave the arrays.
-    """
-    decomp = ctx.decomp
-    trk = tracked_block(decomp)
-    n, n_u, m = decomp.n, trk.n_u, ctx.model.m
-    p, T, N = ctx.channel.obs_dim, ctx.horizon, len(runs)
-
-    Z, Zs, W = np.empty((N, n_u)), np.empty((N, n - n_u)), np.empty((N, T, p))
-    for r, i in enumerate(runs):
-        rng = np.random.default_rng([int(master_seed), int(i)])
-        Z[r] = np.asarray(ctx.prior.sample(rng), dtype=float).reshape(-1)
-        if n > n_u:
-            Zs[r] = rng.standard_normal(n - n_u)
-        W[r] = rng.standard_normal((T, p))
-
-    start = make_initial_belief(ctx.prior, ctx.filter_kind)
-    M = np.tile(start.mean_vec, (N, 1))
-    belief = GaussianBelief(np.zeros(n_u), start.cov_mat, kind="predicted")
-    ledger = InfoLedger(
-        r_exp=decomp.r_exp, h0=belief.entropy_bits(), expansion=_expansion(decomp, trk)
-    )
-    K = ctx.gain.K if ctx.gain is not None else None
-    y0, u0 = np.zeros(p), np.zeros(m)
-
-    z_h, u_h, y_h = np.empty((N, T, n_u)), np.empty((N, T, m)), np.empty((N, T, p))
-    sn_h, en_h = np.empty((N, T)), np.empty((N, T))
-    mean_h = np.empty((N, T, n_u)) if ctx.collect_beliefs else None
-    cond, posts = [], []
-    halted_t = np.zeros(N, dtype=int)  # 0: still running
-    alive = np.arange(N)
-
-    def state_sq(Z, Zs):
-        return _rows_sq(_rows_times(np.concatenate([Z, Zs], axis=1), decomp.T_inv))
-
-    x_sq = state_sq(Z, Zs)
-
-    for t in range(T):
-        if alive.size == 0:
-            break
-        ch_t = ctx.channel_at(t)
-        if ctx.controller_mode == "predict" and K is not None:
-            U = _rows_times(M, K)
-        else:
-            U = np.zeros((alive.size, m))
-        step = filters.update(belief, ch_t, y0)
-        ledger.record(step)
-        Y = _rows_times(Z, ch_t.C) + _rows_times(W[alive, t], ch_t.noise_factor)
-        M = M + _rows_times(Y - _rows_times(M, ch_t.C), belief.kalman_gain(ch_t))
-        if ctx.controller_mode == "update" and K is not None:
-            U = _rows_times(M, K)
-
-        z_h[alive, t], u_h[alive, t], y_h[alive, t] = Z, U, Y
-        sn_h[alive, t], en_h[alive, t] = x_sq, _rows_sq(M - Z)
-        cond.append(step.cond_number)
-        if ctx.collect_beliefs:
-            mean_h[alive, t] = M
-            posts.append(step.belief_post.to_json_dict())
-
-        Z = _rows_times(Z, trk.A_u) + _rows_times(U, trk.B_u)
-        Zs = _rows_times(Zs, trk.A_s) + _rows_times(U, trk.B_s)
-        belief = filters.predict(step.belief_post, trk, u0, ctx.grid_spec)
-        M = _rows_times(M, trk.A_u) + _rows_times(U, trk.B_u)
-        ledger.terminal_h_pred = belief.entropy_bits()
-
-        x_sq = state_sq(Z, Zs)
-        out = x_sq > ctx.divergence_guard
-        if out.any():
-            halted_t[alive[out]] = t + 1
-            keep = ~out
-            alive, Z, Zs, M, x_sq = alive[keep], Z[keep], Zs[keep], M[keep], x_sq[keep]
-
-    cond = np.array(cond)
-    records = []
-    for r, i in enumerate(runs):
-        s = int(halted_t[r]) or T
-        record = RunRecord(
-            master_seed=int(master_seed),
-            run_index=int(i),
-            t=np.arange(s),
-            z_u=z_h[r, :s],
-            u=u_h[r, :s],
-            y=y_h[r, :s],
-            state_norm_sq=sn_h[r, :s],
-            err_norm_sq=en_h[r, :s],
-            cond=cond[:s],
-            ledger=ledger.head(s),
-            halted=bool(halted_t[r]),
-            halted_t=int(halted_t[r]) or None,
-            beliefs_json=(
-                [{**posts[t], "mean": mean_h[r, t].tolist()} for t in range(s)]
-                if ctx.collect_beliefs
-                else None
-            ),
-        )
-        if ctx.collect_audits:
-            record.audits = _audit(ctx, record)
-        records.append(record)
-    return records
-
-
-def _rows_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ x for every row x of X, each row by the kernel the single
-    product `M @ x` calls (batched matmul runs one product per row)."""
-    return np.matmul(M, X[:, :, None])[:, :, 0]
-
-
 def _rows_dot(X: np.ndarray) -> np.ndarray:
     """x @ x for every row x of X, each row by the kernel of `x @ x`."""
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
-def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
-    """The 1-D grid runs with the given indices, as one batch.
+def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
+    """The Kalman or 1-D grid runs with the given indices, as one batch.
 
     Gives, bit for bit, the record `run_closed_loop` gives for each index,
-    at any block size. Every run's axis and density are one row of the
-    arrays of a `GridRows` belief, which `filters.update` and
-    `filters.predict` advance once per step for the whole block; each of
-    its row operations and each small product here is the one the scalar
-    loop makes for that run. Each run keeps its own random stream, drawn
-    in the scalar loop's order. Runs that cross the divergence guard and
-    runs whose likelihood vanishes leave the arrays.
+    at any block size. The block's belief holds every run's belief as a
+    row (`Belief.tiled`): a `GaussianBelief` with one mean row per run and
+    the covariance they share, or a `GridRows`. `filters.update` and
+    `filters.predict` advance it once per step for the whole block, and
+    each row operation and small product (`rows_matvec`, `_rows_dot`) is
+    the one the scalar loop makes for that run. Each run's variates come
+    from its own stream in the scalar loop's order, drawn up front: prior,
+    stable modes, then each step's unit normals for `ChannelModel.observe`.
+    Runs that cross the divergence guard and runs whose likelihood
+    vanishes leave the arrays. A ledger row whose entropies are one value
+    for the whole block is recorded once and shared by the runs' ledgers.
     """
     decomp = ctx.decomp
     trk = tracked_block(decomp)
     n, n_u, m = decomp.n, trk.n_u, ctx.model.m
     p, T, N = ctx.channel.obs_dim, ctx.horizon, len(runs)
 
-    rngs = [np.random.default_rng([int(master_seed), int(i)]) for i in runs]
-    Z = np.array([np.asarray(ctx.prior.sample(g), dtype=float).reshape(-1) for g in rngs])
-    Zs = np.array([g.standard_normal(n - n_u) if n > n_u else np.zeros(0) for g in rngs])
+    Z, Zs = np.empty((N, n_u)), np.empty((N, n - n_u))
+    W = np.empty((N, T, ctx.channel.noise_dim))
+    for r, i in enumerate(runs):
+        rng = np.random.default_rng([int(master_seed), int(i)])
+        Z[r] = np.asarray(ctx.prior.sample(rng), dtype=float).reshape(-1)
+        Zs[r] = rng.standard_normal(n - n_u)
+        W[r] = rng.standard_normal(W.shape[1:])
 
     start = make_initial_belief(ctx.prior, ctx.filter_kind, grid_spec=ctx.grid_spec)
-    belief = filters.GridRows.tile(start, N)
     ledger = InfoLedger(
         r_exp=decomp.r_exp, h0=start.entropy_bits(), expansion=_expansion(decomp, trk)
     )
+    belief = start.tiled(N)
     K = ctx.gain.K if ctx.gain is not None else None
 
     z_h, u_h, y_h = np.empty((N, T, n_u)), np.empty((N, T, m)), np.empty((N, T, p))
@@ -435,7 +296,7 @@ def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     alive = np.arange(N)
 
     def state_sq(Z, Zs):
-        return _rows_dot(_rows_matvec(decomp.T_inv, np.concatenate([Z, Zs], axis=1)))
+        return _rows_dot(rows_matvec(decomp.T_inv, np.concatenate([Z, Zs], axis=1)))
 
     x_sq = state_sq(Z, Zs)
 
@@ -444,28 +305,30 @@ def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
             break
         ch_t = ctx.channel_at(t)
         if ctx.controller_mode == "predict" and K is not None:
-            U = _rows_matvec(K, belief.mean())
+            U = rows_matvec(K, belief.mean())
         else:
             U = np.zeros((alive.size, m))
-        Y = np.array([ch_t.sample(z, rngs[i]) for z, i in zip(Z, alive)], dtype=float)
+        Y = ch_t.observe(Z, W[alive, t])
         step = filters.update(belief, ch_t, Y)
         post, h_pred, h_post = step.belief_post, step.h_pred, step.h_post
         cond, cmi = step.cond_number, step.cmi_channel
         bad = post.degenerate
-        if bad.any():
+        if bad is not None and bad.any():
             steps[alive[bad]], degenerate[alive[bad]] = t, True
             keep = ~bad
             alive, Z, Zs, U, Y, x_sq = alive[keep], Z[keep], Zs[keep], U[keep], Y[keep], x_sq[keep]
             post, h_pred, h_post, cond = post.take(keep), h_pred[keep], h_post[keep], cond[keep]
             cmi = cmi[keep] if cmi is not None else None
-        hp, hq = np.full(N, np.nan), np.full(N, np.nan)
-        hp[alive], hq[alive] = h_pred, h_post
-        ledger.record(replace(step, h_pred=hp, h_post=hq))
+        if np.ndim(h_pred):  # one value per run: pad to the whole block
+            hp, hq = np.full(N, np.nan), np.full(N, np.nan)
+            hp[alive], hq[alive] = h_pred, h_post
+            step = replace(step, h_pred=hp, h_post=hq)
+        ledger.record(step)
         if alive.size == 0:
             break
 
         if ctx.controller_mode == "update" and K is not None:
-            U = _rows_matvec(K, post.mean())
+            U = rows_matvec(K, post.mean())
         z_h[alive, t], u_h[alive, t], y_h[alive, t] = Z, U, Y
         sn_h[alive, t], en_h[alive, t], cond_h[alive, t] = x_sq, _rows_dot(post.mean() - Z), cond
         if cmi is not None:
@@ -474,9 +337,9 @@ def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
             for i, snapshot in zip(alive, post.to_json_dict()):
                 beliefs[i].append(snapshot)
 
-        Z = _rows_matvec(trk.A_u, Z) + _rows_matvec(trk.B_u, U)
+        Z = rows_matvec(trk.A_u, Z) + rows_matvec(trk.B_u, U)
         if n > n_u:
-            Zs = _rows_matvec(trk.A_s, Zs) + _rows_matvec(trk.B_s, U)
+            Zs = rows_matvec(trk.A_s, Zs) + rows_matvec(trk.B_s, U)
         belief = filters.predict(post, trk, U, ctx.grid_spec)
         terminal[alive] = belief.entropy_bits()
 
@@ -515,6 +378,14 @@ def run_grid_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     return records
 
 
+def _map(fn, items, workers: int, chunksize: int = 1) -> list:
+    """[fn(x) for x in items], over `workers` processes when above one."""
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 @dataclass
 class EnsembleStats:
     """Per-step ensemble means plus the averaged information ledger."""
@@ -540,37 +411,30 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run n_runs independent loops and reduce per-step statistics.
 
-    Kalman ensembles run as one in-process block (`run_kalman_block`)
-    whatever `workers` is: the block's cost is mostly the shared Riccati
-    steps, which every worker would repeat. 1-D grid ensembles run as one
-    `run_grid_block` per worker, on contiguous run ranges. Particle and
-    2-D grid runs are one `run_closed_loop` each, spread over `workers`
-    processes. Statistics at
+    Kalman and 1-D grid ensembles run as blocks (`run_block`): a Kalman
+    ensemble as one in-process block whatever `workers` is, because the
+    block's cost is mostly the shared Riccati steps, which every worker
+    would repeat; a 1-D grid ensemble as one block per worker, on
+    contiguous run ranges. Particle and 2-D grid runs are one
+    `run_closed_loop` each, spread over `workers` processes. Statistics at
     each t average over the runs still alive at t; exact summation makes
     the reduction independent of completion order, so the same master seed
     gives identical results at any worker count.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
-    if ctx.filter_kind == "kalman":
-        records = run_kalman_block(ctx, master_seed, range(n_runs))
-    elif ctx.filter_kind == "grid" and tracked_block(ctx.decomp).n_u == 1:
-        workers = min(workers, n_runs)
-        if workers > 1:
-            edges = [n_runs * w // workers for w in range(workers + 1)]
-            blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(partial(run_grid_block, ctx, master_seed), blocks)
-                records = [r for part in parts for r in part]
-        else:
-            records = run_grid_block(ctx, master_seed, range(n_runs))
-    elif workers > 1:
-        one_run = partial(run_closed_loop, ctx, master_seed)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, n_runs // (4 * workers))
-            records = list(pool.map(one_run, range(n_runs), chunksize=chunksize))
+    workers = max(1, min(workers, n_runs))
+    if ctx.filter_kind == "kalman" or (
+        ctx.filter_kind == "grid" and tracked_block(ctx.decomp).n_u == 1
+    ):
+        n_blocks = 1 if ctx.filter_kind == "kalman" else workers
+        edges = [n_runs * w // n_blocks for w in range(n_blocks + 1)]
+        blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+        parts = _map(partial(run_block, ctx, master_seed), blocks, n_blocks)
+        records = [r for part in parts for r in part]
     else:
-        records = [run_closed_loop(ctx, master_seed, i) for i in range(n_runs)]
+        one_run = partial(run_closed_loop, ctx, master_seed)
+        records = _map(one_run, range(n_runs), workers, max(1, n_runs // (4 * workers)))
 
     horizon = ctx.horizon
     steps = np.array([r.steps for r in records])

@@ -332,7 +332,7 @@ def run_experiment(
     out_path = out_dir if out_dir is not None else cfg.outputs.get("dir", "out")
     if write:
         formats = cfg.outputs.get("formats", OUTPUT_FORMATS)
-        want_svg = bool(cfg.outputs.get("svg", True))
+        want_svg = cfg.outputs.get("svg", True)
         files = {}
         if "csv" in formats:
             for r in ens.runs:

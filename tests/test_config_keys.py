@@ -124,6 +124,48 @@ def test_out_of_range_value_exits_one(tmp_path, capsys, sections, field):
     assert "Traceback" not in err
 
 
+def boolean_key_sections(field, value):
+    """Config sections that set the boolean key `field` to `value`."""
+    section, key = field.split(".")
+    sections = {
+        "system": f"{BASE['system']}\n{key} = {value}",
+        "channel": f'{BASE["channel"]}\nschedule = {{"gamma": 0.5}}\n{key} = {value}',
+        "run": f"{BASE['run']}\n{key} = {value}",
+        "outputs": f"{key} = {value}",
+    }
+    return {section: sections[section]}
+
+
+BOOLEAN_KEYS = ("system.allow_stable", "channel.extension", "run.audit", "outputs.svg",
+                "outputs.debug_beliefs")
+
+
+@pytest.mark.parametrize("value", ['"false"', "no", "0"])
+@pytest.mark.parametrize("field", BOOLEAN_KEYS)
+def test_boolean_key_takes_only_true_or_false(tmp_path, capsys, field, value):
+    """A quoted "false", a bare token or a number is an error, not `on`."""
+    text = config_text(**boolean_key_sections(field, value))
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", BOOLEAN_KEYS)
+def test_boolean_key_accepts_true_and_false(field):
+    section, key = field.split(".")
+    # extension only opts in: with a schedule it must be true
+    for value in (True,) if field == "channel.extension" else (True, False):
+        cfg = parse_config(config_text(**boolean_key_sections(field, json.dumps(value))))
+        assert getattr(cfg, section)[key] is value
+        build_context(cfg)
+    off = parse_config(config_text(run=f"{BASE['run']}\naudit = false"))
+    assert build_context(off).collect_audits is False
+
+
 def test_channel_must_observe_the_tracked_modes(tmp_path, capsys):
     """C acts on the unstable modes: one here, not the two plant states."""
     text = config_text(

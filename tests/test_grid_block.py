@@ -1,8 +1,8 @@
 """The batched 1-D grid path against the scalar reference loop.
 
-`run_ensemble` runs 1-D grid ensembles through `run_grid_block`; every
-record it emits must be, bit for bit, the one `run_closed_loop` gives for
-that run index, at any block size and worker count. The block's re-grid,
+`run_ensemble` runs 1-D grid ensembles through `run_block`; every record
+it emits must be, bit for bit, the one `run_closed_loop` gives for that
+run index, at any block size and worker count. The block's re-grid,
 `filters._rows_cubic_spline`, must give scipy's `CubicSpline` bits.
 """
 
@@ -18,7 +18,7 @@ from sensebound.channels import SignQuantizerChannel
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
 from sensebound.filters import GridBelief, GridRows, GridSpec, ParticleBelief
-from sensebound.loop import run_closed_loop, run_ensemble, run_grid_block
+from sensebound.loop import run_block, run_closed_loop, run_ensemble
 
 from test_kalman_block import assert_records_equal
 
@@ -58,6 +58,35 @@ runs = 9
 seed = 3
 """
 
+# One unstable and one stable mode driven by two inputs: the block carries
+# the stable modes and the 2x2 change of coordinates as rows too.
+STABLE_MODE = """
+experiment = "stable-mode"
+
+[system]
+A = [[1.4, 0.3], [0.0, 0.6]]
+B = [[1.0, 0.5], [0.2, 1.0]]
+
+[channel]
+kind = "tanh-gaussian"
+R = [[0.04]]
+
+[prior]
+family = "gaussian"
+cov = [[0.25]]
+
+[filter]
+kind = "grid"
+
+[controller]
+mode = "predict"
+
+[run]
+horizon = 30
+runs = 9
+seed = 8
+"""
+
 
 def bundled_ctx(name, **changes):
     return replace(build_context(load_bundled(name)), **changes)
@@ -71,6 +100,7 @@ def cases():
         ("sign-threshold-hard", bundled_ctx("sign-threshold-hard"), 77, 9),
         ("modulo-audited", bundled_ctx("modulo-counterexample", collect_audits=True), 1, 3),
         ("degenerate-mix", build_context(parse_config(DEGENERATE_MIX)), 3, 9),
+        ("stable-mode", build_context(parse_config(STABLE_MODE)), 8, 9),
         ("debug-beliefs", bundled_ctx("sign-threshold-easy", horizon=12, collect_beliefs=True),
          2, 4),
         # three nodes: the re-grid takes scipy's small-grid branches
@@ -91,7 +121,7 @@ class TestBlockAgainstScalarLoop:
         _, ctx, seed, n, refs = case
         size = size or n
         blocks = [range(a, min(a + size, n)) for a in range(0, n, size)]
-        records = [r for b in blocks for r in run_grid_block(ctx, seed, b)]
+        records = [r for b in blocks for r in run_block(ctx, seed, b)]
         assert [r.run_index for r in records] == list(range(n))
         for rec, ref in zip(records, refs, strict=True):
             assert_records_equal(rec, ref)
@@ -114,6 +144,9 @@ class TestBlockAgainstScalarLoop:
             assert late and any(r.completed for r in refs)
         if label == "debug-beliefs":
             assert all(len(r.beliefs_json) == r.steps for r in refs)
+        if label == "stable-mode":
+            assert ctx.decomp.n == 2 and ctx.decomp.n_u == 1 and ctx.model.m == 2
+            assert all(r.completed for r in refs)
         if label == "three-nodes":
             assert ctx.grid_spec.nodes_per_axis() == 3
             assert any(r.degenerate for r in refs) and any(r.halted for r in refs)
@@ -195,7 +228,7 @@ def test_one_column_pmf_equals_axis0_path(levels):
 
 def test_record_fields_are_the_scalar_types():
     ctx = bundled_ctx("sign-threshold-easy", horizon=5)
-    rec, ref = run_grid_block(ctx, 1, range(1))[0], run_closed_loop(ctx, 1, 0)
+    rec, ref = run_block(ctx, 1, range(1))[0], run_closed_loop(ctx, 1, 0)
     for f in dataclasses.fields(rec):
         assert type(getattr(rec, f.name)) is type(getattr(ref, f.name)), f.name
     assert [type(v) for v in dataclasses.astuple(rec.ledger.rows[0])] == [

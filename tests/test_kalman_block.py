@@ -1,9 +1,8 @@
 """The batched Kalman path against the scalar reference loop.
 
-`run_ensemble` runs Kalman ensembles through `run_kalman_block`; every
-record it emits must be the one `run_closed_loop` gives for that run
-index: bit for bit in the scalar case, to rounding otherwise, and always
-with the same bits at any block size or worker count.
+`run_ensemble` runs Kalman ensembles through `run_block`; every record it
+emits must be, bit for bit, the one `run_closed_loop` gives for that run
+index, at any block size or worker count.
 """
 
 import dataclasses
@@ -17,7 +16,7 @@ from sensebound.channels import pulled_back_hessian
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
 from sensebound.infoflow import InfoLedger
-from sensebound.loop import run_closed_loop, run_ensemble, run_kalman_block, tracked_block
+from sensebound.loop import run_block, run_closed_loop, run_ensemble, tracked_block
 from sensebound.report import run_experiment, to_jsonable
 
 KALMAN_BUNDLED = ("kalman-baseline", "shrinking-noise", "stable-baseline")
@@ -104,7 +103,7 @@ class TestBundledKalmanExperiments:
         """Runs that cross the guard leave the block at the step the scalar
         loop halts them; the others run on untouched."""
         ctx = bundled_ctx("shrinking-noise", divergence_guard=30.0)
-        block = run_kalman_block(ctx, 77, range(3, 11))
+        block = run_block(ctx, 77, range(3, 11))
         halted = [r.halted for r in block]
         assert any(halted) and not all(halted)
         for rec in block:
@@ -129,7 +128,7 @@ class TestBundledKalmanExperiments:
     def test_audited_records_equal_scalar_loop(self):
         ctx = bundled_ctx("shrinking-noise", horizon=20)
         ctx = dataclasses.replace(ctx, collect_audits=True)
-        for rec in run_kalman_block(ctx, 3, range(2)):
+        for rec in run_block(ctx, 3, range(2)):
             ref = run_closed_loop(ctx, 3, rec.run_index)
             assert rec.audits is not None
             assert_records_equal(rec, ref)
@@ -177,28 +176,22 @@ class TestTwoDimensionalKalman:
 
     def test_same_bits_at_any_block_size_and_worker_count(self, ctx):
         n = 9
-        whole = record_bytes(run_kalman_block(ctx, 5, range(n)))
+        whole = record_bytes(run_block(ctx, 5, range(n)))
         for size in (1, 7):
             blocks = [range(a, min(a + size, n)) for a in range(0, n, size)]
-            split = [r for b in blocks for r in run_kalman_block(ctx, 5, b)]
+            split = [r for b in blocks for r in run_block(ctx, 5, b)]
             assert record_bytes(split) == whole, size
         for workers in (1, 2):
             ens = run_ensemble(ctx, n, master_seed=5, workers=workers)
             assert record_bytes(ens.runs) == whole, workers
 
     def test_agrees_with_scalar_loop(self, ctx):
-        for rec in run_kalman_block(ctx, 5, range(4)):
+        """Every record field, bit for bit: the block's row products and the
+        scalar loop's matvecs call the same kernel."""
+        for rec in run_block(ctx, 5, range(4)):
             ref = run_closed_loop(ctx, 5, rec.run_index)
             assert rec.steps == ref.steps == ctx.horizon
-            for f in ARRAY_FIELDS:
-                a, b = getattr(rec, f), getattr(ref, f)
-                assert a.shape == b.shape, f
-                # relative to the trace's scale: a coordinate that cancels
-                # to near zero keeps only absolute accuracy
-                np.testing.assert_allclose(
-                    a, b, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(b))), err_msg=f
-                )
-            assert_ledgers_equal(rec.ledger, ref.ledger)
+            assert_records_equal(rec, ref)
 
 
 class TestLedgerHead:

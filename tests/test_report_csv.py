@@ -17,7 +17,7 @@ from sensebound.config import build_context
 from sensebound.errors import SenseboundError
 from sensebound.experiments import load_bundled
 from sensebound.infoflow import InfoLedger, LedgerRow
-from sensebound.loop import RunContext, run_closed_loop, run_kalman_block
+from sensebound.loop import RunContext, run_block, run_closed_loop
 from sensebound.priors import GaussianPrior
 from sensebound.report import (
     CSV_COLUMNS,
@@ -93,7 +93,7 @@ class TestWriter:
             assert run_csv_text(rec, rec.run_index) == reference_csv_text(rec, rec.run_index)
 
     def test_kalman_block(self):
-        block = run_kalman_block(bundled_ctx("kalman-baseline", horizon=20), 3, range(4))
+        block = run_block(bundled_ctx("kalman-baseline", horizon=20), 3, range(4))
         self.assert_reference(block)
         # the block's runs share ledger rows: a second pass reads the memo
         self.assert_reference(block)
@@ -106,7 +106,7 @@ class TestWriter:
 
     def test_halted_runs(self):
         ctx = bundled_ctx("shrinking-noise", divergence_guard=30.0)
-        block = run_kalman_block(ctx, 77, range(3, 11))
+        block = run_block(ctx, 77, range(3, 11))
         assert any(0 < r.steps < ctx.horizon for r in block)
         self.assert_reference(block)
         ref = run_closed_loop(ctx, 77, next(r.run_index for r in block if r.halted))
@@ -114,7 +114,7 @@ class TestWriter:
         self.assert_reference([ref])
 
     def test_signed_zero_and_numpy_scalars(self):
-        rec = run_kalman_block(bundled_ctx("kalman-baseline", horizon=2), 1, range(1))[0]
+        rec = run_block(bundled_ctx("kalman-baseline", horizon=2), 1, range(1))[0]
         ledger = InfoLedger(r_exp=1.0, h0=0.5)
         ledger.rows = [
             LedgerRow(t=0, h_pred=np.float64(-0.0), h_post=0.0, cmi=-0.0, di_cum=np.float64(1e-300)),
