@@ -137,7 +137,7 @@ class _GaussianNoiseChannel(ChannelModel):
         return self.R.shape[0]
 
     # g, g', g'' are elementwise; LinearGaussianChannel has g = C x and
-    # overrides the likelihood.
+    # overrides `log_likelihood`.
     def _g(self, X):
         raise NotImplementedError
 
@@ -196,12 +196,6 @@ class LinearGaussianChannel(_GaussianNoiseChannel):
 
     def _g(self, X):
         return rows_matvec(self.C, X)
-
-    def log_density_batch(self, y, X) -> np.ndarray:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        E = y[None, :] - X @ self.C.T
-        return self._log_norm - 0.5 * np.einsum("ij,jk,ik->i", E, self._R_inv, E)
 
     def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
         x = self._check_x(x)
@@ -292,8 +286,12 @@ class SignQuantizerChannel(ChannelModel):
     def obs_dim(self) -> int:
         return self.dim
 
+    def _cells(self, X) -> np.ndarray:
+        """The cell index, 0..levels-1, of every coordinate of X."""
+        return np.searchsorted(self.thresholds, X, side="left")
+
     def _quantize(self, X) -> np.ndarray:
-        cells = np.searchsorted(self.thresholds, X, side="left").astype(float)
+        cells = self._cells(X).astype(float)
         if self.levels == 2:
             return 2.0 * cells - 1.0
         return cells
@@ -301,9 +299,19 @@ class SignQuantizerChannel(ChannelModel):
     def observe(self, X, W) -> np.ndarray:
         return self._quantize(X)
 
-    def deterministic_labels(self, X) -> np.ndarray:
-        """Quantizer outputs for each state row; the channel is noiseless."""
-        return self._quantize(np.atleast_2d(np.asarray(X, dtype=float)))
+    def bins(self, X):
+        """(bin of each state row's observation, number of bins K).
+
+        The channel is noiseless, so a state's observation is its cells, read
+        here as the mixed-radix number in 0..K-1 with the first coordinate
+        most significant: bins ascend in the lexicographic order that
+        `np.unique(axis=0)` gives the observations.
+        """
+        cells = self._cells(X)
+        bins = cells[..., 0]
+        for j in range(1, cells.shape[-1]):
+            bins = bins * self.levels + cells[..., j]
+        return bins, self.levels ** cells.shape[-1]
 
     def log_density_batch(self, y, X) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)

@@ -152,15 +152,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"expected 'key = value', got {line!r}", line=line_no)
         key, _, raw_value = line.partition("=")
         key = key.strip()
+        dotted = f"{current}.{key}" if current else key
         known = _FIXED_KEYS.get(current)
         if known is not None and key not in known:
-            dotted = f"{current}.{key}" if current else key
             raise ParseError(
                 f"unknown key {dotted!r}; known: {', '.join(sorted(known))}",
                 line=line_no,
             )
-        value = _parse_value(raw_value, line_no)
-        (sections[current] if current else top)[key] = value
+        table = sections[current] if current else top
+        if key in table:
+            raise ParseError(f"key {dotted!r} is set twice", line=line_no)
+        table[key] = _parse_value(raw_value, line_no)
 
     cfg = ExperimentConfig(
         experiment=str(top.get("experiment", "unnamed")), source_text=text, **sections

@@ -29,11 +29,33 @@ def gaussian_entropy_nats(cov) -> float:
     return 0.5 * (n * np.log(2.0 * np.pi * np.e) + logdet)
 
 
-def grid_entropy_nats(density, cell_volume: float) -> float:
-    """Plug-in entropy of a gridded density: -sum(d_i * dV * log d_i)."""
-    d = np.asarray(density, dtype=float).ravel()
-    pos = d[d > 0.0]
-    return float(-np.sum(pos * np.log(pos)) * cell_volume)
+def plogp_row_sums(p: np.ndarray, log=np.log) -> np.ndarray:
+    """sum(p_i * log(p_i)) over the positive entries of each row of the 2-D p.
+
+    One mask, one log and one multiply serve the whole array. Each row's
+    terms are then one contiguous slice, reduced by `np.add.reduce` (what
+    `np.sum` runs) with the pairwise tree it builds for that row alone, so
+    every row keeps its own bits. A padded row sum would not: the zeros
+    change the tree.
+    """
+    mask = p > 0.0
+    pos = p[mask]
+    terms = pos * log(pos)
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return np.array([np.add.reduce(terms[a:b]) for a, b in zip([0, *ends], ends)])
+
+
+def grid_entropy_nats(density, cell_volume):
+    """Plug-in entropy of a gridded density: -sum(d_i * dV * log d_i).
+
+    With a scalar cell volume the whole density is one grid and the result
+    is one float; with one volume per row of a 2-D density, each row is a
+    grid and the result has one entropy per row.
+    """
+    d = np.asarray(density, dtype=float)
+    if np.ndim(cell_volume) == 0:
+        return float(-plogp_row_sums(d.reshape(1, -1))[0] * cell_volume)
+    return -plogp_row_sums(d) * cell_volume
 
 
 def _kth_gap_1d(x: np.ndarray, k: int) -> np.ndarray:

@@ -28,10 +28,12 @@ from scipy.linalg.lapack import dgtsv
 
 from .channels import ChannelModel, LinearGaussianChannel, rows_matvec
 from .entropy import (
+    LN2,
     gaussian_entropy_nats,
     grid_entropy_nats,
     knn_entropy_nats,
     nats_to_bits,
+    plogp_row_sums,
 )
 from .errors import (
     DegenerateLikelihood,
@@ -356,8 +358,8 @@ class GridRows(Belief):
     Each method returns one value per row, with the bits the GridBelief
     method gives for that row alone, so a row's bits do not depend on the
     block. Moments are per-row BLAS dots (batched matmul calls the kernel
-    GridBelief's products call), entropies are per-row calls of
-    `grid_entropy_nats`, and the re-grid is `_rows_cubic_spline`.
+    GridBelief's products call), the entropies are one row-wise
+    `grid_entropy_nats` call, and the re-grid is `_rows_cubic_spline`.
     `degenerate` marks the rows of a posterior whose likelihood vanished,
     where GridBelief raises DegenerateLikelihood; such a row keeps its
     predicted density and must leave the block.
@@ -394,10 +396,7 @@ class GridRows(Belief):
         return rows
 
     def _entropy_bits(self) -> np.ndarray:
-        return np.array([
-            nats_to_bits(grid_entropy_nats(d, v))
-            for d, v in zip(self.density, self.cell_volume.tolist())
-        ])
+        return grid_entropy_nats(self.density, self.cell_volume) / LN2
 
     def _moment_rows(self):
         """(means (N, 1), covariances (N, 1, 1)), evaluated once."""
@@ -663,9 +662,28 @@ class ParticleBelief(Belief):
 
 
 def _systematic_indices(weights: np.ndarray, offset: float) -> np.ndarray:
+    """searchsorted(cumsum(weights), positions).clip(0, n - 1) for the
+    systematic positions (j + offset) / n, without a binary search.
+
+    Index j counts the cumsum values c_i < position j, which are those
+    whose m_i = #{positions <= c_i} is at most j; so the indices are the
+    running count of the m_i. The positions are uniform, so m_i is guessed
+    as floor(c_i n - offset) + 1 and moved until position m_i - 1 <= c_i <
+    position m_i, by exact compares.
+    """
     n = weights.shape[0]
     positions = (np.arange(n) + offset) / n
-    return np.searchsorted(np.cumsum(weights), positions).clip(0, n - 1)
+    c = np.cumsum(weights)
+    padded = np.concatenate([[-np.inf], positions, [np.inf]])  # position j is padded[j + 1]
+    m = np.clip(np.floor(c * n - offset) + 1, 0, n).astype(np.intp)
+    while True:
+        up = padded[m + 1] <= c
+        down = padded[m] > c
+        if not (up.any() or down.any()):
+            break
+        m += up
+        m -= down
+    return np.cumsum(np.bincount(m, minlength=n + 1)[:n]).clip(0, n - 1)
 
 
 @dataclass(frozen=True)
@@ -758,15 +776,15 @@ def _discrete_predictive_entropy_bits(belief_pred: Belief, ch: ChannelModel):
     information carried by the observation.
     """
     pts, w = belief_pred._weighted_points()
-    _, inverse = _unique_rows(ch.deterministic_labels(pts))
-    if w.ndim == 1:
-        return _pmf_entropy_bits(np.bincount(inverse, weights=w))
+    bins, k = ch.bins(pts)
     # a block: row r counts in bins r*K..r*K+K-1, so one bincount adds each
-    # row's masses in the row's own order, as a bincount of that row would
-    k = int(inverse.max()) + 1
-    bins = inverse + k * np.arange(w.shape[0])[:, None]
-    pmf = np.bincount(bins.ravel(), weights=w.ravel(), minlength=k * w.shape[0])
-    return np.array([_pmf_entropy_bits(row) for row in pmf.reshape(-1, k)])
+    # row's masses in the row's own order, as a bincount of that row would;
+    # bins no point hits stay zero and drop out of the entropy
+    rows = np.atleast_2d(w).shape[0]
+    bins = bins.reshape(rows, -1) + k * np.arange(rows)[:, None]
+    pmf = np.bincount(bins.ravel(), weights=w.ravel(), minlength=k * rows)
+    h = -plogp_row_sums(pmf.reshape(rows, k), np.log2)
+    return h if w.ndim > 1 else float(h[0])
 
 
 def _unique_rows(a: np.ndarray):
@@ -779,11 +797,6 @@ def _unique_rows(a: np.ndarray):
         return values[:, None], inverse.reshape(a.shape[:-1])
     values, inverse = np.unique(a.reshape(-1, a.shape[-1]), axis=0, return_inverse=True)
     return values, inverse.reshape(a.shape[:-1])
-
-
-def _pmf_entropy_bits(pmf: np.ndarray) -> float:
-    pmf = pmf[pmf > 0]
-    return float(-np.sum(pmf * np.log2(pmf)))
 
 
 def moments(belief: Belief):

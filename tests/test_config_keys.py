@@ -16,7 +16,7 @@ import pytest
 from sensebound.channels import CHANNELS
 from sensebound.cli import main
 from sensebound.config import FILTER_KEYS, build_context, kind_keys, parse_config, validate_config
-from sensebound.errors import ValidationError
+from sensebound.errors import ParseError, ValidationError
 from sensebound.priors import PRIORS
 from sensebound.report import set_config_value
 from sensebound.system import GAIN_DESIGNS
@@ -164,6 +164,56 @@ def test_boolean_key_accepts_true_and_false(field):
         build_context(cfg)
     off = parse_config(config_text(run=f"{BASE['run']}\naudit = false"))
     assert build_context(off).collect_audits is False
+
+
+# the first key each section sets in config_text, and another value for it
+DUPLICATED = {
+    "system": ("A", "[[3.0]]"),
+    "channel": ("kind", '"tanh-gaussian"'),
+    "prior": ("family", '"laplace"'),
+    "filter": ("kind", '"grid"'),
+    "controller": ("mode", '"update"'),
+    "run": ("horizon", "30"),
+    "outputs": ("svg", "true"),
+}
+
+
+def duplicated_text(section: str) -> tuple:
+    """(config text that sets one key of `section` twice, the key's dotted
+    name, the line of its second setting): the new value goes right under
+    the header, so the section's own first line comes second."""
+    if section == "":
+        text = config_text().replace("\n", '\nexperiment = "again"\n', 1)
+        return text, "experiment", 2
+    key, value = DUPLICATED[section]
+    sections = {"outputs": "svg = false"} if section == "outputs" else {}
+    text = config_text(**sections).replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text, f"{section}.{key}", text.splitlines().index(f"[{section}]") + 3
+
+
+@pytest.mark.parametrize("section", ["", *DUPLICATED])
+def test_key_set_twice_is_rejected(tmp_path, capsys, section):
+    """The first value would be neither honoured nor rejected, so a second
+    setting of a key is a parse error naming the key and its line."""
+    text, dotted, line = duplicated_text(section)
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert f"{dotted!r} is set twice" in str(err.value)
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: line {line}: ")
+
+
+def test_key_set_again_under_a_repeated_header_is_rejected():
+    text = config_text() + "[run]\nseed = 8\n"
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.line == len(text.splitlines())
+    assert "'run.seed' is set twice" in str(err.value)
+    # a repeated header that sets new keys is still one section
+    cfg = parse_config(config_text() + "[run]\ntail_window = 5\n")
+    assert cfg.run["seed"] == 7 and cfg.run["tail_window"] == 5
 
 
 def test_channel_must_observe_the_tracked_modes(tmp_path, capsys):

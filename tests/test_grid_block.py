@@ -200,7 +200,7 @@ def test_row_spline_small_grids_use_scipy():
 def axis0_pmf_bits(belief, ch) -> float:
     """The discrete predictive entropy as computed before the 1-column path."""
     pts, w = belief._weighted_points()
-    _, inverse = np.unique(ch.deterministic_labels(pts), axis=0, return_inverse=True)
+    _, inverse = np.unique(ch.observe(pts, None), axis=0, return_inverse=True)
     pmf = np.bincount(inverse.reshape(-1), weights=w)
     pmf = pmf[pmf > 0]
     return float(-np.sum(pmf * np.log2(pmf)))
