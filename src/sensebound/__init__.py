@@ -51,7 +51,6 @@ from .infoflow import (
     ensemble_mean_ledger,
     necessity_audit,
     rate_balance_check,
-    record_step,
     sandwich_check,
 )
 from .loop import (
@@ -67,7 +66,6 @@ from .loop import (
     run_ensemble,
     tracked_block,
 )
-from .priors import make_prior
 from .report import ReportBundle, render_svg, run_experiment, run_sweep
 from .system import (
     FeedbackGain,

@@ -320,7 +320,6 @@ def audit_run(
     cond_trace,
     L: int = DEFAULT_AUDIT_WINDOW,
     kappa_cap: float = DEFAULT_KAPPA_CAP,
-    neg_def_c: float = DEFAULT_NEG_DEF_C,
     channel_at=None,
 ) -> CurvatureAudit:
     """Run the three assumption audits against one recorded trajectory.
@@ -369,8 +368,7 @@ def audit_run(
     if hasattr(prior, "hessian_logpdf"):
         try:
             acc = lemma2_accumulate(
-                ch, decomp, prior, z_trace, y_trace, inputs, c=neg_def_c,
-                channel_at=channel_at,
+                ch, decomp, prior, z_trace, y_trace, inputs, channel_at=channel_at,
             )
             lam = acc.lambda_max_trace
             accumulation = {

@@ -85,9 +85,15 @@ _BOOLEAN_KEYS = (
     ("system", "allow_stable"), ("channel", "extension"), ("run", "audit"),
     ("outputs", "svg"), ("outputs", "debug_beliefs"),
 )
-# every key read as a number, with its cast
+# every key read as a number, with its cast; an int key takes whole
+# numbers only
 _NUMERIC_KEYS = {
     **{where: cast for where, (_, cast) in _CONTEXT_OPTIONS.items() if cast is not bool},
+    ("system", "cond_cap"): float,
+    ("channel", "levels"): int,
+    ("channel", "dim"): int,
+    ("filter", "cells_per_std"): int,
+    ("filter", "max_cells"): int,
     ("run", "runs"): int,
     ("run", "seed"): int,
     ("run", "tail_window"): int,
@@ -212,6 +218,28 @@ def _check_keys(cfg: ExperimentConfig, section: str, keys: dict, what: str) -> N
                  f"{what} needs {key!r}")
 
 
+def _is_number(value, cast=float) -> bool:
+    """Whether cast(value) reads the value as written: never for JSON true
+    or false, and for int only for an integer or a float with no fraction."""
+    if isinstance(value, bool):
+        return False
+    if cast is int:
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _float_array(value, field_path) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a matrix of numbers, got {value!r}",
+                              field=field_path) from None
+
+
 def _tail_window(run: dict, horizon: int) -> int:
     return int(run.get("tail_window", max(1, horizon // 4)))
 
@@ -232,13 +260,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"expected true or false, got {value!r}")
 
     _require("A" in sys_c, "system.A", "system matrix A is required")
-    A = np.atleast_2d(np.asarray(sys_c["A"], dtype=float))
+    A = np.atleast_2d(_float_array(sys_c["A"], "system.A"))
     _require(A.shape[0] == A.shape[1], "system.A", "A must be square")
     n = A.shape[0]
     if "B" in sys_c:
-        B = np.asarray(sys_c["B"], dtype=float)
-        B = B[:, None] if B.ndim == 1 else B
-        _require(B.shape[0] == n, "system.B", f"B must have {n} rows")
+        B = _float_array(sys_c["B"], "system.B")
+        _require(B.ndim in (1, 2) and B.shape[0] == n, "system.B", f"B must have {n} rows")
 
     _require(kind in CHANNEL_KINDS, "channel.kind",
              f"unknown channel kind {kind!r}; known: {', '.join(CHANNEL_KINDS)}")
@@ -252,6 +279,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         sched = ch["schedule"]
         _require(isinstance(sched, dict) and "gamma" in sched, "channel.schedule",
                  'schedule must be an object like {"gamma": 0.5}')
+        _require(_is_number(sched["gamma"]), "channel.schedule",
+                 f"gamma must be a number, got {sched['gamma']!r}")
         _require(0.0 < float(sched["gamma"]) <= 1.0, "channel.schedule",
                  "gamma must be in (0, 1]")
         _require(kind != "sign-quantizer", "channel.schedule",
@@ -284,13 +313,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     for (section, key), cast in _NUMERIC_KEYS.items():
         values = getattr(cfg, section)
-        if key not in values:
-            continue
-        try:
-            cast(values[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"expected a number, got {values[key]!r}",
-                                  field=f"{section}.{key}") from None
+        if key in values:
+            _require(_is_number(values[key], cast), f"{section}.{key}",
+                     f"expected {'a whole number' if cast is int else 'a number'}, "
+                     f"got {values[key]!r}")
 
     horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")
@@ -299,7 +325,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(horizon >= 2 * tail, "run.tail_window",
              f"horizon {horizon} must be at least twice the tail window {tail}")
 
-    for f in cfg.outputs.get("formats", OUTPUT_FORMATS):
+    formats = cfg.outputs.get("formats", list(OUTPUT_FORMATS))
+    _require(isinstance(formats, list), "outputs.formats",
+             f'expected a list like ["csv"], got {formats!r}')
+    for f in formats:
         _require(f in OUTPUT_FORMATS, "outputs.formats", f"unknown format {f!r}")
 
 

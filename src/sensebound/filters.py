@@ -5,7 +5,8 @@ Three interchangeable belief representations:
 - Gaussian:  exact Kalman recursion, valid for the linear-gaussian channel.
 - Grid:      dense discretisation (dim <= 2), the near-exact oracle for
              arbitrary channels. The grid re-centres on the pushed-forward
-             posterior each predict, half-width 8 standard deviations.
+             posterior each predict, as the belief's `GridSpec` places it
+             (by default a half-width of 8 standard deviations).
 - Particles: bootstrap filter with systematic resampling, the scalability
              path for everything else.
 
@@ -127,11 +128,11 @@ class Belief:
         """The rows of a block selected by `keep`, with their entropies if evaluated."""
         raise NotImplementedError
 
-    def _pushed(self, A: np.ndarray, shift: np.ndarray, grid_spec: GridSpec) -> "Belief":
+    def _pushed(self, A: np.ndarray, shift: np.ndarray) -> "Belief":
         """The belief of A z + shift, one step later (used by `predict`)."""
         raise NotImplementedError
 
-    def _conditioned(self, ch: ChannelModel, y, rng, resample_fraction: float):
+    def _conditioned(self, ch: ChannelModel, y, rng):
         """(posterior given y, resampled flag) (used by `update`)."""
         raise NotImplementedError
 
@@ -204,13 +205,13 @@ class GaussianBelief(Belief):
             object.__setattr__(out, "_h_bits", self._h_bits)
         return out
 
-    def _pushed(self, A, shift, grid_spec):
+    def _pushed(self, A, shift):
         return GaussianBelief(
             rows_matvec(A, self.mean_vec) + shift, A @ self.cov_mat @ A.T,
             t=self.t + 1, kind="predicted",
         )
 
-    def _conditioned(self, ch, y, rng, resample_fraction):
+    def _conditioned(self, ch, y, rng):
         if not isinstance(ch, LinearGaussianChannel):
             raise IncompatibleChannel(
                 "the Gaussian/Kalman representation is exact only for the "
@@ -227,12 +228,15 @@ class GaussianBelief(Belief):
 
 @dataclass(frozen=True)
 class GridBelief(Belief):
+    """A density on a uniform grid; `spec` places the grid of each predict."""
+
     representation = "grid"
 
     axes: tuple  # per-dim uniform node arrays
     density: np.ndarray
     t: int = 0
     kind: str = "posterior"
+    spec: GridSpec = DEFAULT_GRID_SPEC
 
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
@@ -294,14 +298,14 @@ class GridBelief(Belief):
         if self.dim != 1:
             return super().tiled(n_rows)
         rows = GridRows(np.tile(self.axes[0], (n_rows, 1)), np.tile(self.density, (n_rows, 1)),
-                        t=self.t, kind=self.kind)
+                        t=self.t, kind=self.kind, spec=self.spec)
         object.__setattr__(rows, "_h_bits", np.full(n_rows, self.entropy_bits()))
         return rows
 
-    def _pushed(self, A, shift, grid_spec):
+    def _pushed(self, A, shift):
         mu = A @ self.mean() + shift
         cov = A @ self.cov() @ A.T
-        axes = grid_axes_from_moments(mu, cov, grid_spec)
+        axes = grid_axes_from_moments(mu, cov, self.spec)
         det = abs(np.linalg.det(A))
         A_inv = np.linalg.inv(A)
         # cubic interpolation keeps the re-gridding error well below the
@@ -320,9 +324,9 @@ class GridBelief(Belief):
             )
             dens = interp(pts @ A_inv.T).reshape(g0.shape)
         dens = np.clip(dens, 0.0, None) / det
-        return GridBelief(axes, dens, t=self.t + 1, kind="predicted")
+        return GridBelief(axes, dens, t=self.t + 1, kind="predicted", spec=self.spec)
 
-    def _conditioned(self, ch, y, rng, resample_fraction):
+    def _conditioned(self, ch, y, rng):
         ll = ch.log_density_batch(y, self.nodes()).reshape(self.density.shape)
         peak = np.max(ll)
         if not np.isfinite(peak):
@@ -331,7 +335,7 @@ class GridBelief(Belief):
         total = dens.sum() * self.cell_volume
         if total <= 0.0 or not np.isfinite(total):
             raise DegenerateLikelihood("posterior grid mass underflowed")
-        return GridBelief(self.axes, dens, t=self.t, kind="posterior"), False
+        return GridBelief(self.axes, dens, t=self.t, kind="posterior", spec=self.spec), False
 
     def _weighted_points(self):
         return self.nodes(), self.masses()
@@ -353,7 +357,7 @@ def _grid_json(t: int, kind: str, axes, density: np.ndarray) -> dict:
 @dataclass(frozen=True)
 class GridRows(Belief):
     """A block of 1-D grid beliefs: row r is the GridBelief on the axis
-    `nodes[r]` with density `density[r]`.
+    `nodes[r]` with density `density[r]` and the block's `spec`.
 
     Each method returns one value per row, with the bits the GridBelief
     method gives for that row alone, so a row's bits do not depend on the
@@ -371,6 +375,7 @@ class GridRows(Belief):
     density: np.ndarray  # (N, n), each row normalised on its axis
     t: int = 0
     kind: str = "posterior"
+    spec: GridSpec = DEFAULT_GRID_SPEC
     degenerate: Optional[np.ndarray] = None
 
     @property
@@ -389,7 +394,8 @@ class GridRows(Belief):
         return self.density * self.cell_volume[:, None]
 
     def take(self, keep) -> "GridRows":
-        rows = GridRows(self.nodes[keep], self.density[keep], t=self.t, kind=self.kind)
+        rows = GridRows(self.nodes[keep], self.density[keep], t=self.t, kind=self.kind,
+                        spec=self.spec)
         h = self.__dict__.get("_h_bits")
         if h is not None:
             object.__setattr__(rows, "_h_bits", h[keep])
@@ -425,11 +431,11 @@ class GridRows(Belief):
     def to_json_dict(self) -> list:
         return [_grid_json(self.t, self.kind, (x,), d) for x, d in zip(self.nodes, self.density)]
 
-    def _pushed(self, A, shift, grid_spec):
+    def _pushed(self, A, shift):
         mu, cov = self._moment_rows()
         mu = rows_matvec(A, mu) + shift
         cov = np.matmul(np.matmul(A, cov), A.T)
-        nodes = _rows_axes(mu[:, 0], cov[:, 0, 0], grid_spec)
+        nodes = _rows_axes(mu[:, 0], cov[:, 0, 0], self.spec)
         det = abs(np.linalg.det(A))
         A_inv = np.linalg.inv(A)
         z_old = (nodes - shift) * A_inv[0, 0]
@@ -442,9 +448,10 @@ class GridRows(Belief):
         mass = dens.sum(axis=1) * (nodes[:, 1] - nodes[:, 0])
         if np.any(mass <= 0.0):
             raise DegenerateLikelihood("grid density has no mass")
-        return GridRows(nodes, dens / mass[:, None], t=self.t + 1, kind="predicted")
+        return GridRows(nodes, dens / mass[:, None], t=self.t + 1, kind="predicted",
+                        spec=self.spec)
 
-    def _conditioned(self, ch, y, rng, resample_fraction):
+    def _conditioned(self, ch, y, rng):
         # the likelihood is evaluated state by state, so the rows that saw
         # one observation (a quantizer has few) share one call
         ll = np.empty(self.density.shape)
@@ -459,7 +466,8 @@ class GridRows(Belief):
         total = dens.sum(axis=1) * self.cell_volume
         bad |= ~((total > 0.0) & np.isfinite(total))
         post = np.where(bad[:, None], self.density, dens / np.where(bad, 1.0, total)[:, None])
-        return GridRows(self.nodes, post, t=self.t, kind="posterior", degenerate=bad), False
+        return GridRows(self.nodes, post, t=self.t, kind="posterior", spec=self.spec,
+                        degenerate=bad), False
 
     def _weighted_points(self):
         return self.nodes[:, :, None], self.masses()
@@ -561,6 +569,9 @@ def _rows_interval(x: np.ndarray, q: np.ndarray) -> np.ndarray:
 # never separate again and the support would collapse. The shrinkage
 # kernel preserves the posterior mean and covariance exactly.
 _LIU_WEST_A = 0.99
+# a particle belief resamples when its effective sample size drops below
+# this fraction of its particle count
+_RESAMPLE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -626,12 +637,12 @@ class ParticleBelief(Belief):
             "weights": self.weights.tolist(),
         }
 
-    def _pushed(self, A, shift, grid_spec):
+    def _pushed(self, A, shift):
         return ParticleBelief(
             self.states @ A.T + shift, self.weights.copy(), t=self.t + 1, kind="predicted"
         )
 
-    def _conditioned(self, ch, y, rng, resample_fraction):
+    def _conditioned(self, ch, y, rng):
         with np.errstate(divide="ignore"):
             logw = np.log(self.weights) + ch.log_density_batch(y, self.states)
         peak = np.max(logw)
@@ -642,7 +653,7 @@ class ParticleBelief(Belief):
         if w_sum <= 0.0 or not np.isfinite(w_sum):
             raise DegenerateLikelihood("all particle weights underflowed")
         post = ParticleBelief(self.states.copy(), w / w_sum, t=self.t, kind="posterior")
-        if post.ess() >= resample_fraction * post.n_particles:
+        if post.ess() >= _RESAMPLE_FRACTION * post.n_particles:
             return post, False
         if rng is None:
             raise ValueError("particle update needs an rng once resampling triggers")
@@ -688,9 +699,8 @@ def _systematic_indices(weights: np.ndarray, offset: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterStep:
-    """One Bayes update: predicted belief in, posterior out."""
+    """One Bayes update: the posterior and the entropies around it."""
 
-    belief_pred: Belief
     belief_post: Belief
     h_pred: float  # bits
     h_post: float  # bits
@@ -725,39 +735,33 @@ def grid_axes_from_moments(mean, cov, spec: GridSpec) -> tuple:
     return tuple(axes)
 
 
-def predict(belief: Belief, decomp, u, grid_spec: GridSpec = DEFAULT_GRID_SPEC) -> Belief:
+def predict(belief: Belief, decomp, u) -> Belief:
     """Push a posterior at time t through the unstable dynamics to t+1.
 
-    A block of beliefs takes one input row per belief.
+    A block of beliefs takes one input row per belief. A grid belief
+    re-grids by its own `spec`.
     """
     A = np.asarray(decomp.A_u, dtype=float)
     B = np.asarray(decomp.B_u, dtype=float)
     u = np.asarray(u, dtype=float).reshape(*belief.batch, -1, 1)
-    return belief._pushed(A, (B @ u)[..., 0], grid_spec)
+    return belief._pushed(A, (B @ u)[..., 0])
 
 
-def update(
-    belief_pred: Belief,
-    ch: ChannelModel,
-    y,
-    rng=None,
-    resample_fraction: float = 0.5,
-) -> FilterStep:
+def update(belief_pred: Belief, ch: ChannelModel, y, rng=None) -> FilterStep:
     """Condition a predicted belief on observation y.
 
     Bootstrap particle beliefs resample (systematic, via rng) when the
-    effective sample size drops below resample_fraction * N. h_post can
-    exceed h_pred for individual realizations; only the expectation of the
-    drop is sign-constrained.
+    effective sample size drops below `_RESAMPLE_FRACTION` of the particle
+    count. h_post can exceed h_pred for individual realizations; only the
+    expectation of the drop is sign-constrained.
     """
     h_pred = belief_pred.entropy_bits()
-    post, resampled = belief_pred._conditioned(ch, y, rng, resample_fraction)
+    post, resampled = belief_pred._conditioned(ch, y, rng)
     h_post = post.entropy_bits()
     cmi_channel = None
     if ch.support == "discrete":
         cmi_channel = _discrete_predictive_entropy_bits(belief_pred, ch)
     return FilterStep(
-        belief_pred=belief_pred,
         belief_post=post,
         h_pred=h_pred,
         h_post=h_post,
@@ -815,7 +819,7 @@ def make_initial_belief(
     n_particles: int = DEFAULT_PARTICLES,
     rng=None,
 ) -> Belief:
-    if kind in ("kalman", "gaussian"):
+    if kind == "kalman":
         return GaussianBelief(prior.mean, prior.cov, t=0, kind="predicted")
     if kind == "grid":
         axes = grid_axes_from_moments(prior.mean, prior.cov, grid_spec)
@@ -826,7 +830,7 @@ def make_initial_belief(
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             pts = np.column_stack([g0.ravel(), g1.ravel()])
             dens = np.exp(prior.logpdf_batch(pts)).reshape(g0.shape)
-        return GridBelief(axes, dens, t=0, kind="predicted")
+        return GridBelief(axes, dens, t=0, kind="predicted", spec=grid_spec)
     if kind == "particle":
         if rng is None:
             raise ValueError("particle initialisation needs an rng")

@@ -89,14 +89,6 @@ class InfoLedger:
         )
         return self
 
-    def head(self, k: int) -> "InfoLedger":
-        """The ledger as it stood after its first k rows, closed with the
-        predicted entropy that followed them (see `columns`)."""
-        if not 0 <= k <= len(self.rows):
-            raise ValueError(f"k={k} outside 0..{len(self.rows)}")
-        after = self.rows[k].h_pred if k < len(self.rows) else self.terminal_h_pred
-        return self.columns([k], [after if k else None])[0]
-
     def columns(self, steps, terminal) -> list:
         """The per-run ledgers of a block ledger: run r keeps its first
         steps[r] rows, closed with terminal[r].
@@ -135,11 +127,6 @@ class InfoLedger:
     def di_rate(self, T: Optional[int] = None) -> float:
         T = len(self.rows) - 1 if T is None else T
         return self.rows[T].di_cum / (T + 1)
-
-
-def record_step(ledger: InfoLedger, step) -> InfoLedger:
-    """Append one filter step to the ledger (in place) and return it."""
-    return ledger.record(step)
 
 
 def rate_balance_check(ledger: InfoLedger, T: Optional[int] = None) -> float:

@@ -183,7 +183,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         z_u = trk.A_u @ z_u + trk.B_u @ u_t
         if n > n_u:
             z_s = trk.A_s @ z_s + trk.B_s @ u_t
-        belief = filters.predict(step.belief_post, trk, u_t, ctx.grid_spec)
+        belief = filters.predict(step.belief_post, trk, u_t)
         ledger.terminal_h_pred = belief.entropy_bits()
 
         x = decomp.from_modes(np.concatenate([z_u, z_s]))
@@ -340,7 +340,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
         Z = rows_matvec(trk.A_u, Z) + rows_matvec(trk.B_u, U)
         if n > n_u:
             Zs = rows_matvec(trk.A_s, Zs) + rows_matvec(trk.B_s, U)
-        belief = filters.predict(post, trk, U, ctx.grid_spec)
+        belief = filters.predict(post, trk, U)
         terminal[alive] = belief.entropy_bits()
 
         x_sq = state_sq(Z, Zs)
@@ -569,5 +569,5 @@ def replay_filter(decomp, channel, prior, filter_kind, us, ys,
     steps = []
     for u_t, y_t in zip(us, ys):
         steps.append(filters.update(belief, channel, y_t, rng=rng))
-        belief = filters.predict(steps[-1].belief_post, decomp, u_t, grid_spec)
+        belief = filters.predict(steps[-1].belief_post, decomp, u_t)
     return steps

@@ -10,8 +10,7 @@ import warnings
 
 import numpy as np
 
-from .entropy import gaussian_entropy_nats
-from .errors import DimensionMismatch, UnknownPriorFamily
+from .errors import DimensionMismatch
 
 
 class GaussianPrior:
@@ -62,9 +61,6 @@ class GaussianPrior:
 
     def hessian_logpdf(self, z) -> np.ndarray:
         return -self._prec
-
-    def entropy_nats(self) -> float:
-        return gaussian_entropy_nats(self.cov)
 
 
 class StudentTPrior:
@@ -139,9 +135,6 @@ class LaplacePrior:
         z = np.atleast_2d(np.asarray(Z, dtype=float))[:, 0]
         return -np.abs(z) / self.scale - np.log(2.0 * self.scale)
 
-    def entropy_nats(self) -> float:
-        return 1.0 + np.log(2.0 * self.scale)
-
     @property
     def mean(self):
         return np.array([0.0])
@@ -169,9 +162,6 @@ class ExponentialPrior:
     def logpdf_batch(self, Z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(Z, dtype=float))[:, 0]
         return np.where(z >= 0.0, np.log(self.rate) - self.rate * z, -np.inf)
-
-    def entropy_nats(self) -> float:
-        return 1.0 - np.log(self.rate)
 
     @property
     def mean(self):
@@ -205,9 +195,6 @@ class UniformPrior:
         inside = (z >= self.low) & (z <= self.high)
         return np.where(inside, -np.log(self.high - self.low), -np.inf)
 
-    def entropy_nats(self) -> float:
-        return np.log(self.high - self.low)
-
     @property
     def mean(self):
         return np.array([0.5 * (self.low + self.high)])
@@ -224,9 +211,3 @@ PRIORS = {
     cls.family: cls
     for cls in (GaussianPrior, StudentTPrior, LaplacePrior, ExponentialPrior, UniformPrior)
 }
-
-
-def make_prior(family: str, **params):
-    if family not in PRIORS:
-        raise UnknownPriorFamily(f"unknown prior family {family!r}; known: {sorted(PRIORS)}")
-    return PRIORS[family](**params)

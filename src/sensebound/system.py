@@ -97,11 +97,6 @@ class ModeDecomposition:
     def n(self) -> int:
         return self.T.shape[0]
 
-    def split(self, z: np.ndarray):
-        """Split a transformed state into (unstable, stable) parts."""
-        z = np.asarray(z, dtype=float)
-        return z[: self.n_u], z[self.n_u :]
-
     def from_modes(self, z: np.ndarray) -> np.ndarray:
         return self.T_inv @ np.asarray(z, dtype=float)
 

@@ -247,7 +247,7 @@ class TestLemma2:
             beliefs.append(step.belief_post)
             u = np.array([-2.0 * step.belief_post.mean()[0]])
             us.append(u)
-            belief = predict(step.belief_post, scalar_double, u, grid_spec=spec)
+            belief = predict(step.belief_post, scalar_double, u)
             z = scalar_double.A_u @ z + scalar_double.B_u @ u
         acc = lemma2_accumulate(
             ch, scalar_double, prior, np.array(zs), ys, np.array(us), keep_hessians=True

@@ -18,7 +18,7 @@ from sensebound.cli import main
 from sensebound.config import FILTER_KEYS, build_context, kind_keys, parse_config, validate_config
 from sensebound.errors import ParseError, ValidationError
 from sensebound.priors import PRIORS
-from sensebound.report import set_config_value
+from sensebound.report import run_experiment, set_config_value
 from sensebound.system import GAIN_DESIGNS
 
 BASE = {
@@ -225,6 +225,72 @@ def test_channel_must_observe_the_tracked_modes(tmp_path, capsys):
     code, err = run_cli(tmp_path, text, capsys)
     assert code == 1
     assert err.startswith("error: channel.C: ")
+
+
+# each integer key with a whole value it accepts
+INTEGER_KEYS = {
+    "run.horizon": 20, "run.runs": 2, "run.seed": 7, "run.tail_window": 5,
+    "run.audit_window": 10, "filter.particles": 64, "filter.cells_per_std": 12,
+    "filter.max_cells": 4096, "channel.levels": 4, "channel.dim": 1,
+}
+
+
+def integer_key_sections(field, value):
+    """Config sections that set the integer key `field` to `value`."""
+    section, key = field.split(".")
+    if section == "run":
+        kept = [line for line in BASE["run"].splitlines() if not line.startswith(f"{key} =")]
+        return {"run": "\n".join([*kept, f"{key} = {value}"])}
+    if section == "channel":
+        return {"channel": f'kind = "sign-quantizer"\n{key} = {value}', "filter": GRID}
+    kind = "particle" if key == "particles" else "grid"
+    return {"filter": f'kind = "{kind}"\n{key} = {value}'}
+
+
+@pytest.mark.parametrize("bad", ["{}.5", "true", '"{}"', "[{}]"])
+@pytest.mark.parametrize("field", INTEGER_KEYS)
+def test_integer_key_takes_whole_numbers_only(tmp_path, capsys, field, bad):
+    """A fraction is an error, not truncated; nor is true a 1."""
+    text = config_text(**integer_key_sections(field, bad.format(INTEGER_KEYS[field])))
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", INTEGER_KEYS)
+def test_integer_key_accepts_an_integral_float(field):
+    whole = INTEGER_KEYS[field]
+    summaries = []
+    for value in (f"{whole}", f"{whole}.0"):
+        cfg = parse_config(config_text(**integer_key_sections(field, value)))
+        summary = run_experiment(cfg, write=False).summary
+        summaries.append({k: v for k, v in summary.items() if k != "config"})
+    assert summaries[0] == summaries[1]
+
+
+MALFORMED = [
+    ("A-not-numbers", dict(system="A = abc"), "system.A"),
+    ("B-ragged", dict(system='A = [[2.0]]\nB = [[1.0], "x"]'), "system.B"),
+    ("cond-cap-string", dict(system='A = [[2.0]]\ncond_cap = "big"'), "system.cond_cap"),
+    ("gamma-string", dict(channel='kind = "linear-gaussian"\nextension = true\n'
+                                  'schedule = {"gamma": "x"}'), "channel.schedule"),
+    ("gamma-list", dict(channel='kind = "linear-gaussian"\nextension = true\n'
+                                'schedule = {"gamma": [1]}'), "channel.schedule"),
+    ("formats-string", dict(outputs='formats = "csv"'), "outputs.formats"),
+]
+
+
+@pytest.mark.parametrize("sections, field", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_value_is_an_error_not_a_traceback(tmp_path, capsys, sections, field):
+    code, err = run_cli(tmp_path, config_text(**sections), capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: "), err
+    assert "Traceback" not in err
 
 
 TWO_MODES = config_text(

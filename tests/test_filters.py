@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -139,16 +140,16 @@ class TestPredict:
 
     def test_grid_overflow(self, scalar_double, unit_prior):
         spec = GridSpec(half_width_stds=8.0, cells_per_std=24, max_cells=100)
-        b = make_initial_belief(unit_prior, "grid")
+        b = dataclasses.replace(make_initial_belief(unit_prior, "grid"), spec=spec)
         with pytest.raises(GridOverflow):
-            predict(b, scalar_double, [0.0], grid_spec=spec)
+            predict(b, scalar_double, [0.0])
 
     def test_2d_grid_shift(self):
         d = decompose(SystemModel(np.diag([2.0, 1.5]), np.eye(2)))
         prior = GaussianPrior([0.0, 0.0], np.diag([1.0, 0.5]))
         spec = GridSpec(half_width_stds=6.0, cells_per_std=12)
         b = make_initial_belief(prior, "grid", grid_spec=spec)
-        p = predict(b, d, [0.0, 0.0], grid_spec=spec)
+        p = predict(b, d, [0.0, 0.0])
         dh = p.entropy_bits() - b.entropy_bits()
         assert dh == pytest.approx(np.log2(3.0), abs=0.02)
 
@@ -264,6 +265,55 @@ class TestSerialization:
                                  rng=np.random.default_rng(0))
         dp = pb.to_json_dict()
         assert dp["representation"] == "particles" and len(dp["states"]) == 64
+
+
+GRID_JSON_KEYS = {"representation", "t", "kind", "axes", "density"}
+
+
+class TestGridSpecOnTheBelief:
+    """A grid belief carries its `GridSpec`: every belief made from it keeps
+    the spec, and each predict re-grids by it."""
+
+    SPEC = GridSpec(half_width_stds=5.0, cells_per_std=6, max_cells=10**4)
+
+    def test_scalar_grid_keeps_its_spec(self, scalar_double, unit_prior):
+        b = make_initial_belief(unit_prior, "grid", grid_spec=self.SPEC)
+        assert b.spec == self.SPEC
+        post = update(b, make_channel("sign-quantizer"), [1.0]).belief_post
+        pred = predict(post, scalar_double, [-1.0])
+        for belief in (post, pred):
+            assert belief.spec == self.SPEC
+            assert len(belief.axes[0]) == self.SPEC.nodes_per_axis()
+        assert set(pred.to_json_dict()) == GRID_JSON_KEYS
+
+    def test_2d_grid_keeps_its_spec(self):
+        d = decompose(SystemModel(np.diag([2.0, 1.5]), np.eye(2)))
+        prior = GaussianPrior([0.0, 0.0], np.diag([1.0, 0.5]))
+        b = make_initial_belief(prior, "grid", grid_spec=self.SPEC)
+        ch = make_channel("linear-gaussian", C=np.eye(2), R=np.eye(2))
+        post = update(b, ch, [0.3, -0.2]).belief_post
+        pred = predict(post, d, [0.0, 0.0])
+        for belief in (b, post, pred):
+            assert belief.spec == self.SPEC
+            assert [len(a) for a in belief.axes] == [self.SPEC.nodes_per_axis()] * 2
+        assert set(pred.to_json_dict()) == GRID_JSON_KEYS
+
+    def test_grid_rows_keep_their_spec(self, scalar_double, unit_prior):
+        b = make_initial_belief(unit_prior, "grid", grid_spec=self.SPEC)
+        rows = b.tiled(3)
+        post = update(rows, make_channel("sign-quantizer"), [[1.0], [-1.0], [1.0]]).belief_post
+        pred = predict(post, scalar_double, [[-1.0], [1.0], [0.0]])
+        kept = pred.take(np.array([True, False, True]))
+        for belief in (rows, post, pred, kept):
+            assert belief.spec == self.SPEC
+            assert belief.nodes.shape[1] == self.SPEC.nodes_per_axis()
+        assert kept.batch == (2,)
+        assert [set(d) for d in kept.to_json_dict()] == [GRID_JSON_KEYS] * 2
+
+    def test_default_spec(self, unit_prior):
+        b = make_initial_belief(unit_prior, "grid")
+        assert b.spec == GridSpec()
+        assert b.tiled(2).spec == GridSpec()
 
 
 def _tree_kth_gap(x, k):

