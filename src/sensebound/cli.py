@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import OUTPUT_FORMATS, build_system, parse_config
-from .errors import SenseboundError
+from .errors import SenseboundError, ValidationError
 from .experiments import bundled_names, bundled_text
 from .report import (
     Series,
@@ -105,7 +105,13 @@ def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"{SEED_ENV_VAR} = {env!r} is not a whole number",
+                              field="run.seed") from None
 
 
 def _cmd_decompose(args) -> int:

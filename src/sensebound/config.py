@@ -86,7 +86,7 @@ _BOOLEAN_KEYS = (
     ("outputs", "svg"), ("outputs", "debug_beliefs"),
 )
 # every key read as a number, with its cast; an int key takes whole
-# numbers only
+# numbers only (run.seed has its own check, `check_seed`)
 _NUMERIC_KEYS = {
     **{where: cast for where, (_, cast) in _CONTEXT_OPTIONS.items() if cast is not bool},
     ("system", "cond_cap"): float,
@@ -95,7 +95,6 @@ _NUMERIC_KEYS = {
     ("filter", "cells_per_std"): int,
     ("filter", "max_cells"): int,
     ("run", "runs"): int,
-    ("run", "seed"): int,
     ("run", "tail_window"): int,
     ("run", "bound_state"): float,
     ("run", "bound_error"): float,
@@ -240,6 +239,14 @@ def _float_array(value, field_path) -> np.ndarray:
                               field=field_path) from None
 
 
+def check_seed(value) -> int:
+    """A master seed as an int: a whole number >= 0, of any size, whether
+    it comes from run.seed, --seed or the environment."""
+    _require(_is_number(value, int), "run.seed", f"expected a whole number, got {value!r}")
+    _require(value >= 0, "run.seed", f"the seed must be >= 0, got {value!r}")
+    return int(value)
+
+
 def _tail_window(run: dict, horizon: int) -> int:
     return int(run.get("tail_window", max(1, horizon // 4)))
 
@@ -318,6 +325,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                      f"expected {'a whole number' if cast is int else 'a number'}, "
                      f"got {values[key]!r}")
 
+    if "seed" in run:
+        check_seed(run["seed"])
     horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")
     _require("runs" not in run or int(run["runs"]) >= 1, "run.runs", "runs must be >= 1")

@@ -12,8 +12,8 @@ Three interchangeable belief representations:
 
 A block of runs' beliefs is one belief with a leading batch axis: a
 `GaussianBelief` with one mean row per run and the covariance they share,
-or a `GridRows` holding 1-D grids as rows. Each row gets the bits its own
-belief would have.
+or a `GridBelief` whose axes and density have one row per run. Each row
+gets the bits its own belief would have.
 
 The predict step pushes the belief through z -> A_u z + B_u u exactly, so
 predicted entropy exceeds the previous posterior entropy by the expansion
@@ -60,6 +60,12 @@ class GridSpec:
         object.__setattr__(self, "half_width_stds", float(self.half_width_stds))
         object.__setattr__(self, "cells_per_std", int(self.cells_per_std))
         object.__setattr__(self, "max_cells", int(self.max_cells))
+        if self.nodes_per_axis() < 3:
+            raise ValueError(
+                f"half_width_stds = {self.half_width_stds} and cells_per_std = "
+                f"{self.cells_per_std} give {self.nodes_per_axis()} nodes per axis; "
+                "a grid needs at least 3"
+            )
 
     def nodes_per_axis(self) -> int:
         return 2 * int(round(self.half_width_stds * self.cells_per_std)) + 1
@@ -228,276 +234,229 @@ class GaussianBelief(Belief):
 
 @dataclass(frozen=True)
 class GridBelief(Belief):
-    """A density on a uniform grid; `spec` places the grid of each predict."""
+    """A density on a uniform grid, or a block of them; `spec` places the
+    grid of each predict.
+
+    Axis i is a (*batch, n_i) array of nodes and the density is (*batch,
+    n_0, ...): a single belief has no batch, and a block holds one grid
+    per row. Each method gives a row the bits the single belief of that row
+    gives, so a row's bits do not depend on the block. `degenerate` marks
+    the rows of a block posterior whose likelihood vanished, where a single
+    belief raises DegenerateLikelihood; such a row keeps its predicted
+    density and must leave the block.
+    """
 
     representation = "grid"
 
-    axes: tuple  # per-dim uniform node arrays
-    density: np.ndarray
+    axes: tuple
+    density: np.ndarray  # normalised on its grid, row by row
     t: int = 0
     kind: str = "posterior"
     spec: GridSpec = DEFAULT_GRID_SPEC
+    degenerate: Optional[np.ndarray] = None
 
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         if len(axes) not in (1, 2):
             raise DimensionMismatch("grid beliefs support 1 or 2 dimensions")
+        batch = axes[0].shape[:-1]
         d = np.asarray(self.density, dtype=float)
-        if d.shape != tuple(len(a) for a in axes):
+        if d.shape != (*batch, *(a.shape[-1] for a in axes)) or any(
+            a.shape[:-1] != batch for a in axes
+        ):
             raise DimensionMismatch(
-                f"density shape {d.shape} does not match axes {[len(a) for a in axes]}"
+                f"density shape {d.shape} does not match axes {[a.shape for a in axes]}"
             )
         if np.any(d < 0) or not np.all(np.isfinite(d)):
             raise DegenerateLikelihood("grid density must be finite and nonnegative")
-        mass = float(d.sum() * self.cell_volume_of(axes))
-        if mass <= 0.0:
-            raise DegenerateLikelihood("grid density has no mass")
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "density", d / mass)
+        mass = d.reshape(*batch, -1).sum(axis=-1) * self.cell_volume
+        if np.any(mass <= 0.0):
+            raise DegenerateLikelihood("grid density has no mass")
+        object.__setattr__(self, "density", d / mass.reshape(*batch, *(1,) * len(axes)))
 
-    @staticmethod
-    def cell_volume_of(axes) -> float:
-        return float(np.prod([a[1] - a[0] for a in axes]))
+    def _with(self, axes, density, **changes) -> "GridBelief":
+        """This belief on other grids whose densities are already normalised,
+        taken as they are: normalising them again would move their bits."""
+        out = object.__new__(GridBelief)
+        out.__dict__.update(t=self.t, kind=self.kind, spec=self.spec, axes=axes, density=density)
+        out.__dict__.update(changes)
+        return out
 
     @property
-    def cell_volume(self) -> float:
-        return self.cell_volume_of(self.axes)
+    def batch(self) -> tuple:
+        return self.axes[0].shape[:-1]
+
+    @property
+    def cell_volume(self):
+        """The cell volume of each grid, one per row of a block."""
+        a = self.axes
+        v = a[0][..., 1] - a[0][..., 0]
+        return v if len(a) == 1 else v * (a[1][..., 1] - a[1][..., 0])
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
     def nodes(self) -> np.ndarray:
-        """All grid nodes as an (N, dim) array in C order."""
-        if self.dim == 1:
-            return self.axes[0][:, None]
-        g0, g1 = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([g0.ravel(), g1.ravel()])
+        """All grid nodes as a (*batch, N, dim) array in C order."""
+        return _grid_nodes(self.axes)
 
     def masses(self) -> np.ndarray:
-        return self.density.ravel() * self.cell_volume
+        return self.density.reshape(*self.batch, -1) * self.cell_volume[..., None]
 
-    def _entropy_bits(self) -> float:
-        return nats_to_bits(grid_entropy_nats(self.density, self.cell_volume))
+    def _entropy_bits(self):
+        return grid_entropy_nats(self.density.reshape(*self.batch, -1), self.cell_volume) / LN2
+
+    def _moments(self):
+        """(means (*batch, dim), covariances (*batch, dim, dim)), evaluated
+        once, each row by BLAS products on that row alone."""
+        memo = self.__dict__.get("_moment_memo")
+        if memo is None:
+            w, pts = self.masses(), self.nodes()
+            mu = np.matmul(w[..., None, :], pts)[..., 0, :]
+            centered = pts - mu[..., None, :]
+            cov = np.matmul((centered * w[..., None]).swapaxes(-1, -2), centered)
+            memo = (mu, cov)
+            object.__setattr__(self, "_moment_memo", memo)
+        return memo
 
     def mean(self) -> np.ndarray:
-        w = self.masses()
-        return w @ self.nodes()
+        return self._moments()[0]
 
     def cov(self) -> np.ndarray:
-        w = self.masses()
-        pts = self.nodes()
-        mu = w @ pts
-        centered = pts - mu
-        return (centered * w[:, None]).T @ centered
+        return self._moments()[1]
 
-    def to_json_dict(self) -> dict:
-        return _grid_json(self.t, self.kind, self.axes, self.density)
+    def cond_number(self):
+        cov = self.cov()
+        if self.dim == 1:  # a 1x1 covariance is its own eigenvalue
+            vals = cov[..., 0] + COV_REGULARIZER
+        else:
+            vals = np.linalg.eigvalsh(cov + COV_REGULARIZER * np.eye(self.dim))
+        with np.errstate(invalid="ignore"):
+            c = np.where(vals[..., 0] <= 0.0, np.inf, vals[..., -1] / vals[..., 0])
+        return c if self.batch else float(c)
+
+    def to_json_dict(self):
+        rows = [
+            {"representation": "grid", "t": self.t, "kind": self.kind,
+             "axes": [{"start": float(a[0]), "step": float(a[1] - a[0]), "num": len(a)}
+                      for a in row_axes],
+             "density": d.tolist()}
+            for *row_axes, d in zip(
+                *(a.reshape(-1, a.shape[-1]) for a in self.axes),
+                self.density.reshape(-1, *self.density.shape[len(self.batch):]),
+            )
+        ]
+        return rows if self.batch else rows[0]
 
     def tiled(self, n_rows):
-        if self.dim != 1:
-            return super().tiled(n_rows)
-        rows = GridRows(np.tile(self.axes[0], (n_rows, 1)), np.tile(self.density, (n_rows, 1)),
-                        t=self.t, kind=self.kind, spec=self.spec)
+        rows = self._with(tuple(np.tile(a, (n_rows, 1)) for a in self.axes),
+                          np.tile(self.density, (n_rows, *(1,) * self.dim)))
         object.__setattr__(rows, "_h_bits", np.full(n_rows, self.entropy_bits()))
         return rows
 
-    def _pushed(self, A, shift):
-        mu = A @ self.mean() + shift
-        cov = A @ self.cov() @ A.T
-        axes = grid_axes_from_moments(mu, cov, self.spec)
-        det = abs(np.linalg.det(A))
-        A_inv = np.linalg.inv(A)
-        # cubic interpolation keeps the re-gridding error well below the
-        # entropy-shift and moment tolerances; clip the slight undershoot
-        if self.dim == 1:
-            z_old = (axes[0] - shift[0]) * A_inv[0, 0]
-            dens = CubicSpline(self.axes[0], self.density)(z_old)
-            inside = (z_old >= self.axes[0][0]) & (z_old <= self.axes[0][-1])
-            dens = np.where(inside, dens, 0.0)
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()]) - shift
-            interp = RegularGridInterpolator(
-                self.axes, self.density, bounds_error=False, fill_value=0.0,
-                method="cubic",
-            )
-            dens = interp(pts @ A_inv.T).reshape(g0.shape)
-        dens = np.clip(dens, 0.0, None) / det
-        return GridBelief(axes, dens, t=self.t + 1, kind="predicted", spec=self.spec)
-
-    def _conditioned(self, ch, y, rng):
-        ll = ch.log_density_batch(y, self.nodes()).reshape(self.density.shape)
-        peak = np.max(ll)
-        if not np.isfinite(peak):
-            raise DegenerateLikelihood("likelihood vanished on the whole grid")
-        dens = self.density * np.exp(ll - peak)
-        total = dens.sum() * self.cell_volume
-        if total <= 0.0 or not np.isfinite(total):
-            raise DegenerateLikelihood("posterior grid mass underflowed")
-        return GridBelief(self.axes, dens, t=self.t, kind="posterior", spec=self.spec), False
-
-    def _weighted_points(self):
-        return self.nodes(), self.masses()
-
-
-def _grid_json(t: int, kind: str, axes, density: np.ndarray) -> dict:
-    return {
-        "representation": "grid",
-        "t": t,
-        "kind": kind,
-        "axes": [
-            {"start": float(a[0]), "step": float(a[1] - a[0]), "num": int(len(a))}
-            for a in axes
-        ],
-        "density": density.tolist(),
-    }
-
-
-@dataclass(frozen=True)
-class GridRows(Belief):
-    """A block of 1-D grid beliefs: row r is the GridBelief on the axis
-    `nodes[r]` with density `density[r]` and the block's `spec`.
-
-    Each method returns one value per row, with the bits the GridBelief
-    method gives for that row alone, so a row's bits do not depend on the
-    block. Moments are per-row BLAS dots (batched matmul calls the kernel
-    GridBelief's products call), the entropies are one row-wise
-    `grid_entropy_nats` call, and the re-grid is `_rows_cubic_spline`.
-    `degenerate` marks the rows of a posterior whose likelihood vanished,
-    where GridBelief raises DegenerateLikelihood; such a row keeps its
-    predicted density and must leave the block.
-    """
-
-    representation = "grid"
-
-    nodes: np.ndarray  # (N, n), row r a uniform axis
-    density: np.ndarray  # (N, n), each row normalised on its axis
-    t: int = 0
-    kind: str = "posterior"
-    spec: GridSpec = DEFAULT_GRID_SPEC
-    degenerate: Optional[np.ndarray] = None
-
-    @property
-    def batch(self) -> tuple:
-        return (self.nodes.shape[0],)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def cell_volume(self) -> np.ndarray:
-        return self.nodes[:, 1] - self.nodes[:, 0]
-
-    def masses(self) -> np.ndarray:
-        return self.density * self.cell_volume[:, None]
-
-    def take(self, keep) -> "GridRows":
-        rows = GridRows(self.nodes[keep], self.density[keep], t=self.t, kind=self.kind,
-                        spec=self.spec)
+    def take(self, keep):
+        rows = self._with(tuple(a[keep] for a in self.axes), self.density[keep])
         h = self.__dict__.get("_h_bits")
         if h is not None:
             object.__setattr__(rows, "_h_bits", h[keep])
         return rows
 
-    def _entropy_bits(self) -> np.ndarray:
-        return grid_entropy_nats(self.density, self.cell_volume) / LN2
-
-    def _moment_rows(self):
-        """(means (N, 1), covariances (N, 1, 1)), evaluated once."""
-        memo = self.__dict__.get("_moments")
-        if memo is None:
-            w = self.masses()
-            mu = np.matmul(w[:, None, :], self.nodes[:, :, None])[:, 0]
-            centered = self.nodes - mu
-            cov = np.matmul((centered * w)[:, None, :], centered[:, :, None])
-            memo = (mu, cov)
-            object.__setattr__(self, "_moments", memo)
-        return memo
-
-    def mean(self) -> np.ndarray:
-        return self._moment_rows()[0]
-
-    def cov(self) -> np.ndarray:
-        return self._moment_rows()[1]
-
-    def cond_number(self) -> np.ndarray:
-        # a 1x1 covariance is its own eigenvalue
-        c = self.cov()[:, 0, 0] + COV_REGULARIZER
-        with np.errstate(invalid="ignore"):
-            return np.where(c <= 0.0, np.inf, c / c)
-
-    def to_json_dict(self) -> list:
-        return [_grid_json(self.t, self.kind, (x,), d) for x, d in zip(self.nodes, self.density)]
-
     def _pushed(self, A, shift):
-        mu, cov = self._moment_rows()
+        mu, cov = self._moments()
         mu = rows_matvec(A, mu) + shift
         cov = np.matmul(np.matmul(A, cov), A.T)
-        nodes = _rows_axes(mu[:, 0], cov[:, 0, 0], self.spec)
+        axes = _rows_axes(mu, cov, self.spec)
         det = abs(np.linalg.det(A))
         A_inv = np.linalg.inv(A)
-        z_old = (nodes - shift) * A_inv[0, 0]
-        dens = _rows_cubic_spline(self.nodes, self.density, z_old)
-        inside = (z_old >= self.nodes[:, :1]) & (z_old <= self.nodes[:, -1:])
-        dens = np.where(inside, dens, 0.0)
+        # cubic interpolation keeps the re-gridding error well below the
+        # entropy-shift and moment tolerances; clip the slight undershoot
+        if self.dim == 1:
+            x = self.axes[0]
+            z_old = (axes[0] - shift) * A_inv[0, 0]
+            dens = _rows_cubic_spline(x, self.density, z_old)
+            dens = np.where((z_old >= x[..., :1]) & (z_old <= x[..., -1:]), dens, 0.0)
+        elif self.batch:
+            raise NotImplementedError("a block of 2-D grids has no re-grid; predict each alone")
+        else:
+            interp = RegularGridInterpolator(
+                self.axes, self.density, bounds_error=False, fill_value=0.0,
+                method="cubic",
+            )
+            dens = interp((_grid_nodes(axes) - shift) @ A_inv.T).reshape(
+                [len(a) for a in axes])
         dens = np.clip(dens, 0.0, None) / det
-        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
-            raise DegenerateLikelihood("grid density must be finite and nonnegative")
-        mass = dens.sum(axis=1) * (nodes[:, 1] - nodes[:, 0])
-        if np.any(mass <= 0.0):
-            raise DegenerateLikelihood("grid density has no mass")
-        return GridRows(nodes, dens / mass[:, None], t=self.t + 1, kind="predicted",
-                        spec=self.spec)
+        return GridBelief(axes, dens, t=self.t + 1, kind="predicted", spec=self.spec)
 
     def _conditioned(self, ch, y, rng):
         # the likelihood is evaluated state by state, so the rows that saw
         # one observation (a quantizer has few) share one call
-        ll = np.empty(self.density.shape)
-        seen, which = _unique_rows(np.asarray(y, dtype=float))
+        pts = self.nodes()
+        pts = pts.reshape(-1, *pts.shape[-2:])
+        n = pts.shape[1]
+        ll = np.empty(pts.shape[:2])
+        seen, which = _unique_rows(np.asarray(y, dtype=float).reshape(len(pts), -1))
         for k, y_k in enumerate(seen):
             rows = np.flatnonzero(which == k)
-            ll[rows] = ch.log_density_batch(y_k, self.nodes[rows].reshape(-1, 1)).reshape(
-                rows.size, -1)
-        peak = np.max(ll, axis=1)
+            ll[rows] = ch.log_density_batch(y_k, pts[rows].reshape(-1, self.dim)).reshape(
+                rows.size, n)
+        ll = ll.reshape(*self.batch, -1)
+        prior = self.density.reshape(ll.shape)
+        peak = np.max(ll, axis=-1)
         bad = ~np.isfinite(peak)
-        dens = self.density * np.exp(ll - np.where(bad, 0.0, peak)[:, None])
-        total = dens.sum(axis=1) * self.cell_volume
+        dens = prior * np.exp(ll - np.where(bad, 0.0, peak)[..., None])
+        total = dens.sum(axis=-1) * self.cell_volume
         bad |= ~((total > 0.0) & np.isfinite(total))
-        post = np.where(bad[:, None], self.density, dens / np.where(bad, 1.0, total)[:, None])
-        return GridRows(self.nodes, post, t=self.t, kind="posterior", spec=self.spec,
-                        degenerate=bad), False
+        if not self.batch and bad:
+            raise DegenerateLikelihood("the likelihood vanished or the posterior mass underflowed")
+        post = np.where(bad[..., None], prior, dens / np.where(bad, 1.0, total)[..., None])
+        return self._with(self.axes, post.reshape(self.density.shape), kind="posterior",
+                          degenerate=bad), False
 
     def _weighted_points(self):
-        return self.nodes[:, :, None], self.masses()
+        return self.nodes(), self.masses()
 
 
-def _rows_axes(mean: np.ndarray, var: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """`grid_axes_from_moments` for N scalar beliefs at once: row r is the
-    axis it gives for (mean[r], var[r]), bit for bit, as `np.linspace`
-    computes it."""
+def _grid_nodes(axes) -> np.ndarray:
+    """The nodes of each grid, (*batch, N, dim) in C order."""
+    if len(axes) == 1:
+        return axes[0][..., None]
+    g0, g1 = np.broadcast_arrays(axes[0][..., :, None], axes[1][..., None, :])
+    return np.stack([g0, g1], axis=-1).reshape(*g0.shape[:-2], -1, 2)
+
+
+def _rows_axes(mean: np.ndarray, cov: np.ndarray, spec: GridSpec) -> tuple:
+    """The grid axes `spec` places around beliefs with means (*batch, dim)
+    and covariances (*batch, dim, dim): axis i is (*batch, n), each row the
+    nodes `np.linspace` gives, bit for bit."""
+    dim = mean.shape[-1]
     num = spec.nodes_per_axis()
-    if num > spec.max_cells:
-        raise GridOverflow(f"{num}^1 cells exceed budget {spec.max_cells}")
-    sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1e-12)
-    half = spec.half_width_stds * sigma
-    lo, hi = mean - half, mean + half
-    delta = hi - lo
+    if num**dim > spec.max_cells:
+        raise GridOverflow(f"{num}^{dim} cells exceed budget {spec.max_cells}")
     j = np.arange(num, dtype=float)
-    step = delta / (num - 1)
-    nodes = j * step[:, None]
-    flat = step == 0  # linspace's branch for a step that underflows
-    if flat.any():
-        nodes[flat] = (j / (num - 1)) * delta[flat, None]
-    nodes += lo[:, None]
-    nodes[:, -1] = hi
-    return nodes
+    axes = []
+    for i in range(dim):
+        sigma = np.maximum(np.sqrt(np.maximum(cov[..., i, i], 0.0)), 1e-12)
+        half = spec.half_width_stds * sigma
+        lo, hi = mean[..., i] - half, mean[..., i] + half
+        delta = hi - lo
+        step = delta / (num - 1)
+        nodes = j * step[..., None]
+        flat = step == 0  # linspace's branch for a step that underflows
+        if flat.any():
+            nodes = np.where(flat[..., None], (j / (num - 1)) * delta[..., None], nodes)
+        nodes += lo[..., None]
+        nodes[..., -1] = hi
+        axes.append(nodes)
+    return tuple(axes)
 
 
 def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row r is `CubicSpline(x[r], y[r])(q[r])`, bit for bit, at the queries
-    inside [x[r, 0], x[r, -1]] (outside them it is some finite value).
+    inside [x[r, 0], x[r, -1]] (outside them it is some finite value). The
+    rows run along the last axis, under any leading shape, a single grid's
+    none included; this is the one 1-D re-grid.
 
     The arithmetic is scipy's, elementwise on rows: `CubicSpline.__init__`
     (not-a-knot ends) builds the tridiagonal system of the node slopes,
@@ -507,9 +466,11 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
     into coefficients, and PPoly's evaluation is reproduced term by term
     from the interval searchsorted(x, q, "right") - 1 clipped to [0, n-2].
     """
+    shape = q.shape
+    x, y, q = (a.reshape(-1, a.shape[-1]) for a in (x, y, q))
     N, n = x.shape
     if n < 4:  # scipy's two- and three-node special cases
-        return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)])
+        return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)]).reshape(shape)
     dx = np.diff(x, axis=1)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
@@ -542,9 +503,9 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
     k = i + (n - 1) * np.arange(N)[:, None]
     u = q - x.ravel()[flat]
     uu = u * u
-    return (
+    return ((
         ((0.0 + y.ravel()[flat]) + s.ravel()[flat] * u) + c1.ravel()[k] * uu
-    ) + c0.ravel()[k] * (uu * u)
+    ) + c0.ravel()[k] * (uu * u)).reshape(shape)
 
 
 def _rows_interval(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -718,23 +679,6 @@ class FilterStep:
 # predict / update
 
 
-def grid_axes_from_moments(mean, cov, spec: GridSpec) -> tuple:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    dim = mean.size
-    n_axis = spec.nodes_per_axis()
-    if n_axis**dim > spec.max_cells:
-        raise GridOverflow(
-            f"{n_axis}^{dim} cells exceed budget {spec.max_cells}"
-        )
-    axes = []
-    for i in range(dim):
-        sigma = max(float(np.sqrt(max(cov[i, i], 0.0))), 1e-12)
-        half = spec.half_width_stds * sigma
-        axes.append(np.linspace(mean[i] - half, mean[i] + half, n_axis))
-    return tuple(axes)
-
-
 def predict(belief: Belief, decomp, u) -> Belief:
     """Push a posterior at time t through the unstable dynamics to t+1.
 
@@ -822,14 +766,8 @@ def make_initial_belief(
     if kind == "kalman":
         return GaussianBelief(prior.mean, prior.cov, t=0, kind="predicted")
     if kind == "grid":
-        axes = grid_axes_from_moments(prior.mean, prior.cov, grid_spec)
-        if len(axes) == 1:
-            pts = axes[0][:, None]
-            dens = np.exp(prior.logpdf_batch(pts))
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()])
-            dens = np.exp(prior.logpdf_batch(pts)).reshape(g0.shape)
+        axes = _rows_axes(prior.mean, prior.cov, grid_spec)
+        dens = np.exp(prior.logpdf_batch(_grid_nodes(axes))).reshape([len(a) for a in axes])
         return GridBelief(axes, dens, t=0, kind="predicted", spec=grid_spec)
     if kind == "particle":
         if rng is None:

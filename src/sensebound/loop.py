@@ -22,9 +22,11 @@ do not depend on the data, so they are computed once per step for all
 runs.
 """
 
+import ctypes
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -256,7 +258,8 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     Gives, bit for bit, the record `run_closed_loop` gives for each index,
     at any block size. The block's belief holds every run's belief as a
     row (`Belief.tiled`): a `GaussianBelief` with one mean row per run and
-    the covariance they share, or a `GridRows`. `filters.update` and
+    the covariance they share, or a `GridBelief` with one axis and density
+    row per run. `filters.update` and
     `filters.predict` advance it once per step for the whole block, and
     each row operation and small product (`rows_matvec`, `_rows_dot`) is
     the one the scalar loop makes for that run. Each run's variates come
@@ -378,11 +381,37 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     return records
 
 
+# mallopt parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_HOLD_BYTES = 32 << 20
+
+
+@cache
+def _hold_heap() -> None:
+    """Keep freed temporaries on glibc's heap, in every process alike.
+
+    A grid block step allocates and frees a dozen (runs, nodes) arrays, 74
+    KB each at 24 runs of 385 nodes. Under glibc's default 128 KiB trim
+    threshold, whether those frees hand the heap top back to the kernel
+    depends on where long-lived allocations happened to land: some
+    processes then re-fault about 1 MB of fresh pages every step (16k minor
+    faults per 1440 run steps, a quarter slower) and others none. The
+    thresholds are fixed where glibc's own adaptive rule puts them after a
+    32 MiB array is freed. Elsewhere than glibc this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_HOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_HOLD_BYTES)
+
+
 def _map(fn, items, workers: int, chunksize: int = 1) -> list:
     """[fn(x) for x in items], over `workers` processes when above one."""
+    _hold_heap()
     if workers == 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_hold_heap) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .config import (
-    OUTPUT_FORMATS, SECTIONS, ExperimentConfig, build_context, default_thresholds, parse_config,
-    validate_config,
+    OUTPUT_FORMATS, SECTIONS, ExperimentConfig, build_context, check_seed, default_thresholds,
+    parse_config, validate_config,
 )
 from .errors import EmptySeries, SenseboundError
 from .infoflow import (
@@ -311,7 +311,7 @@ def run_experiment(
         cfg.run["runs"] = int(runs)
     if horizon is not None or runs is not None:
         validate_config(cfg)  # an override must fit the rest of the config
-    master_seed = int(seed if seed is not None else cfg.run.get("seed", 0))
+    master_seed = check_seed(seed) if seed is not None else int(cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
     ens = run_ensemble(ctx, n_runs, master_seed=master_seed, workers=workers)

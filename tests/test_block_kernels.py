@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from sensebound import filters
 from sensebound.channels import LinearGaussianChannel, SignQuantizerChannel
 from sensebound.entropy import grid_entropy_nats
-from sensebound.filters import GridBelief, GridRows, ParticleBelief
+from sensebound.filters import GridBelief, ParticleBelief
+from sensebound.system import SystemModel, decompose
 
 from test_grid_block import axis0_pmf_bits
 
@@ -70,19 +71,83 @@ def test_scalar_volume_is_one_grid(pattern, seed):
         assert got == float(per_row_nats(d.ravel(), 0.25))
 
 
+def grid_block(raw) -> GridBelief:
+    """One block GridBelief of the raw (axis, density) pairs, normalised by
+    the block's own constructor."""
+    axes, dens = zip(*raw)
+    return GridBelief((np.array(axes),), np.array(dens))
+
+
 def test_grid_rows_entropy_matches_each_grid():
     rng = np.random.default_rng(5)
-    grids = [GridBelief((np.linspace(-1, 1, NODES) * s,), ragged_row(p, rng))
-             for p, s in zip(PATTERNS[:-1] * 3, rng.uniform(0.5, 4.0, 18))]
-    rows = GridRows(np.array([g.axes[0] for g in grids]), np.array([g.density for g in grids]))
-    assert rows.entropy_bits().tolist() == [g.entropy_bits() for g in grids]
+    raw = [(np.linspace(-1, 1, NODES) * s, ragged_row(p, rng))
+           for p, s in zip(PATTERNS[:-1] * 3, rng.uniform(0.5, 4.0, 18))]
+    grids = [GridBelief((x,), d) for x, d in raw]
+    assert grid_block(raw).entropy_bits().tolist() == [g.entropy_bits() for g in grids]
 
 
-def random_grid(rng) -> GridBelief:
+def random_grid(rng) -> tuple:
+    """(axis, raw density) of a clipped Gaussian on a random grid."""
     mu, sd = rng.normal(0.0, 3.0), rng.uniform(0.2, 3.0)
     axis = np.linspace(mu - 8 * sd, mu + 8 * sd, NODES)
-    dens = np.exp(-0.5 * ((axis - mu) / sd) ** 2) * (rng.random(NODES) < 0.9)
-    return GridBelief((axis,), dens)
+    return axis, np.exp(-0.5 * ((axis - mu) / sd) ** 2) * (rng.random(NODES) < 0.9)
+
+
+def test_block_rows_are_the_single_grids():
+    """A block GridBelief built from raw rows gives each row the single
+    GridBelief's density, entropy, moments, condition number and JSON, and
+    `take` and `tiled` copy rows without touching their bits."""
+    rng = np.random.default_rng(9)
+    raw = [random_grid(rng) for _ in range(7)]
+    block = grid_block(raw)
+    singles = [GridBelief((x,), d) for x, d in raw]
+    h, mu, cov, cond = block.entropy_bits(), block.mean(), block.cov(), block.cond_number()
+    assert block.batch == (7,) and mu.shape == (7, 1) and cov.shape == (7, 1, 1)
+    for r, g in enumerate(singles):
+        assert block.density[r].tobytes() == g.density.tobytes()
+        assert h[r] == g.entropy_bits()
+        assert mu[r].tobytes() == g.mean().tobytes()
+        assert cov[r].tobytes() == g.cov().tobytes()
+        assert cond[r] == g.cond_number()
+    assert block.to_json_dict() == [g.to_json_dict() for g in singles]
+
+    keep = np.array([True, False, True, True, False, False, True])
+    kept = block.take(keep)
+    assert kept.density.tobytes() == block.density[keep].tobytes()
+    assert kept.axes[0].tobytes() == block.axes[0][keep].tobytes()
+    assert kept.entropy_bits().tolist() == h[keep].tolist()
+    tiled = singles[2].tiled(3)
+    for r in range(3):
+        assert tiled.density[r].tobytes() == singles[2].density.tobytes()
+        assert tiled.axes[0][r].tobytes() == singles[2].axes[0].tobytes()
+    assert tiled.entropy_bits().tolist() == [singles[2].entropy_bits()] * 3
+
+
+def test_two_dimensional_block_rows_are_the_single_grids():
+    """The batch axis carries 2-D grids too: each row of a block and of its
+    posterior under a linear channel has the single 2-D grid's bits. Only
+    the 2-D re-grid is single-grid, and a block says so."""
+    rng = np.random.default_rng(10)
+    raw = [((np.linspace(-3, 3, 33) * s, np.linspace(-2, 2.5, 41) * s), rng.random((33, 41)))
+           for s in (1.0, 1.5, 0.7)]
+    singles = [GridBelief(axes, d) for axes, d in raw]
+    block = GridBelief(tuple(np.array(a) for a in zip(*(axes for axes, _ in raw))),
+                       np.array([d for _, d in raw]))
+    ch = LinearGaussianChannel(np.eye(2), np.eye(2))
+    Y = rng.normal(0.0, 1.0, (3, 2))
+    step = filters.update(block, ch, Y)
+    assert block.to_json_dict() == [g.to_json_dict() for g in singles]
+    for r, g in enumerate(singles):
+        assert block.density[r].tobytes() == g.density.tobytes()
+        assert block.mean()[r].tobytes() == g.mean().tobytes()
+        assert block.cov()[r].tobytes() == g.cov().tobytes()
+        one = filters.update(g, ch, Y[r])
+        assert step.belief_post.density[r].tobytes() == one.belief_post.density.tobytes()
+        assert (step.h_pred[r], step.h_post[r]) == (one.h_pred, one.h_post)
+        assert step.cond_number[r] == one.cond_number
+    with pytest.raises(NotImplementedError, match="2-D"):
+        filters.predict(step.belief_post, decompose(SystemModel(np.eye(2) * 1.5, np.eye(2))),
+                        np.zeros((3, 2)))
 
 
 @given(st.sampled_from([2, 3, 4, 9]), st.integers(0, 2**32 - 1))
@@ -90,11 +155,11 @@ def random_grid(rng) -> GridBelief:
 def test_pmf_bins_give_the_unique_pmf(levels, seed):
     ch = SignQuantizerChannel(levels=levels)
     rng = np.random.default_rng(seed)
-    grids = [random_grid(rng) for _ in range(6)]
+    raw = [random_grid(rng) for _ in range(6)]
+    grids = [GridBelief((x,), d) for x, d in raw]
     for g in grids:
         assert filters._discrete_predictive_entropy_bits(g, ch) == axis0_pmf_bits(g, ch)
-    rows = GridRows(np.array([g.axes[0] for g in grids]), np.array([g.density for g in grids]))
-    block = filters._discrete_predictive_entropy_bits(rows, ch)
+    block = filters._discrete_predictive_entropy_bits(grid_block(raw), ch)
     assert block.tolist() == [axis0_pmf_bits(g, ch) for g in grids]
     parts = ParticleBelief(rng.normal(0.0, levels / 2, 500), rng.random(500))
     assert filters._discrete_predictive_entropy_bits(parts, ch) == axis0_pmf_bits(parts, ch)

@@ -7,6 +7,7 @@ import sensebound.report as report_mod
 from sensebound.cli import main
 from sensebound.config import build_context, parse_config
 from sensebound.errors import EmptySeries, ParseError, SenseboundError, ValidationError
+from sensebound.experiments import bundled_text
 from sensebound.loop import run_ensemble
 from sensebound.report import (
     Series,
@@ -341,6 +342,51 @@ class TestCli:
                      "--out", str(tmp_path / "b"), "--workers", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: run.tail_window:")
+
+    @pytest.mark.parametrize("case", ["flag", "config", "sweep", "env"])
+    def test_bad_seed_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch, case):
+        argv = ["run", "--config", str(self._minimal(tmp_path)), "--workers", "1",
+                "--out", str(tmp_path / "b")]
+        if case == "flag":
+            argv = ["run", "--experiment", "stable-baseline", "--seed", "-5", "--workers", "1",
+                    "--out", str(tmp_path / "b")]
+        elif case == "config":
+            (tmp_path / "exp.cfg").write_text(MINIMAL.replace("seed = 7", "seed = -1"))
+        elif case == "sweep":
+            argv = ["sweep", "--config", str(self._minimal(tmp_path)), "--param", "run.seed",
+                    "--values", "-3", "--workers", "1", "--out", str(tmp_path / "sw")]
+        else:
+            monkeypatch.setenv("SENSEBOUND_SEED", "abc")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run.seed:"), err
+        assert not (tmp_path / "b").exists() and not (tmp_path / "sw").exists()
+
+    def test_seed_of_any_size_runs(self, tmp_path):
+        code = main(["run", "--config", str(self._minimal(tmp_path)), "--seed", str(2**64),
+                     "--workers", "1", "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert json.loads((tmp_path / "b" / "summary.json").read_text())["seed"] == 2**64
+        with pytest.raises(ValidationError, match="run.seed"):
+            run_experiment(parse_config(MINIMAL), seed=-1, write=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("half_width_stds", 0), ("cells_per_std", 0), ("half_width_stds", -1),
+        ("cells_per_std", -3),
+    ])
+    def test_grid_of_fewer_than_three_nodes_is_rejected(self, tmp_path, capsys, key, value):
+        line = f"{key} = {value}"
+        text = bundled_text("sign-threshold-easy").replace('kind = "grid"',
+                                                           f'kind = "grid"\n{line}')
+        assert line in text
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", "--config", str(cfg_path), "--workers", "1",
+                     "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: filter:") and "at least 3" in err, err
 
     @staticmethod
     def _minimal(tmp_path):

@@ -2,7 +2,7 @@
 
 `run_ensemble` runs 1-D grid ensembles through `run_block`; every record
 it emits must be, bit for bit, the one `run_closed_loop` gives for that
-run index, at any block size and worker count. The block's re-grid,
+run index, at any block size and worker count. The one 1-D re-grid,
 `filters._rows_cubic_spline`, must give scipy's `CubicSpline` bits.
 """
 
@@ -17,7 +17,7 @@ from sensebound import filters
 from sensebound.channels import SignQuantizerChannel
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
-from sensebound.filters import GridBelief, GridRows, GridSpec, ParticleBelief
+from sensebound.filters import GridBelief, GridSpec, ParticleBelief
 from sensebound.loop import run_block, run_closed_loop, run_ensemble
 
 from test_kalman_block import assert_records_equal
@@ -154,19 +154,16 @@ class TestBlockAgainstScalarLoop:
 
 def harvest_regrids(monkeypatch):
     """(x, y, q) of every 1-D re-grid the scalar loop makes on a few runs of
-    each bundled grid experiment, recorded where GridBelief calls CubicSpline."""
+    each bundled grid experiment, recorded where GridBelief calls the row
+    spline."""
     seen = []
+    spline = filters._rows_cubic_spline
 
-    def recording(x, y):
-        spline = CubicSpline(x, y)
+    def recording(x, y, q):
+        seen.append((np.array(x), np.array(y), np.array(q)))
+        return spline(x, y, q)
 
-        def call(q):
-            seen.append((np.array(x), np.array(y), np.array(q)))
-            return spline(q)
-
-        return call
-
-    monkeypatch.setattr(filters, "CubicSpline", recording)
+    monkeypatch.setattr(filters, "_rows_cubic_spline", recording)
     for name in GRID_BUNDLED:
         ctx = bundled_ctx(name)
         for i in range(3 if name != "modulo-counterexample" else 1):
@@ -210,18 +207,20 @@ def axis0_pmf_bits(belief, ch) -> float:
 def test_one_column_pmf_equals_axis0_path(levels):
     ch = SignQuantizerChannel(levels=levels)
     rng = np.random.default_rng(levels)
-    grids, parts = [], []
+    axes, raw, grids, parts = [], [], [], []
     for _ in range(20):
         mu, sd = rng.normal(0.0, 1.5), rng.uniform(0.2, 2.0)
         axis = np.linspace(mu - 8 * sd, mu + 8 * sd, 385)
         dens = np.exp(-0.5 * ((axis - mu) / sd) ** 2) * (rng.random(385) < 0.9)
+        axes.append(axis)
+        raw.append(dens)
         grids.append(GridBelief((axis,), dens))
         parts.append(ParticleBelief(rng.normal(mu, sd, 2000), rng.random(2000)))
     for b in grids + parts:
         got = filters._discrete_predictive_entropy_bits(b, ch)
         assert got == axis0_pmf_bits(b, ch)
-    # a block of grids gives each grid's value
-    rows = GridRows(np.array([g.axes[0] for g in grids]), np.array([g.density for g in grids]))
+    # a block of the same raw grids gives each grid's value
+    rows = GridBelief((np.array(axes),), np.array(raw))
     block = filters._discrete_predictive_entropy_bits(rows, ch)
     assert block.tolist() == [axis0_pmf_bits(g, ch) for g in grids]
 

@@ -1,4 +1,10 @@
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -258,6 +264,41 @@ class TestEnsemble:
         ]
         assert json.dumps(summaries[0], sort_keys=True) == json.dumps(summaries[1], sort_keys=True)
         assert pools == [2, 2]
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+        reason="reads glibc's malloc state",
+    )
+    def test_ensemble_keeps_freed_memory_on_the_heap(self):
+        """After `run_ensemble`, an 8 MiB block freed at the top of the heap
+        stays there (`_hold_heap`); under glibc's default thresholds it is
+        mapped and unmapped, and smaller blocks freed at the top can hand
+        their pages back on every step. Run in a fresh interpreter, where
+        the defaults hold until the ensemble runs."""
+        child = textwrap.dedent(f"""
+            import ctypes, sys
+            from dataclasses import replace
+            sys.path.insert(0, {os.path.dirname(os.path.dirname(loop_mod.__file__))!r})
+            from sensebound.config import build_context
+            from sensebound.experiments import load_bundled
+            from sensebound.loop import run_ensemble
+
+            class MallInfo2(ctypes.Structure):
+                _fields_ = [(name, ctypes.c_size_t) for name in (
+                    "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                    "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+            libc = ctypes.CDLL(None)
+            libc.malloc.restype, libc.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
+            libc.mallinfo2.restype = MallInfo2
+            run_ensemble(replace(build_context(load_bundled("sign-threshold-easy")),
+                                 horizon=2), 2)
+            libc.free(libc.malloc(8 << 20))
+            print(libc.mallinfo2().keepcost)
+        """)
+        out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert int(out.stdout) >= 8 << 20
 
 
 class TestClassification:
