@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
@@ -359,6 +358,8 @@ class ModuloGaussianChannel(ChannelModel):
         return y[None, :, None] + ks * self.period - X[..., None]
 
     def log_density_batch(self, y, X) -> np.ndarray:
+        from scipy.special import logsumexp
+
         y = np.asarray(y, dtype=float).reshape(-1)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d = self._wrap_terms(y, X)
@@ -373,6 +374,8 @@ class ModuloGaussianChannel(ChannelModel):
         ll = float(self.log_density_batch(y, x[None, :])[0])
         if not derivatives:
             return LikelihoodEval(loglik=ll)
+        from scipy.special import logsumexp
+
         d = self._wrap_terms(y, x[None, :])[0]  # (dim, n_k)
         logw = -0.5 * d * d / self.r
         w = np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))

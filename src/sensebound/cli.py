@@ -200,26 +200,55 @@ def _cmd_sweep(args) -> int:
     return 2 if result["violation"] else 0
 
 
+def _stored_stats(path) -> dict:
+    """The statistics `report` re-checks, as float arrays, read from a
+    bundle's summary.json. A statistic that is absent, or null where a
+    value is required, reads as None. Only the DI rate may be null, as
+    `build_summary` writes it when no run completed; it is then left out.
+
+    A file that is not a JSON object, an `ensemble` that is not an object
+    and a statistic that is not a number or a list of numbers each raise
+    SenseboundError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SenseboundError(f"{path}: not JSON ({exc})") from exc
+    ensemble = stored.get("ensemble", {}) if isinstance(stored, dict) else None
+    if not isinstance(ensemble, dict):
+        raise SenseboundError(f"{path}: expected a JSON object with an object 'ensemble'")
+    stats = {}
+    for key in ("di_rate_bits_per_step", "mean_err_sq", "mean_state_sq", "mean_cmi_bits"):
+        owner = stored if key == "di_rate_bits_per_step" else ensemble
+        val = owner.get(key)
+        if val is None and owner is stored and key in stored:
+            continue  # a null DI rate: no run completed, nothing to check
+        if val is None:
+            stats[key] = None
+            continue
+        try:
+            arr = np.asarray(val)  # a ragged list raises ValueError
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"dtype {arr.dtype}")
+        except ValueError as exc:
+            raise SenseboundError(f"{path}: {key} is not a number or a list of numbers") from exc
+        stats[key] = np.atleast_1d(arr.astype(float))
+    return stats
+
+
 def _cmd_report(args) -> int:
     bundle_dir = args.bundle
     recomputed = recompute_summary_from_csvs(bundle_dir)
     summary_path = os.path.join(bundle_dir, "summary.json")
     status = 0
     if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        pairs = [
-            ("di_rate_bits_per_step", stored.get("di_rate_bits_per_step")),
-            ("mean_err_sq", stored.get("ensemble", {}).get("mean_err_sq")),
-            ("mean_state_sq", stored.get("ensemble", {}).get("mean_state_sq")),
-            ("mean_cmi_bits", stored.get("ensemble", {}).get("mean_cmi_bits")),
-        ]
-        for key, stored_val in pairs:
-            fresh = recomputed[key]
-            if stored_val is None:
+        for key, a in _stored_stats(summary_path).items():
+            if a is None:
+                print(f"MISMATCH in {key}: missing from summary.json", file=sys.stderr)
+                status = 1
                 continue
-            a = np.atleast_1d(np.asarray(stored_val, dtype=float))
-            b = np.atleast_1d(np.asarray(fresh, dtype=float))
+            b = np.atleast_1d(np.asarray(recomputed[key], dtype=float))
             if a.shape != b.shape or not np.allclose(a, b, rtol=1e-9, atol=1e-12):
                 print(f"MISMATCH in {key}: summary.json disagrees with CSVs", file=sys.stderr)
                 status = 1

@@ -7,8 +7,6 @@ boundaries via :func:`nats_to_bits`.
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import SingularCovariance
 
@@ -129,6 +127,10 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
     if d == 1:
         eps = _kth_gap_1d(xj[:, 0], k)
     else:
+        from scipy.spatial import cKDTree
+
         dist, _ = cKDTree(xj).query(xj, k=k + 1, p=np.inf)
         eps = dist[:, k]
+    from scipy.special import digamma
+
     return float(digamma(n) - digamma(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))

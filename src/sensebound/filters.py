@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.linalg.lapack import dgtsv
 
 from .channels import ChannelModel, LinearGaussianChannel, rows_matvec
@@ -380,6 +379,8 @@ class GridBelief(Belief):
         elif self.batch:
             raise NotImplementedError("a block of 2-D grids has no re-grid; predict each alone")
         else:
+            from scipy.interpolate import RegularGridInterpolator
+
             interp = RegularGridInterpolator(
                 self.axes, self.density, bounds_error=False, fill_value=0.0,
                 method="cubic",
@@ -470,6 +471,8 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
     x, y, q = (a.reshape(-1, a.shape[-1]) for a in (x, y, q))
     N, n = x.shape
     if n < 4:  # scipy's two- and three-node special cases
+        from scipy.interpolate import CubicSpline
+
         return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)]).reshape(shape)
     dx = np.diff(x, axis=1)
     if np.any(dx <= 0):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.signal
 
 from .errors import (
     DimensionMismatch,
@@ -267,6 +266,8 @@ def _deadbeat_gain(A, B, /, target_pole=0.0):
 
 def _place_gain(A, B, /, poles):
     """An explicit pole list, via scipy."""
+    import scipy.signal  # here, not at the top: it loads scipy.stats, most of import time
+
     return -scipy.signal.place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
 
 

@@ -286,6 +286,67 @@ class TestCli:
         assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
         assert "mean_cmi_bits" in capsys.readouterr().err
 
+    def _report_after(self, tmp_path, capsys, edit):
+        """`report` on a fresh 3-run bundle whose summary.json text went
+        through `edit`: (exit code, stdout, stderr, summary path)."""
+        assert main(["run", "--experiment", "stable-baseline", "--runs", "3",
+                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
+        spath = tmp_path / "b" / "summary.json"
+        spath.write_text(edit(spath.read_text()))
+        capsys.readouterr()
+        code = main(["report", "--bundle", str(tmp_path / "b")])
+        out, err = capsys.readouterr()
+        return code, out, err, spath
+
+    @staticmethod
+    def _edit_json(change):
+        """A text edit that applies `change` to the parsed summary."""
+        def edit(text):
+            s = json.loads(text)
+            change(s)
+            return json.dumps(s)
+        return edit
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text[: len(text) // 2], id="not-json"),
+        pytest.param(lambda text: "[" + text + "]", id="json-array"),
+    ])
+    def test_report_on_malformed_summary_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                    edit):
+        code, out, err, spath = self._report_after(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith(f"error: {spath}: "), err
+        assert "Traceback" not in err
+        assert "matches" not in out
+
+    def test_report_on_non_numeric_statistic_is_an_error_not_a_traceback(self, tmp_path,
+                                                                        capsys):
+        edit = self._edit_json(lambda s: s["ensemble"].update(mean_err_sq="abc"))
+        code, out, err, spath = self._report_after(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith(f"error: {spath}: mean_err_sq"), err
+        assert "Traceback" not in err
+
+    def test_report_counts_a_deleted_statistic_as_a_mismatch(self, tmp_path, capsys):
+        def thin(s):
+            del s["ensemble"]["mean_err_sq"], s["ensemble"]["mean_state_sq"]
+        code, out, err, _ = self._report_after(tmp_path, capsys, self._edit_json(thin))
+        assert code == 1
+        assert "MISMATCH in mean_err_sq" in err and "MISMATCH in mean_state_sq" in err
+        assert "mean_cmi_bits" not in err
+        assert "matches" not in out
+        assert "Traceback" not in err
+
+    def test_report_accepts_a_null_di_rate_only(self, tmp_path, capsys):
+        null_di = self._edit_json(lambda s: s.update(di_rate_bits_per_step=None))
+        code, out, err, _ = self._report_after(tmp_path, capsys, null_di)
+        assert (code, err) == (0, "")
+        assert "matches" in out
+        null_cmi = self._edit_json(lambda s: s["ensemble"].update(mean_cmi_bits=None))
+        code, out, err, _ = self._report_after(tmp_path / "cmi", capsys, null_cmi)
+        assert code == 1
+        assert "MISMATCH in mean_cmi_bits" in err
+
     def test_sweep_passes_runs_and_horizon_to_every_point(self, tmp_path, monkeypatch):
         seen = []
 
