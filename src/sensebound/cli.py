@@ -136,6 +136,7 @@ def _cmd_run(args, force_audit: bool = False) -> int:
     cfg = parse_config(_config_text(args))
     if args.format is not None:
         cfg.outputs["formats"] = [args.format]
+        cfg.source_text = ""  # the bundle's config.cfg is then rendered with the override
     if force_audit:
         cfg.run["audit"] = True
     bundle = run_experiment(
@@ -237,8 +238,21 @@ def _stored_stats(path) -> dict:
     return stats
 
 
+def _written_formats(bundle_dir) -> list:
+    """The output formats the bundle's config.cfg asked for. A config.cfg
+    that cannot be read or parsed raises SenseboundError naming the file."""
+    path = os.path.join(bundle_dir, "config.cfg")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    except (OSError, ValueError, SenseboundError) as exc:  # ValueError: not UTF-8
+        raise SenseboundError(f"{path}: {exc}") from exc
+    return cfg.outputs.get("formats", OUTPUT_FORMATS)
+
+
 def _cmd_report(args) -> int:
     bundle_dir = args.bundle
+    formats = _written_formats(bundle_dir)
     recomputed = recompute_summary_from_csvs(bundle_dir)
     summary_path = os.path.join(bundle_dir, "summary.json")
     status = 0
@@ -254,6 +268,9 @@ def _cmd_report(args) -> int:
                 status = 1
         if status == 0:
             print("summary.json matches statistics recomputed from CSVs")
+    elif "json" in formats:
+        print("MISMATCH: summary.json missing", file=sys.stderr)
+        status = 1
     path = os.path.join(bundle_dir, "recomputed.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_jsonable(recomputed), fh, indent=2, sort_keys=True)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .channels import ChannelModel, LinearGaussianChannel, rows_matvec
 from .entropy import (
@@ -474,6 +473,8 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
         from scipy.interpolate import CubicSpline
 
         return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)]).reshape(shape)
+    from scipy.linalg.lapack import dgtsv
+
     dx = np.diff(x, axis=1)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")

@@ -24,7 +24,6 @@ runs.
 
 import ctypes
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Optional
@@ -406,11 +405,19 @@ def _hold_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_HOLD_BYTES)
 
 
+# concurrent.futures.ProcessPoolExecutor, bound by the first pooled `_map`:
+# importing it loads multiprocessing, which no in-process ensemble needs
+ProcessPoolExecutor = None
+
+
 def _map(fn, items, workers: int, chunksize: int = 1) -> list:
     """[fn(x) for x in items], over `workers` processes when above one."""
+    global ProcessPoolExecutor
     _hold_heap()
     if workers == 1:
         return [fn(x) for x in items]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_hold_heap) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 

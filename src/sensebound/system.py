@@ -12,7 +12,6 @@ well-posed.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -145,13 +144,15 @@ def decompose(model: SystemModel, cond_cap: float = DEFAULT_COND_CAP) -> ModeDec
         Bz = T @ B
         return _assemble(T, T.T, Az, Bz, n_u, eigs, r_exp)
 
+    import scipy.linalg as sla  # here, not at the top: no diagonal plant needs it
+
     try:
         S, Z, n_u = sla.schur(
             A,
             output="real",
             sort=lambda re, im: np.hypot(re, im) >= 1.0 - BOUNDARY_TOL,
         )
-    except (sla.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergentEigensolve(f"Schur factorization failed: {exc}") from exc
     n_u = int(n_u)
 
@@ -164,7 +165,7 @@ def decompose(model: SystemModel, cond_cap: float = DEFAULT_COND_CAP) -> ModeDec
         C = S[:n_u, n_u:]
         try:
             X = sla.solve_sylvester(Au, -As, -C)
-        except (sla.LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergentEigensolve(f"Sylvester decoupling failed: {exc}") from exc
         U = np.eye(n)
         U[:n_u, n_u:] = -X
@@ -266,7 +267,7 @@ def _deadbeat_gain(A, B, /, target_pole=0.0):
 
 def _place_gain(A, B, /, poles):
     """An explicit pole list, via scipy."""
-    import scipy.signal  # here, not at the top: it loads scipy.stats, most of import time
+    import scipy.signal  # here, like every scipy import: only this design needs it
 
     return -scipy.signal.place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
 

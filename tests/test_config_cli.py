@@ -347,6 +347,52 @@ class TestCli:
         assert code == 1
         assert "MISMATCH in mean_cmi_bits" in err
 
+    def test_report_counts_a_deleted_summary_as_a_mismatch(self, tmp_path, capsys):
+        assert main(["run", "--experiment", "stable-baseline", "--runs", "20",
+                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
+        (tmp_path / "b" / "summary.json").unlink()
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
+        out, err = capsys.readouterr()
+        assert "MISMATCH: summary.json missing" in err
+        assert "matches" not in out
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_report_accepts_a_csv_only_bundle(self, tmp_path, capsys, how):
+        """formats = ["csv"] in the config, or --format csv on the command
+        line: no summary.json is written, and none is asked for."""
+        text = bundled_text("stable-baseline")
+        args = ["--format", "csv"]
+        if how == "config":
+            text = text.replace("[outputs]", '[outputs]\nformats = ["csv"]')
+            assert 'formats = ["csv"]' in text
+            args = []
+        cfg_path = tmp_path / "csv.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path), "--runs", "3", *args,
+                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
+        assert not (tmp_path / "b" / "summary.json").exists()
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda p: p.unlink(), id="missing"),
+        pytest.param(lambda p: p.write_bytes(b"\xff\xfe[run]\n"), id="not-utf8"),
+        pytest.param(lambda p: p.write_text("[run\n"), id="unparseable"),
+    ])
+    def test_report_on_unreadable_config_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                     damage):
+        assert main(["run", "--experiment", "stable-baseline", "--runs", "3",
+                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
+        cpath = tmp_path / "b" / "config.cfg"
+        damage(cpath)
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cpath}: "), err
+        assert "Traceback" not in err
+
     def test_sweep_passes_runs_and_horizon_to_every_point(self, tmp_path, monkeypatch):
         seen = []
 

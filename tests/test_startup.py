@@ -1,9 +1,10 @@
-"""Start-up cost: `import sensebound` loads numpy and `scipy.linalg` only.
+"""Start-up cost: `import sensebound` loads numpy and the standard library only.
 
-Every other scipy subpackage is imported inside the one function that
-needs it, so a bundled run that never reaches that function never pays for
-the import. The check runs in a fresh interpreter, because the test
-modules of this suite import scipy themselves.
+Every scipy subpackage, and the process pool with multiprocessing, is
+imported inside the one function that needs it, so a run that never
+reaches that function never pays for the import. The check runs in a
+fresh interpreter, because the test modules of this suite import scipy
+themselves.
 """
 
 import json
@@ -17,23 +18,40 @@ import sensebound
 DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.spatial", "scipy.special", "scipy.stats")
 
 
-def test_bundled_runs_load_no_deferred_scipy_subpackage():
+def test_bundled_runs_load_only_what_they_reach(tmp_path):
+    """Phase 1 (import, `build_context` of every bundled experiment, a
+    written and read-back Kalman run) loads no scipy and no multiprocessing;
+    phase 2 (a 1-D grid run, whose re-grid calls LAPACK) loads
+    `scipy.linalg` and still none of the other scipy subpackages."""
     child = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {os.path.dirname(os.path.dirname(sensebound.__file__))!r})
         from sensebound import build_context, parse_config, run_experiment
         from sensebound.experiments import bundled_names, bundled_text
+        from sensebound.report import recompute_summary_from_csvs
+
+        def short(name):
+            cfg = parse_config(bundled_text(name))
+            cfg.run["tail_window"] = 2  # fits the 5-step horizon
+            return cfg
+
+        def loaded():
+            print(json.dumps(sorted(sys.modules)))
 
         for name in bundled_names():
             build_context(parse_config(bundled_text(name)))
-        for name in ("kalman-baseline", "sign-threshold-easy"):
-            cfg = parse_config(bundled_text(name))
-            cfg.run["tail_window"] = 2  # fits the 5-step horizon
-            run_experiment(cfg, runs=2, horizon=5, write=False)
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+        out = {str(tmp_path / "k")!r}
+        run_experiment(short("kalman-baseline"), out_dir=out, runs=2, horizon=5, write=True)
+        recompute_summary_from_csvs(out)
+        loaded()
+        run_experiment(short("sign-threshold-easy"), runs=2, horizon=5, write=False)
+        loaded()
     """)
     out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                          check=True, timeout=120)
-    loaded = set(json.loads(out.stdout.splitlines()[-1]))
-    assert "scipy.linalg" in loaded
-    assert [m for m in DEFERRED if m in loaded] == []
+    phase1, phase2 = (set(json.loads(line)) for line in out.stdout.splitlines()[-2:])
+    tops = ("scipy", "multiprocessing", "_multiprocessing")
+    assert sorted(m for m in phase1 if m.split(".")[0] in tops) == []
+    assert "concurrent.futures.process" not in phase1
+    assert "scipy.linalg" in phase2
+    assert [m for m in DEFERRED if m in phase2] == []

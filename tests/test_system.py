@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sensebound.errors import (
     DimensionMismatch,
     IllConditionedTransform,
+    NonConvergentEigensolve,
     NotStabilizable,
     UnstableSystemRequired,
 )
@@ -95,6 +96,20 @@ class TestDecompose:
         d2 = decompose(SystemModel(A, np.eye(3)))
         assert d1.T.tobytes() == d2.T.tobytes()
         assert d1.A_u.tobytes() == d2.A_u.tobytes()
+
+    @pytest.mark.parametrize("routine", ["schur", "solve_sylvester"])
+    def test_factorization_failure_is_nonconvergent(self, monkeypatch, routine):
+        """decompose imports scipy.linalg in its Schur branch only; a
+        LinAlgError from either factorization still maps to
+        NonConvergentEigensolve."""
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError(f"{routine} did not converge")
+
+        monkeypatch.setattr(scipy.linalg, routine, fail)
+        with pytest.raises(NonConvergentEigensolve, match=routine):
+            decompose(SystemModel([[2.0, 1.0], [0.0, 0.5]], np.eye(2)))
 
     def test_ill_conditioned_transform(self):
         # eigenvalues straddle the unit circle with a nearly defective pair
