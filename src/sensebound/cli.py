@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
             choices=bundled_names(),
             help="name of a bundled experiment",
         )
-        sp.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
+        sp.add_argument("--seed", type=int, default=None, help="master seed, a whole number >= 0")
         sp.add_argument("--runs", type=int, default=None, help="override run count")
         sp.add_argument("--horizon", type=int, default=None, help="override horizon")
         sp.add_argument("--out", default=None, help="output bundle directory")
@@ -136,9 +136,10 @@ def _cmd_run(args, force_audit: bool = False) -> int:
     cfg = parse_config(_config_text(args))
     if args.format is not None:
         cfg.outputs["formats"] = [args.format]
-        cfg.source_text = ""  # the bundle's config.cfg is then rendered with the override
     if force_audit:
         cfg.run["audit"] = True
+    if args.format is not None or force_audit:
+        cfg.source_text = ""  # the bundle's config.cfg is then rendered with the override
     bundle = run_experiment(
         cfg,
         out_dir=args.out,

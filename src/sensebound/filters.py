@@ -669,7 +669,6 @@ class FilterStep:
     belief_post: Belief
     h_pred: float  # bits
     h_post: float  # bits
-    cmi_realized: float  # bits, h_pred - h_post by construction
     cond_number: float
     cmi_channel: Optional[float] = None  # bits; discrete channels only
     resampled: bool = False
@@ -713,7 +712,6 @@ def update(belief_pred: Belief, ch: ChannelModel, y, rng=None) -> FilterStep:
         belief_post=post,
         h_pred=h_pred,
         h_post=h_post,
-        cmi_realized=h_pred - h_post,
         cond_number=post.cond_number(),
         cmi_channel=cmi_channel,
         resampled=resampled,

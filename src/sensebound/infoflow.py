@@ -20,36 +20,11 @@ from .errors import OutOfOrderStep
 GAP_CAP_BITS_PER_DIM = 1.0  # empirical regression cap for log-concave test sets
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    t: int
-    h_pred: float
-    h_post: float
-    cmi: float
-    di_cum: float
-
-    def csv_cells(self) -> str:
-        """h_pred,h_post,cmi,di_cum as run-CSV cells, each repr(float(x)).
-
-        Rows are frozen, and the runs of a Kalman block share theirs, so
-        the text is formatted once and memoised on the row. The memo is
-        derived, so it is left out of the pickled state.
-        """
-        text = self.__dict__.get("_csv")
-        if text is None:
-            text = (
-                f"{float(self.h_pred)!r},{float(self.h_post)!r},"
-                f"{float(self.cmi)!r},{float(self.di_cum)!r}"
-            )
-            object.__setattr__(self, "_csv", text)
-        return text
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_csv"}
-
-
 class InfoLedger:
     """Per-run trace of entropies and cumulative directed information (bits).
+
+    The trace is four columns indexed by step: h_pred, h_post, their drop
+    cmi and its causal running sum di_cum.
 
     r_exp is the expansion rate of the unstable eigenvalue set (the
     necessity threshold). expansion is the per-step entropy production of
@@ -62,92 +37,102 @@ class InfoLedger:
         self.r_exp = float(r_exp)
         self.expansion = float(r_exp if expansion is None else expansion)
         self.h0 = float(h0)
-        self.rows: list[LedgerRow] = []
+        self.h_pred: list = []
+        self.h_post: list = []
+        self.cmi: list = []
+        self.di_cum: list = []
         self.terminal_h_pred: Optional[float] = None
-        self._di_sum = 0.0
         self._di_comp = 0.0  # Kahan compensation, fixed summation order
+        self._csv: Optional[list] = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.di_cum)
 
-    def _add_cmi(self, value: float) -> float:
-        y = value - self._di_comp
-        t = self._di_sum + y
-        self._di_comp = (t - self._di_sum) - y
-        self._di_sum = t
-        return self._di_sum
+    def _append(self, h_pred, h_post) -> None:
+        cmi = h_pred - h_post
+        total = self.di_cum[-1] if self.di_cum else 0.0
+        y = cmi - self._di_comp
+        t = total + y
+        self._di_comp = (t - total) - y
+        self.h_pred.append(h_pred)
+        self.h_post.append(h_post)
+        self.cmi.append(cmi)
+        self.di_cum.append(t)
+        self._csv = None
 
     def record(self, step) -> "InfoLedger":
-        if step.t != len(self.rows):
+        if step.t != len(self):
             raise OutOfOrderStep(
-                f"step has t={step.t} but ledger holds {len(self.rows)} rows"
+                f"step has t={step.t} but ledger holds {len(self)} steps"
             )
-        cmi = step.h_pred - step.h_post
-        di = self._add_cmi(cmi)
-        self.rows.append(
-            LedgerRow(t=step.t, h_pred=step.h_pred, h_post=step.h_post, cmi=cmi, di_cum=di)
-        )
+        self._append(step.h_pred, step.h_post)
         return self
+
+    def _closed(self, h_pred, h_post, cmi, di_cum, terminal) -> "InfoLedger":
+        run = InfoLedger(self.r_exp, self.h0, self.expansion)
+        run.h_pred, run.h_post, run.cmi, run.di_cum = h_pred, h_post, cmi, di_cum
+        run.terminal_h_pred = terminal
+        return run
 
     def columns(self, steps, terminal) -> list:
         """The per-run ledgers of a block ledger: run r keeps its first
-        steps[r] rows, closed with terminal[r].
+        steps[r] steps, closed with terminal[r].
 
-        A row whose entropies are one value for the whole block (a Kalman
-        block's: its covariances do not depend on the data) is shared by
-        every run that lived through it, so each run's ledger is a head of
-        the block's. A row that holds one value per run is split. A run's
-        ledger is closed: it keeps di_cum but not the running sum's
+        Where each step holds one value per run (a 1-D grid block), the
+        columns are split by run. Where each step holds one value for the
+        whole block (a Kalman block's: its covariances do not depend on
+        the data), every run's ledger is a head of the block's, and the
+        runs that end at the same step with the same terminal value share
+        one ledger object, so its `csv_cells` are formatted once for all
+        of them. A run's ledger is closed: it drops the running sum's
         compensation term, so it is not meant to record further steps.
         """
-        rows = self.rows
-        if rows and np.ndim(rows[0].h_pred):
-            cols = [
-                np.array([getattr(row, f) for row in rows]).reshape(-1, len(steps)).T.tolist()
-                for f in ("h_pred", "h_post", "cmi", "di_cum")
-            ]
-            per_run = [[LedgerRow(t, *(col[r][t] for col in cols)) for t in range(k)]
-                       for r, k in enumerate(steps)]
-        else:
-            per_run = [rows[:k] for k in steps]
-        ledgers = []
-        for run_rows, term in zip(per_run, terminal):
-            run = InfoLedger(self.r_exp, self.h0, self.expansion)
-            run.rows = run_rows
-            if run_rows:
-                run._di_sum = run_rows[-1].di_cum
-            run.terminal_h_pred = term
-            ledgers.append(run)
-        return ledgers
+        cols = (self.h_pred, self.h_post, self.cmi, self.di_cum)
+        if cols[0] and np.ndim(cols[0][0]):
+            split = [np.array(col).T.tolist() for col in cols]
+            return [self._closed(*(col[r][:k] for col in split), term)
+                    for r, (k, term) in enumerate(zip(steps, terminal))]
+        heads = {}
+        for k, term in zip(steps, terminal):
+            if (k, term) not in heads:
+                heads[k, term] = self._closed(*(col[:k] for col in cols), term)
+        return [heads[k, term] for k, term in zip(steps, terminal)]
 
-    @property
-    def di_cum(self) -> float:
-        return self._di_sum
+    def csv_cells(self) -> list:
+        """h_pred,h_post,cmi,di_cum of each step as run-CSV cells, each
+        repr(float(x)), formatted once per ledger."""
+        if self._csv is None:
+            self._csv = [
+                f"{float(a)!r},{float(b)!r},{float(c)!r},{float(d)!r}"
+                for a, b, c, d in zip(self.h_pred, self.h_post, self.cmi, self.di_cum)
+            ]
+        return self._csv
 
     def di_rate(self, T: Optional[int] = None) -> float:
-        T = len(self.rows) - 1 if T is None else T
-        return self.rows[T].di_cum / (T + 1)
+        T = len(self) - 1 if T is None else T
+        return self.di_cum[T] / (T + 1)
 
 
 def rate_balance_check(ledger: InfoLedger, T: Optional[int] = None) -> float:
     """Residual of di_cum/(T+1) = expansion + (h0 - h_{T+1})/(T+1), bits/step.
 
     h_{T+1} is the predicted entropy one step past T: taken from the next
-    ledger row when present, else from the terminal predict recorded at
+    ledger step when present, else from the terminal predict recorded at
     the end of the run.
     """
-    T = len(ledger.rows) - 1 if T is None else T
-    if T < 0 or T >= len(ledger.rows):
-        raise ValueError(f"T={T} outside recorded range 0..{len(ledger.rows) - 1}")
-    if T + 1 < len(ledger.rows):
-        h_next = ledger.rows[T + 1].h_pred
+    n = len(ledger)
+    T = n - 1 if T is None else T
+    if T < 0 or T >= n:
+        raise ValueError(f"T={T} outside recorded range 0..{n - 1}")
+    if T + 1 < n:
+        h_next = ledger.h_pred[T + 1]
     elif ledger.terminal_h_pred is not None:
         h_next = ledger.terminal_h_pred
     else:
         raise ValueError(
             "rate balance at the last step needs the terminal predicted entropy"
         )
-    lhs = ledger.rows[T].di_cum / (T + 1)
+    lhs = ledger.di_cum[T] / (T + 1)
     return lhs - ledger.expansion - (ledger.h0 - h_next) / (T + 1)
 
 
@@ -207,7 +192,7 @@ def necessity_audit(
                 f"{threshold:.6g}; boundedness premise fails, check vacuous"
             ),
         )
-    T = min(len(ledger.rows), len(err)) - 1
+    T = min(len(ledger), len(err)) - 1
     rate = ledger.di_rate(T)
     passed = bool(rate >= ledger.r_exp - tol)
     detail = (
@@ -297,13 +282,6 @@ def exact_step_means(traces) -> list:
     return means
 
 
-@dataclass(frozen=True)
-class _MeanStep:
-    t: int
-    h_pred: float
-    h_post: float
-
-
 def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLedger:
     """Average per-step ledger traces across runs of equal length.
 
@@ -320,10 +298,10 @@ def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLe
         h0=math.fsum(lg.h0 for lg in full) / n,
         expansion=full[0].expansion,
     )
-    h_pred = exact_step_means([[row.h_pred for row in lg.rows[:T]] for lg in full])
-    h_post = exact_step_means([[row.h_post for row in lg.rows[:T]] for lg in full])
-    for t, (hp, hq) in enumerate(zip(h_pred, h_post)):
-        mean.record(_MeanStep(t=t, h_pred=hp, h_post=hq))
+    h_pred = exact_step_means([lg.h_pred[:T] for lg in full])
+    h_post = exact_step_means([lg.h_post[:T] for lg in full])
+    for hp, hq in zip(h_pred, h_post):
+        mean._append(hp, hq)
     terms = [lg.terminal_h_pred for lg in full if lg.terminal_h_pred is not None]
     if len(terms) == len(full):
         mean.terminal_h_pred = math.fsum(terms) / n

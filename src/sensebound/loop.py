@@ -98,7 +98,6 @@ class RunRecord:
 
     master_seed: int
     run_index: int
-    t: np.ndarray
     z_u: np.ndarray  # (steps, n_u) true unstable modes
     u: np.ndarray  # (steps, m)
     y: np.ndarray  # (steps, p) observations
@@ -107,16 +106,14 @@ class RunRecord:
     cond: np.ndarray
     ledger: InfoLedger
     cmi_channel_trace: Optional[np.ndarray] = None
-    halted: bool = False
-    halted_t: Optional[int] = None
-    degenerate: bool = False
-    degenerate_t: Optional[int] = None
+    halted: bool = False  # crossed the divergence guard after its last step
+    degenerate: bool = False  # its likelihood vanished at the step after its last
     audits: Optional[CurvatureAudit] = None
     beliefs_json: Optional[list] = None
 
     @property
     def steps(self) -> int:
-        return len(self.t)
+        return len(self.err_norm_sq)
 
     @property
     def completed(self) -> bool:
@@ -143,10 +140,9 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
     )
 
     K = ctx.gain.K if ctx.gain is not None else None
-    rows_t, zs, us, ys, sn, en, cond = ([] for _ in range(7))
+    zs, us, ys, sn, en, cond = ([] for _ in range(6))
     cmi_channel = []
     halted = degenerate = False
-    halted_t = degenerate_t = None
     beliefs_json = [] if ctx.collect_beliefs else None
     x = decomp.from_modes(np.concatenate([z_u, z_s]))
     x_sq = float(x @ x)
@@ -162,7 +158,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         try:
             step = filters.update(belief, ch_t, y_t, rng=rng)
         except DegenerateLikelihood:
-            degenerate, degenerate_t = True, t
+            degenerate = True
             break
         ledger.record(step)
 
@@ -170,7 +166,6 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
             u_t = K @ step.belief_post.mean()
 
         e_t = step.belief_post.mean() - z_u
-        rows_t.append(t)
         zs.append(z_u.copy())
         us.append(u_t.copy())
         ys.append(y_t)
@@ -190,13 +185,12 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         x = decomp.from_modes(np.concatenate([z_u, z_s]))
         x_sq = float(x @ x)
         if x_sq > ctx.divergence_guard:
-            halted, halted_t = True, t + 1
+            halted = True
             break
 
     record = RunRecord(
         master_seed=int(master_seed),
         run_index=int(run_index),
-        t=np.array(rows_t, dtype=int),
         z_u=np.array(zs) if zs else np.zeros((0, n_u)),
         u=np.array(us) if us else np.zeros((0, m)),
         y=np.array(ys, dtype=float) if ys else np.zeros((0, ctx.channel.obs_dim)),
@@ -210,9 +204,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
             else None
         ),
         halted=halted,
-        halted_t=halted_t,
         degenerate=degenerate,
-        degenerate_t=degenerate_t,
         beliefs_json=beliefs_json,
     )
     if ctx.collect_audits:
@@ -265,8 +257,9 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     from its own stream in the scalar loop's order, drawn up front: prior,
     stable modes, then each step's unit normals for `ChannelModel.observe`.
     Runs that cross the divergence guard and runs whose likelihood
-    vanishes leave the arrays. A ledger row whose entropies are one value
-    for the whole block is recorded once and shared by the runs' ledgers.
+    vanishes leave the arrays. A ledger step whose entropies are one value
+    for the whole block is recorded once, and the runs that end together
+    share one ledger (`InfoLedger.columns`).
     """
     decomp = ctx.decomp
     trk = tracked_block(decomp)
@@ -359,7 +352,6 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
         record = RunRecord(
             master_seed=int(master_seed),
             run_index=int(i),
-            t=np.arange(s),
             z_u=z_h[r, :s],
             u=u_h[r, :s],
             y=y_h[r, :s],
@@ -369,9 +361,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
             ledger=ledgers[r],
             cmi_channel_trace=cmi_h[r, :s] if has_cmi and s else None,
             halted=bool(halted[r]),
-            halted_t=s if halted[r] else None,
             degenerate=bool(degenerate[r]),
-            degenerate_t=s if degenerate[r] else None,
             beliefs_json=beliefs[r] if beliefs is not None else None,
         )
         if ctx.collect_audits:
@@ -476,7 +466,7 @@ def run_ensemble(
     steps = np.array([r.steps for r in records])
     mean_state = exact_step_means([r.state_norm_sq for r in records])
     mean_err = exact_step_means([r.err_norm_sq for r in records])
-    mean_cmi = exact_step_means([[row.cmi for row in r.ledger.rows] for r in records])
+    mean_cmi = exact_step_means([r.ledger.cmi for r in records])
     alive = (np.arange(len(mean_state))[:, None] < steps).sum(axis=1)
     channel = [r.cmi_channel_trace for r in records if r.cmi_channel_trace is not None]
     mean_cmi_ch = None
@@ -490,7 +480,7 @@ def run_ensemble(
 
     n_halted = sum(1 for r in records if r.halted)
     frac_halted_by = {
-        tcut: sum(1 for r in records if r.halted and r.halted_t <= tcut) / n_runs
+        tcut: sum(1 for r in records if r.halted and r.steps <= tcut) / n_runs
         for tcut in (horizon // 2, horizon)
     }
     return EnsembleStats(

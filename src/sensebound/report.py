@@ -62,15 +62,13 @@ def to_jsonable(obj):
 
 def run_csv_text(record, run_id: int) -> str:
     """One run's CSV. Each row is one f-string; floats are repr(float(x)),
-    and the four ledger cells come memoised from the ledger row."""
-    t = record.t.astype(int).tolist()
+    and the four ledger cells come formatted once from the run's ledger."""
     sn = np.asarray(record.state_norm_sq, dtype=float).tolist()
     en = np.asarray(record.err_norm_sq, dtype=float).tolist()
-    rows = record.ledger.rows[: record.steps]
     lines = [CSV_HEADER]
     lines += [
-        f"{ti},{run_id},{s!r},{e!r},{row.csv_cells()}\n"
-        for ti, s, e, row in zip(t, sn, en, rows, strict=True)
+        f"{t},{run_id},{s!r},{e!r},{cells}\n"
+        for t, (s, e, cells) in enumerate(zip(sn, en, record.ledger.csv_cells(), strict=True))
     ]
     return "".join(lines)
 
@@ -302,16 +300,22 @@ def run_experiment(
 ) -> ReportBundle:
     """Run the configured ensemble and emit the report bundle.
 
-    The bundle directory must not already exist; everything is staged in a
-    sibling temp dir and renamed into place in one shot.
+    A seed, run count or horizon given here goes into `cfg.run`, and the
+    bundle's config.cfg is then rendered from `cfg` rather than copied from
+    its source text, so a rerun from it repeats this run. The bundle
+    directory must not already exist; everything is staged in a sibling
+    temp dir and renamed into place in one shot.
     """
+    if seed is not None:
+        cfg.run["seed"] = check_seed(seed)
     if horizon is not None:
         cfg.run["horizon"] = int(horizon)
     if runs is not None:
         cfg.run["runs"] = int(runs)
-    if horizon is not None or runs is not None:
+    if any(v is not None for v in (seed, horizon, runs)):
         validate_config(cfg)  # an override must fit the rest of the config
-    master_seed = check_seed(seed) if seed is not None else int(cfg.run.get("seed", 0))
+        cfg.source_text = ""
+    master_seed = int(cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
     ens = run_ensemble(ctx, n_runs, master_seed=master_seed, workers=workers)
@@ -370,10 +374,7 @@ def run_experiment(
             )
             svg_names.append("plots/state_norm_sq.svg")
             if ens.mean_ledger is not None:
-                rates = [
-                    ens.mean_ledger.rows[t].di_cum / (t + 1)
-                    for t in range(len(ens.mean_ledger.rows))
-                ]
+                rates = [d / (t + 1) for t, d in enumerate(ens.mean_ledger.di_cum)]
                 files["plots/di_rate.svg"] = render_svg(
                     [Series("di rate", tuple(range(len(rates))), tuple(rates))],
                     title=f"{cfg.experiment}: directed information rate",
@@ -434,7 +435,7 @@ def write_bundle_atomic(out_dir, files: dict) -> None:
 
 def set_config_value(cfg: ExperimentConfig, dotted: str, value) -> None:
     section, _, key = dotted.partition(".")
-    if not key or not hasattr(cfg, section):
+    if not key or section not in SECTIONS:
         raise SenseboundError(f"bad parameter path {dotted!r}; use section.key")
     getattr(cfg, section)[key] = value
 

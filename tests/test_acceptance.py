@@ -55,19 +55,19 @@ def test_criterion_01_entropy_evolution_identity():
     with criterion(1, desc):
         rec = run_closed_loop(scalar_ctx(horizon=200), 1001, 0)
         assert rec.steps == 200
-        rows = rec.ledger.rows
+        lg = rec.ledger
         for t in range(199):
-            shift = rows[t + 1].h_pred - rows[t].h_post
+            shift = lg.h_pred[t + 1] - lg.h_post[t]
             assert abs(shift - 1.0) <= 1e-9
-        assert abs(rec.ledger.terminal_h_pred - rows[-1].h_post - 1.0) <= 1e-9
+        assert abs(lg.terminal_h_pred - lg.h_post[-1] - 1.0) <= 1e-9
 
         grid = run_closed_loop(
             scalar_ctx(horizon=200, mode="update", filter_kind="grid"), 1002, 0
         )
         assert grid.steps == 200
-        rows = grid.ledger.rows
+        lg = grid.ledger
         for t in range(199):
-            shift = rows[t + 1].h_pred - rows[t].h_post
+            shift = lg.h_pred[t + 1] - lg.h_post[t]
             assert abs(shift - 1.0) <= 0.02
 
 
@@ -95,7 +95,7 @@ def test_criterion_03_kalman_boundary_law():
                 for _ in range(200):
                     step = update(belief, ch, [0.0])
                     p_trace.append(float(step.belief_post.cov_mat[0, 0]))
-                    cmi = step.cmi_realized
+                    cmi = step.h_pred - step.h_post
                     belief = predict(step.belief_post, dec, [0.0])
                 # independent oracle: Riccati fixed-point iteration
                 p = 2.345

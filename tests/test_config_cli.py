@@ -165,7 +165,8 @@ class TestBundle:
         assert (tmp_path / "b" / "summary.json").exists()
         assert (tmp_path / "b" / "runs" / "run_00000.csv").exists()
         assert (tmp_path / "b" / "plots" / "err_norm_sq.svg").exists()
-        assert (tmp_path / "b" / "config.cfg").exists()
+        # no override: the config text is kept verbatim
+        assert (tmp_path / "b" / "config.cfg").read_text() == MINIMAL
         data = read_run_csv(tmp_path / "b" / "runs" / "run_00000.csv")
         assert len(data["t"]) == 20
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -239,6 +240,31 @@ class TestCli:
               "--workers", "1", "--seed", "99"])
         s2 = json.loads((tmp_path / "o2" / "summary.json").read_text())
         assert s2["seed"] == 99
+
+    @pytest.mark.parametrize("how", ["flag", "env", "audit"])
+    def test_bundle_reruns_from_its_own_config(self, tmp_path, monkeypatch, how):
+        """--runs, --horizon, the seed from --seed or SENSEBOUND_SEED, and the
+        audit command's audit = true go into the bundle's config.cfg, so a
+        run of that file (at another worker count) writes the same bundle."""
+        first, second = tmp_path / "b1", tmp_path / "b2"
+        argv = ["audit" if how == "audit" else "run", "--experiment", "sign-threshold-easy",
+                "--runs", "3", "--horizon", "30", "--workers", "1", "--out", str(first)]
+        if how == "env":
+            monkeypatch.setenv("SENSEBOUND_SEED", "9")
+        else:
+            argv += ["--seed", "9"]
+        assert main(argv) == 0
+        cfg = parse_config((first / "config.cfg").read_text())
+        assert (cfg.run["runs"], cfg.run["horizon"], cfg.run["seed"]) == (3, 30, 9)
+        assert cfg.run.get("audit", False) == (how == "audit")
+        monkeypatch.delenv("SENSEBOUND_SEED", raising=False)
+        assert main(["run", "--config", str(first / "config.cfg"), "--workers", "2",
+                     "--out", str(second)]) == 0
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert len(tree(first)) > 3 and tree(first) == tree(second)
 
     def test_sweep_rows(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

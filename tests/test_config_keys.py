@@ -333,6 +333,13 @@ def test_sweep_of_an_unread_key_fails_instead_of_writing_rows(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: channel.levels: ")
     assert not (tmp_path / "sw").exists()
+    # a path whose head is not a config section is rejected the same way
+    for param in ("experiment.x", "to_json_dict.x", "source_text.x", "run"):
+        code = main(["sweep", "--config", str(path), "--param", param, "--values", "1",
+                     "--out", str(tmp_path / "sw"), "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: bad parameter path {param!r}")
+        assert not (tmp_path / "sw").exists()
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -162,7 +162,7 @@ class TestUpdate:
         # oracle: p r / (p + r) and gain p / (p + r)
         assert step.belief_post.cov_mat[0, 0] == pytest.approx(0.75, abs=1e-12)
         assert step.belief_post.mean_vec[0] == pytest.approx(0.75 * 1.0, abs=1e-12)
-        assert step.cmi_realized == pytest.approx(0.5 * np.log2(3.0 / 0.75), abs=1e-12)
+        assert step.h_pred - step.h_post == pytest.approx(0.5 * np.log2(3.0 / 0.75), abs=1e-12)
 
     def test_kalman_rejects_nonlinear_channel(self):
         b = GaussianBelief([0.0], [[1.0]], kind="predicted")
@@ -239,7 +239,7 @@ class TestUpdate:
         gb = make_initial_belief(prior, "grid")
         ch = make_channel("modulo-gaussian", period=1.0, r=0.01)
         step = update(gb, ch, [0.75])
-        assert np.isfinite(step.cmi_realized)
+        assert np.isfinite(step.h_pred - step.h_post)
 
 
 class TestParticles:
@@ -406,7 +406,8 @@ class TestKnnFastPath:
         ref = run_closed_loop(ctx, master_seed=3, run_index=1)
         assert fast.steps == ref.steps == ctx.horizon
         assert run_csv_text(fast, 0) == run_csv_text(ref, 0)
-        assert fast.ledger.rows == ref.ledger.rows
+        for col in ("h_pred", "h_post", "cmi", "di_cum"):
+            assert getattr(fast.ledger, col) == getattr(ref.ledger, col), col
         assert fast.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
 
     def test_entropy_evaluated_once_per_belief(self, monkeypatch):

@@ -20,7 +20,7 @@ from sensebound.experiments import load_bundled
 from sensebound.filters import GridBelief, GridSpec, ParticleBelief
 from sensebound.loop import run_block, run_closed_loop, run_ensemble
 
-from test_kalman_block import assert_records_equal
+from test_kalman_block import LEDGER_COLUMNS, assert_records_equal
 
 GRID_BUNDLED = (
     "sign-threshold-easy", "entropy-balance", "sign-threshold-hard", "modulo-counterexample",
@@ -140,7 +140,7 @@ class TestBlockAgainstScalarLoop:
         if label == "modulo-audited":
             assert all(r.audits is not None for r in refs)
         if label == "degenerate-mix":
-            late = [r.degenerate_t for r in refs if r.degenerate and r.degenerate_t > 0]
+            late = [r.steps for r in refs if r.degenerate and r.steps > 0]
             assert late and any(r.completed for r in refs)
         if label == "debug-beliefs":
             assert all(len(r.beliefs_json) == r.steps for r in refs)
@@ -230,9 +230,10 @@ def test_record_fields_are_the_scalar_types():
     rec, ref = run_block(ctx, 1, range(1))[0], run_closed_loop(ctx, 1, 0)
     for f in dataclasses.fields(rec):
         assert type(getattr(rec, f.name)) is type(getattr(ref, f.name)), f.name
-    assert [type(v) for v in dataclasses.astuple(rec.ledger.rows[0])] == [
-        type(v) for v in dataclasses.astuple(ref.ledger.rows[0])
-    ]
+    for col in LEDGER_COLUMNS:
+        got, want = getattr(rec.ledger, col), getattr(ref.ledger, col)
+        assert len(got) == len(want) == 5, col
+        assert [type(v) for v in got] == [type(v) for v in want], col
 
 
 def test_unique_rows_is_numpy_unique_over_rows():

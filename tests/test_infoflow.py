@@ -29,14 +29,15 @@ class TestLedger:
     def test_single_step(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
         lg.record(_FakeStep(0, 2.0, 1.0))
-        assert lg.di_cum == pytest.approx(1.0)
+        assert lg.di_cum[-1] == pytest.approx(1.0)
 
     def test_additivity(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
         lg.record(_FakeStep(0, 2.0, 1.0))
         lg.record(_FakeStep(1, 2.0, 1.5))
-        assert lg.di_cum == pytest.approx(1.5)
-        assert lg.rows[1].di_cum == pytest.approx(1.5)
+        assert lg.di_cum == pytest.approx([1.0, 1.5])
+        assert lg.cmi == pytest.approx([1.0, 0.5])
+        assert (lg.h_pred, lg.h_post) == ([2.0, 2.0], [1.0, 1.5])
 
     def test_out_of_order(self):
         lg = InfoLedger(r_exp=1.0, h0=2.0)
@@ -49,7 +50,7 @@ class TestLedger:
         lg = InfoLedger(r_exp=0.0, h0=0.0)
         for t, v in enumerate(vals):
             lg.record(_FakeStep(t, v, 0.0))
-        assert lg.di_cum == pytest.approx(math.fsum(vals), abs=1e-12)
+        assert lg.di_cum[-1] == pytest.approx(math.fsum(vals), abs=1e-12)
 
     def test_steady_state_cmi_is_log2_a(self, scalar_double, unit_gaussian_channel):
         """Riccati fixed point: p* = r(1 - a^-2), cmi* = log2 a."""
@@ -59,7 +60,7 @@ class TestLedger:
             step = update(b, unit_gaussian_channel, [0.0])
             lg.record(step)
             b = predict(step.belief_post, scalar_double, [0.0])
-        assert lg.rows[-1].cmi == pytest.approx(1.0, abs=1e-9)
+        assert lg.cmi[-1] == pytest.approx(1.0, abs=1e-9)
         assert step.belief_post.cov_mat[0, 0] == pytest.approx(
             kalman_error_floor(2.0, 1.0), abs=1e-12
         )
@@ -183,7 +184,7 @@ class TestEnsembleLedger:
             lg.terminal_h_pred = 2.0
             ledgers.append(lg)
         mean = ensemble_mean_ledger(ledgers, horizon=1)
-        assert mean.di_cum == pytest.approx(1.0)
+        assert mean.di_cum[-1] == pytest.approx(1.0)
         assert mean.terminal_h_pred == pytest.approx(2.0)
 
     def test_duality_grid_mean_cmi_matches_kalman(self):

@@ -20,7 +20,7 @@ from sensebound.loop import run_block, run_closed_loop, run_ensemble, tracked_bl
 from sensebound.report import run_experiment, to_jsonable
 
 KALMAN_BUNDLED = ("kalman-baseline", "shrinking-noise", "stable-baseline")
-ARRAY_FIELDS = ("t", "z_u", "u", "y", "state_norm_sq", "err_norm_sq", "cond")
+ARRAY_FIELDS = ("z_u", "u", "y", "state_norm_sq", "err_norm_sq", "cond")
 
 # two unstable modes, one stable mode, two inputs, two observations
 KALMAN_2D = """
@@ -57,10 +57,17 @@ def bundled_ctx(name, **changes):
     return replace(build_context(load_bundled(name)), **changes)
 
 
+LEDGER_COLUMNS = ("h_pred", "h_post", "cmi", "di_cum")
+
+
 def assert_ledgers_equal(a: InfoLedger, b: InfoLedger):
-    assert a.rows == b.rows
-    assert (a.h0, a.r_exp, a.expansion, a.terminal_h_pred, a.di_cum) == (
-        b.h0, b.r_exp, b.expansion, b.terminal_h_pred, b.di_cum
+    """Every column equal, value for value and type for type."""
+    for col in LEDGER_COLUMNS:
+        x, y = getattr(a, col), getattr(b, col)
+        assert x == y, col
+        assert [type(v) for v in x] == [type(v) for v in y], col
+    assert (a.h0, a.r_exp, a.expansion, a.terminal_h_pred) == (
+        b.h0, b.r_exp, b.expansion, b.terminal_h_pred
     )
 
 
@@ -84,8 +91,8 @@ def assert_records_equal(a, b):
 def record_bytes(records):
     return [
         ([getattr(r, f).tobytes() for f in ARRAY_FIELDS],
-         [(row.h_pred, row.h_post, row.cmi, row.di_cum) for row in r.ledger.rows],
-         r.ledger.terminal_h_pred, r.halted_t)
+         [getattr(r.ledger, col) for col in LEDGER_COLUMNS],
+         r.ledger.terminal_h_pred, r.steps, r.halted, r.degenerate)
         for r in records
     ]
 
@@ -108,7 +115,7 @@ class TestBundledKalmanExperiments:
         assert any(halted) and not all(halted)
         for rec in block:
             ref = run_closed_loop(ctx, 77, rec.run_index)
-            assert (rec.halted_t, rec.steps) == (ref.halted_t, ref.steps)
+            assert (rec.halted, rec.steps) == (ref.halted, ref.steps)
             assert rec.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
             assert_records_equal(rec, ref)
 
@@ -199,10 +206,25 @@ class TestLedgerHead:
         ctx = bundled_ctx("kalman-baseline", horizon=10)
         full = run_closed_loop(ctx, 1, 0).ledger
         # each head is closed with the predicted entropy that followed it
-        heads = full.columns([0, 4, 10], [None, full.rows[4].h_pred, full.terminal_h_pred])
+        heads = full.columns([0, 4, 10], [None, full.h_pred[4], full.terminal_h_pred])
         for k, head in zip((0, 4, 10), heads):
-            assert head.rows == full.rows[:k]
-            assert head.di_cum == (full.rows[k - 1].di_cum if k else 0.0)
+            for col in LEDGER_COLUMNS:
+                assert getattr(head, col) == getattr(full, col)[:k], col
+            assert len(head) == k
         assert heads[0].terminal_h_pred is None
-        assert heads[1].terminal_h_pred == full.rows[4].h_pred
+        assert heads[1].terminal_h_pred == full.h_pred[4]
         assert heads[2].terminal_h_pred == full.terminal_h_pred
+
+    def test_runs_that_end_together_share_one_ledger(self):
+        """Heads of equal length and terminal value are one object, so their
+        CSV cells are formatted once; any other pair is two objects."""
+        ctx = bundled_ctx("kalman-baseline", horizon=10)
+        full = run_closed_loop(ctx, 1, 0).ledger
+        h4, h10 = full.h_pred[4], full.terminal_h_pred
+        heads = full.columns([4, 10, 4, 10, 4, 10], [h4, h10, h4, h10, h4, h4])
+        assert heads[0] is heads[2] is heads[4]
+        assert heads[1] is heads[3]
+        assert len({id(h) for h in heads}) == 3
+        assert heads[5] is not heads[1] and heads[5].terminal_h_pred == h4
+        cells = heads[0].csv_cells()
+        assert heads[2].csv_cells() is cells and len(cells) == 4

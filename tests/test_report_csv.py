@@ -16,7 +16,7 @@ from sensebound.cli import main
 from sensebound.config import build_context
 from sensebound.errors import SenseboundError
 from sensebound.experiments import load_bundled
-from sensebound.infoflow import InfoLedger, LedgerRow
+from sensebound.infoflow import InfoLedger
 from sensebound.loop import RunContext, run_block, run_closed_loop
 from sensebound.priors import GaussianPrior
 from sensebound.report import (
@@ -34,11 +34,11 @@ def reference_csv_text(record, run_id) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
+    lg = record.ledger
     for i in range(record.steps):
-        row = record.ledger.rows[i]
         floats = (record.state_norm_sq[i], record.err_norm_sq[i],
-                  row.h_pred, row.h_post, row.cmi, row.di_cum)
-        w.writerow([int(record.t[i]), run_id, *(repr(float(x)) for x in floats)])
+                  lg.h_pred[i], lg.h_post[i], lg.cmi[i], lg.di_cum[i])
+        w.writerow([i, run_id, *(repr(float(x)) for x in floats)])
     return buf.getvalue()
 
 
@@ -95,7 +95,8 @@ class TestWriter:
     def test_kalman_block(self):
         block = run_block(bundled_ctx("kalman-baseline", horizon=20), 3, range(4))
         self.assert_reference(block)
-        # the block's runs share ledger rows: a second pass reads the memo
+        # the block's runs share one ledger: a second pass reads its memo
+        assert all(r.ledger is block[0].ledger for r in block)
         self.assert_reference(block)
 
     def test_grid(self):
@@ -112,26 +113,34 @@ class TestWriter:
         ref = run_closed_loop(ctx, 77, next(r.run_index for r in block if r.halted))
         assert ref.halted
         self.assert_reference([ref])
+        # the runs that end together share one ledger, the others do not
+        for a in block:
+            for b in block:
+                assert (a.ledger is b.ledger) == (a.steps == b.steps)
+        self.assert_reference(block)
 
     def test_signed_zero_and_numpy_scalars(self):
         rec = run_block(bundled_ctx("kalman-baseline", horizon=2), 1, range(1))[0]
         ledger = InfoLedger(r_exp=1.0, h0=0.5)
-        ledger.rows = [
-            LedgerRow(t=0, h_pred=np.float64(-0.0), h_post=0.0, cmi=-0.0, di_cum=np.float64(1e-300)),
-            LedgerRow(t=1, h_pred=np.float64(2.5), h_post=-1e16, cmi=float("inf"), di_cum=float("nan")),
-        ]
+        ledger.h_pred = [np.float64(-0.0), np.float64(2.5)]
+        ledger.h_post = [0.0, -1e16]
+        ledger.cmi = [-0.0, float("inf")]
+        ledger.di_cum = [np.float64(1e-300), float("nan")]
         rec = replace(rec, state_norm_sq=np.array([-0.0, 0.1]),
                       err_norm_sq=np.array([1e-5, -0.0]), ledger=ledger)
         text = run_csv_text(rec, 12)
         assert text == reference_csv_text(rec, 12)
         assert text.splitlines()[1] == "0,12,-0.0,1e-05,-0.0,0.0,-0.0,1e-300"
 
-    def test_memo_is_not_pickled(self):
-        row = LedgerRow(t=0, h_pred=1.0, h_post=0.5, cmi=0.5, di_cum=0.5)
-        plain = pickle.dumps(row)
-        assert row.csv_cells() == "1.0,0.5,0.5,0.5"
-        assert pickle.dumps(row) == plain
-        assert pickle.loads(plain) == row
+    def test_memo_follows_the_ledger(self):
+        """A step recorded after the cells were formatted gets its own cell,
+        and a pickled ledger gives the same cells."""
+        ledger = InfoLedger(r_exp=1.0, h0=2.0)
+        ledger._append(1.0, 0.5)
+        assert ledger.csv_cells() == ["1.0,0.5,0.5,0.5"]
+        ledger._append(np.float64(2.0), 1.25)
+        assert ledger.csv_cells() == ["1.0,0.5,0.5,0.5", "2.0,1.25,0.75,1.25"]
+        assert pickle.loads(pickle.dumps(ledger)).csv_cells() == ledger.csv_cells()
 
 
 class TestReadBack:
