@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
             "worker (two workers ran 200 sign-threshold-easy runs 1.7x faster "
             "than one on 2 cores), particle and 2-D grid runs are spread over "
             "the workers, and a Kalman ensemble always runs as one in-process "
-            "block, because each worker would repeat the shared Riccati steps",
+            "block, because its Riccati steps are shared by every run and each "
+            "worker would repeat them",
         )
 
     sp = sub.add_parser("decompose", help="print the mode decomposition of a system")
@@ -202,14 +203,17 @@ def _cmd_sweep(args) -> int:
     return 2 if result["violation"] else 0
 
 
-def _stored_stats(path) -> dict:
-    """The statistics `report` re-checks, as float arrays, read from a
-    bundle's summary.json. A statistic that is absent, or null where a
-    value is required, reads as None. Only the DI rate may be null, as
-    `build_summary` writes it when no run completed; it is then left out.
+def _stored_stats(path) -> tuple:
+    """(statistics, run counts) that `report` re-checks, read from a
+    bundle's summary.json: the statistics as float arrays; n_runs, horizon,
+    n_halted and n_degenerate as ints and ensemble.alive as an int array.
+    A value that is absent, or null where one is required, reads as None.
+    Only the DI rate may be null, as `build_summary` writes it when no run
+    completed; it is then left out.
 
-    A file that is not a JSON object, an `ensemble` that is not an object
-    and a statistic that is not a number or a list of numbers each raise
+    A file that is not a JSON object, an `ensemble` that is not an object,
+    a statistic that is not a number or a list of numbers and a count that
+    is not a whole number (alive: a list of them) each raise
     SenseboundError naming the file.
     """
     try:
@@ -220,23 +224,67 @@ def _stored_stats(path) -> dict:
     ensemble = stored.get("ensemble", {}) if isinstance(stored, dict) else None
     if not isinstance(ensemble, dict):
         raise SenseboundError(f"{path}: expected a JSON object with an object 'ensemble'")
+
+    def read(owner, key, kinds, what):
+        try:
+            arr = np.asarray(owner[key])  # a ragged list raises ValueError
+            if arr.size and arr.dtype.kind not in kinds:  # [] reads as floats
+                raise ValueError(f"dtype {arr.dtype}")
+        except ValueError as exc:
+            raise SenseboundError(f"{path}: {key} is not {what}") from exc
+        return arr
+
     stats = {}
     for key in ("di_rate_bits_per_step", "mean_err_sq", "mean_state_sq", "mean_cmi_bits"):
         owner = stored if key == "di_rate_bits_per_step" else ensemble
-        val = owner.get(key)
-        if val is None and owner is stored and key in stored:
-            continue  # a null DI rate: no run completed, nothing to check
-        if val is None:
+        if owner.get(key) is None:
+            if owner is stored and key in stored:
+                continue  # a null DI rate: no run completed, nothing to check
             stats[key] = None
+        else:
+            arr = read(owner, key, "iuf", "a number or a list of numbers")
+            stats[key] = np.atleast_1d(arr.astype(float))
+    counts = {}
+    for key in ("n_runs", "horizon", "n_halted", "n_degenerate", "alive"):
+        owner = ensemble if key == "alive" else stored
+        what = "a list of whole numbers" if key == "alive" else "a whole number"
+        if owner.get(key) is None:
+            counts[key] = None
             continue
-        try:
-            arr = np.asarray(val)  # a ragged list raises ValueError
-            if arr.dtype.kind not in "iuf":
-                raise ValueError(f"dtype {arr.dtype}")
-        except ValueError as exc:
-            raise SenseboundError(f"{path}: {key} is not a number or a list of numbers") from exc
-        stats[key] = np.atleast_1d(arr.astype(float))
-    return stats
+        arr = read(owner, key, "iu", what)
+        if arr.ndim != (key == "alive"):
+            raise SenseboundError(f"{path}: {key} is not {what}")
+        counts[key] = arr if arr.ndim else int(arr)
+    return stats, counts
+
+
+def _count_mismatches(counts: dict, recomputed: dict) -> list:
+    """(key, detail) for each run count of summary.json that the run CSVs
+    contradict.
+
+    The bundle holds one CSV per run, and `alive[t]` counts the CSVs with
+    more than t rows. A CSV shorter than the horizon is a run that halted
+    or whose likelihood vanished. A run that crossed the divergence guard
+    after its last step halted too, but its CSV is full, so the short CSVs
+    bound n_halted + n_degenerate from below and all CSVs from above.
+    """
+    n, alive = recomputed["n_runs"], np.asarray(recomputed["alive"])
+    out = []
+    if counts["n_runs"] is not None and counts["n_runs"] != n:
+        out.append(("n_runs", f"summary.json says {counts['n_runs']}, the bundle has {n} "
+                              "run CSVs"))
+    if counts["alive"] is not None and not np.array_equal(counts["alive"], alive):
+        out.append(("alive", "summary.json disagrees with the lengths of the run CSVs"))
+    if None not in (counts["horizon"], counts["n_halted"], counts["n_degenerate"]):
+        h = counts["horizon"]
+        reach = [n, *alive.tolist(), 0]  # reach[k]: the CSVs with at least k rows
+        short = n - reach[min(max(h, 0), len(reach) - 1)]
+        failed = counts["n_halted"] + counts["n_degenerate"]
+        if not short <= failed <= n:
+            out.append(("n_halted + n_degenerate",
+                        f"summary.json says {failed} runs halted or degenerated, but {short} "
+                        f"of the {n} run CSVs are shorter than the horizon {h}"))
+    return out
 
 
 def _written_formats(bundle_dir) -> list:
@@ -258,15 +306,18 @@ def _cmd_report(args) -> int:
     summary_path = os.path.join(bundle_dir, "summary.json")
     status = 0
     if os.path.exists(summary_path):
-        for key, a in _stored_stats(summary_path).items():
-            if a is None:
-                print(f"MISMATCH in {key}: missing from summary.json", file=sys.stderr)
-                status = 1
-                continue
+        stats, counts = _stored_stats(summary_path)
+        mismatches = [(key, "missing from summary.json")
+                      for key, a in {**stats, **counts}.items() if a is None]
+        for key, a in stats.items():
             b = np.atleast_1d(np.asarray(recomputed[key], dtype=float))
-            if a.shape != b.shape or not np.allclose(a, b, rtol=1e-9, atol=1e-12):
-                print(f"MISMATCH in {key}: summary.json disagrees with CSVs", file=sys.stderr)
-                status = 1
+            if a is not None and (a.shape != b.shape
+                                  or not np.allclose(a, b, rtol=1e-9, atol=1e-12)):
+                mismatches.append((key, "summary.json disagrees with CSVs"))
+        mismatches += _count_mismatches(counts, recomputed)
+        for key, detail in mismatches:
+            print(f"MISMATCH in {key}: {detail}", file=sys.stderr)
+            status = 1
         if status == 0:
             print("summary.json matches statistics recomputed from CSVs")
     elif "json" in formats:

@@ -149,7 +149,21 @@ class Belief:
 class GaussianBelief(Belief):
     """N(mean_vec, cov_mat); a block has one mean row per run and the one
     covariance they share, so its entropy and condition number are single
-    values and the Kalman gain is computed once for the block."""
+    values and the Kalman gain is computed once for the block.
+
+    The covariance side of a Kalman step does not read the means. The
+    beliefs that `_pushed`, `_conditioned`, `tiled` and `take` derive from
+    one constructed belief form a lineage, which shares a memo of that
+    side: each transition keeps the exact bytes and shape of its last
+    inputs (P, C and R for an update, P and A for a predict) and what they
+    gave (the gain, the checked covariance and that covariance's entropy
+    and condition number, once evaluated). A step whose inputs repeat
+    those bit for bit, as every step does once the Riccati recursion
+    reaches a fixed point in floating point, runs only its mean update;
+    any other step computes its covariance side afresh. The memo holds no
+    mean and no belief, and a belief built by the constructor starts a
+    lineage with an empty one.
+    """
 
     representation = "gaussian"
 
@@ -163,11 +177,17 @@ class GaussianBelief(Belief):
         P = np.atleast_2d(np.asarray(self.cov_mat, dtype=float))
         if P.shape != (m.shape[-1],) * 2:
             raise DimensionMismatch(f"cov shape {P.shape} vs mean length {m.shape[-1]}")
-        P = 0.5 * (P + P.T)
-        if np.min(np.linalg.eigvalsh(P)) < -1e-10:
-            raise SingularCovariance("covariance must be positive semidefinite")
         object.__setattr__(self, "mean_vec", m)
-        object.__setattr__(self, "cov_mat", P)
+        object.__setattr__(self, "cov_mat", _checked_cov(P))
+        object.__setattr__(self, "_cov_facts", {})  # of cov_mat: entropy bits, condition number
+        object.__setattr__(self, "_memo", {})  # the lineage's: transition -> (inputs, outputs)
+
+    def _with(self, mean_vec, **changes) -> "GaussianBelief":
+        """A belief of this lineage with other means, and with the checked
+        covariance and its facts in `changes` if it has another one."""
+        out = object.__new__(GaussianBelief)
+        out.__dict__.update(self.__dict__, mean_vec=mean_vec, **changes)
+        return out
 
     @property
     def batch(self) -> tuple:
@@ -177,8 +197,18 @@ class GaussianBelief(Belief):
     def dim(self) -> int:
         return self.mean_vec.shape[-1]
 
-    def _entropy_bits(self) -> float:
-        return nats_to_bits(gaussian_entropy_nats(self.cov_mat))
+    def _cov_fact(self, name, evaluate):
+        """evaluate(cov_mat), once for every belief that shares cov_mat."""
+        facts = self._cov_facts
+        if name not in facts:
+            facts[name] = evaluate(self.cov_mat)
+        return facts[name]
+
+    def entropy_bits(self) -> float:
+        return self._cov_fact("h_bits", _gaussian_entropy_bits)
+
+    def cond_number(self) -> float:
+        return self._cov_fact("cond", _condition_number)
 
     def mean(self) -> np.ndarray:
         return self.mean_vec.copy()
@@ -196,24 +226,24 @@ class GaussianBelief(Belief):
         return rows if self.batch else rows[0]
 
     def tiled(self, n_rows):
-        return self._with_mean(np.tile(self.mean_vec, (n_rows, 1)))
+        return self._with(np.tile(self.mean_vec, (n_rows, 1)))
 
     def take(self, keep):
-        return self._with_mean(self.mean_vec[keep])
+        return self._with(self.mean_vec[keep])
 
-    def _with_mean(self, mean_vec) -> "GaussianBelief":
-        """This belief with other means; the covariance, and with it the
-        entropy, is the same."""
-        out = GaussianBelief(mean_vec, self.cov_mat, t=self.t, kind=self.kind)
-        if "_h_bits" in self.__dict__:
-            object.__setattr__(out, "_h_bits", self._h_bits)
-        return out
+    def _covariance_side(self, transition, *inputs) -> tuple:
+        """transition(*inputs), or what it gave the last time this lineage
+        called it on the same inputs, bit for bit."""
+        key = tuple((a.shape, a.tobytes()) for a in inputs)
+        last = self._memo.get(transition)
+        if last is None or last[0] != key:
+            last = self._memo[transition] = (key, transition(*inputs))
+        return last[1]
 
     def _pushed(self, A, shift):
-        return GaussianBelief(
-            rows_matvec(A, self.mean_vec) + shift, A @ self.cov_mat @ A.T,
-            t=self.t + 1, kind="predicted",
-        )
+        cov, facts = self._covariance_side(_predicted_cov, self.cov_mat, A)
+        return self._with(rows_matvec(A, self.mean_vec) + shift, cov_mat=cov,
+                          _cov_facts=facts, t=self.t + 1, kind="predicted")
 
     def _conditioned(self, ch, y, rng):
         if not isinstance(ch, LinearGaussianChannel):
@@ -222,12 +252,37 @@ class GaussianBelief(Belief):
                 "linear-gaussian channel; use a grid or particle filter"
             )
         y = np.asarray(y, dtype=float).reshape(*self.batch, -1)
-        C, R, P = ch.C, ch.R, self.cov_mat
-        K = np.linalg.solve((C @ P @ C.T + R).T, C @ P).T  # P C^T (C P C^T + R)^-1
+        C = ch.C
+        K, cov, facts = self._covariance_side(_posterior_cov, self.cov_mat, C, ch.R)
         mean = self.mean_vec + rows_matvec(K, y - rows_matvec(C, self.mean_vec))
-        I_KC = np.eye(self.dim) - K @ C
-        cov = I_KC @ P @ I_KC.T + K @ R @ K.T  # Joseph form
-        return GaussianBelief(mean, cov, t=self.t, kind="posterior"), False
+        return self._with(mean, cov_mat=cov, _cov_facts=facts, kind="posterior"), False
+
+
+def _checked_cov(P: np.ndarray) -> np.ndarray:
+    """The square matrix P symmetrised, once found positive semidefinite."""
+    P = 0.5 * (P + P.T)
+    if np.min(np.linalg.eigvalsh(P)) < -1e-10:
+        raise SingularCovariance("covariance must be positive semidefinite")
+    return P
+
+
+def _gaussian_entropy_bits(P) -> float:
+    return nats_to_bits(gaussian_entropy_nats(P))
+
+
+# The covariance sides of a Kalman predict and update: each gives its new
+# covariance, checked, with an empty dict for that covariance's facts.
+
+
+def _predicted_cov(P, A):
+    return _checked_cov(A @ P @ A.T), {}
+
+
+def _posterior_cov(P, C, R):
+    """Also the gain K, which the mean update reads."""
+    K = np.linalg.solve((C @ P @ C.T + R).T, C @ P).T  # P C^T (C P C^T + R)^-1
+    I_KC = np.eye(P.shape[0]) - K @ C
+    return K, _checked_cov(I_KC @ P @ I_KC.T + K @ R @ K.T), {}  # Joseph form
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the initial-minus-terminal entropy difference.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -264,21 +265,32 @@ def exact_step_means(traces) -> list:
 
     Traces may be ragged (a halted run is short): the mean at step t
     averages the traces longer than t. math.fsum rounds the exact sum once,
-    so the means do not depend on the order of the traces. Sorted longest
-    first, the traces that reach step t are a prefix of one stacked (T, N)
-    array, and each step sums one contiguous slice of a row.
+    so the means do not depend on the order of the traces. A trace passed
+    several times as one object (the runs of a Kalman block share their
+    ledger columns) is read once and its value at t enters the sum as many
+    times as it was passed. Sorted longest first, the distinct traces that
+    reach step t are a prefix of one stacked (T, G) array.
     """
-    traces = sorted(traces, key=len, reverse=True)
-    if not traces:
+    by_id = {}
+    for tr in traces:
+        by_id.setdefault(id(tr), [tr, 0])[1] += 1
+    groups = sorted(by_id.values(), key=lambda g: len(g[0]), reverse=True)
+    if not groups:
         return []
-    stack = np.empty((len(traces[0]), len(traces)))
-    for j, tr in enumerate(traces):
+    stack = np.empty((len(groups[0][0]), len(groups)))
+    for j, (tr, _) in enumerate(groups):
         stack[: len(tr), j] = tr
-    means, n = [], len(traces)
-    for t in range(len(traces[0])):
-        while len(traces[n - 1]) <= t:
+    reps = [c for _, c in groups]
+    shared = [j for j, c in enumerate(reps) if c > 1]
+    means, n, runs = [], len(groups), sum(reps)
+    for t in range(len(stack)):
+        while len(groups[n - 1][0]) <= t:
             n -= 1
-        means.append(math.fsum(stack[t, :n].tolist()) / n)
+            runs -= reps[n]
+        row = stack[t, :n].tolist()
+        if shared:  # each shared trace's value once more per further run
+            row = chain(row, *(repeat(row[j], reps[j] - 1) for j in shared if j < n))
+        means.append(math.fsum(row) / runs)
     return means
 
 
@@ -298,8 +310,9 @@ def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLe
         h0=math.fsum(lg.h0 for lg in full) / n,
         expansion=full[0].expansion,
     )
-    h_pred = exact_step_means([lg.h_pred[:T] for lg in full])
-    h_post = exact_step_means([lg.h_post[:T] for lg in full])
+    # a column of T steps is passed as itself, so shared columns stay shared
+    h_pred = exact_step_means([lg.h_pred if len(lg) == T else lg.h_pred[:T] for lg in full])
+    h_post = exact_step_means([lg.h_post if len(lg) == T else lg.h_post[:T] for lg in full])
     for hp, hq in zip(h_pred, h_post):
         mean._append(hp, hq)
     terms = [lg.terminal_h_pred for lg in full if lg.terminal_h_pred is not None]

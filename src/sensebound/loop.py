@@ -19,7 +19,8 @@ state and belief are one row of a block belief and of the arrays around
 it, advanced for all runs at once by row operations that give each run
 the scalar loop's bits. A Kalman block's covariance, gain and entropies
 do not depend on the data, so they are computed once per step for all
-runs.
+runs, and not at all on a step whose covariance-side inputs repeat the
+last step's bit for bit (the belief lineage's memo, `GaussianBelief`).
 """
 
 import ctypes
@@ -438,14 +439,16 @@ def run_ensemble(
     """Run n_runs independent loops and reduce per-step statistics.
 
     Kalman and 1-D grid ensembles run as blocks (`run_block`): a Kalman
-    ensemble as one in-process block whatever `workers` is, because the
-    block's cost is mostly the shared Riccati steps, which every worker
-    would repeat; a 1-D grid ensemble as one block per worker, on
-    contiguous run ranges. Particle and 2-D grid runs are one
-    `run_closed_loop` each, spread over `workers` processes. Statistics at
-    each t average over the runs still alive at t; exact summation makes
-    the reduction independent of completion order, so the same master seed
-    gives identical results at any worker count.
+    ensemble as one in-process block whatever `workers` is, because its
+    Riccati steps are shared by every run (and, once the covariance
+    reaches a fixed point, recalled rather than recomputed), so a worker
+    would repeat them while saving only the per-run mean updates; a 1-D
+    grid ensemble as one block per worker, on contiguous run ranges.
+    Particle and 2-D grid runs are one `run_closed_loop` each, spread over
+    `workers` processes. Statistics at each t average over the runs still
+    alive at t; exact summation makes the reduction independent of
+    completion order, so the same master seed gives identical results at
+    any worker count.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")

@@ -498,13 +498,15 @@ def run_sweep(
 
 
 def recompute_summary_from_csvs(bundle_dir: str) -> dict:
-    """Re-derive ensemble statistics straight from the run CSVs."""
+    """Re-derive ensemble statistics straight from the run CSVs; `alive`
+    counts at each step the CSVs that reach it, as `run_ensemble` does."""
     runs_dir = os.path.join(bundle_dir, "runs")
     names = sorted(os.listdir(runs_dir)) if os.path.isdir(runs_dir) else []
     if not names:
         raise SenseboundError(f"no run CSVs under {bundle_dir!r}")
     datas = [read_run_csv(os.path.join(runs_dir, n)) for n in names]
-    horizon = max(len(d["t"]) for d in datas)
+    steps = np.array([len(d["t"]) for d in datas])
+    horizon = int(steps.max())
     full = [d for d in datas if len(d["t"]) == horizon]
     di_rate = (
         math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
@@ -517,5 +519,6 @@ def recompute_summary_from_csvs(bundle_dir: str) -> dict:
         "mean_err_sq": exact_step_means([d["err_norm_sq"] for d in datas]),
         "mean_state_sq": exact_step_means([d["state_norm_sq"] for d in datas]),
         "mean_cmi_bits": exact_step_means([d["cmi_bits"] for d in datas]),
+        "alive": (np.arange(horizon)[:, None] < steps).sum(axis=1),
         "di_rate_bits_per_step": di_rate,
     }

@@ -419,6 +419,75 @@ class TestCli:
         assert err.startswith(f"error: {cpath}: "), err
         assert "Traceback" not in err
 
+    def _open_loop_report(self, tmp_path, capsys, edit=lambda text: text, runs=6, horizon=None):
+        """`report` on a kalman-baseline bundle run with no control, whose
+        summary.json text went through `edit`: its runs cross the divergence
+        guard near step 20, so the default horizon leaves every CSV short.
+        (exit code, stdout, stderr, summary dict before the edit)."""
+        text = bundled_text("kalman-baseline").replace(
+            'mode = "predict"\ndesign = "deadbeat"\ntarget_pole = 0.5', 'mode = "none"'
+        ).replace("tail_window = 50", "tail_window = 10")
+        assert 'mode = "none"' in text and "tail_window = 10" in text
+        cfg_path = tmp_path / "open.cfg"
+        cfg_path.write_text(text)
+        extra = ["--horizon", str(horizon)] if horizon is not None else []
+        assert main(["run", "--config", str(cfg_path), "--runs", str(runs), *extra,
+                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
+        spath = tmp_path / "b" / "summary.json"
+        before = json.loads(spath.read_text())
+        spath.write_text(edit(spath.read_text()))
+        capsys.readouterr()
+        code = main(["report", "--bundle", str(tmp_path / "b")])
+        out, err = capsys.readouterr()
+        return code, out, err, before
+
+    def test_report_accepts_a_bundle_of_halted_runs(self, tmp_path, capsys):
+        code, out, err, s = self._open_loop_report(tmp_path, capsys)
+        assert s["n_halted"] == s["n_runs"] == 6 and s["ensemble"]["alive"][0] == 6
+        assert (code, err) == (0, "")
+        assert "matches" in out
+
+    def test_report_accepts_runs_halted_after_their_last_step(self, tmp_path, capsys):
+        """A run that crosses the guard after its final step is halted but
+        leaves a full CSV, so it is not a mismatch."""
+        code, out, err, s = self._open_loop_report(tmp_path, capsys, runs=40, horizon=20)
+        assert s["n_halted"] > s["n_runs"] - s["ensemble"]["alive"][-1] > 0
+        assert (code, err) == (0, "")
+
+    def test_report_detects_a_tampered_run_count(self, tmp_path, capsys):
+        code, out, err, _ = self._open_loop_report(
+            tmp_path, capsys, self._edit_json(lambda s: s.update(n_runs=s["n_runs"] + 1)))
+        assert code == 1
+        assert "MISMATCH in n_runs" in err
+        assert "matches" not in out and "Traceback" not in err
+
+    def test_report_detects_a_tampered_alive_count(self, tmp_path, capsys):
+        def tamper(s):
+            s["ensemble"]["alive"][-1] += 1
+        code, out, err, _ = self._open_loop_report(tmp_path, capsys, self._edit_json(tamper))
+        assert code == 1
+        assert "MISMATCH in alive" in err
+        assert "matches" not in out and "Traceback" not in err
+
+    def test_report_detects_a_tampered_halt_count(self, tmp_path, capsys):
+        code, out, err, _ = self._open_loop_report(
+            tmp_path, capsys, self._edit_json(lambda s: s.update(n_halted=0)))
+        assert code == 1
+        assert "MISMATCH in n_halted + n_degenerate" in err
+        assert "matches" not in out and "Traceback" not in err
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda s: s.update(n_runs=2.5), id="fractional-runs"),
+        pytest.param(lambda s: s.update(n_halted=[1]), id="listed-halts"),
+        pytest.param(lambda s: s["ensemble"].update(alive=3), id="scalar-alive"),
+    ])
+    def test_report_on_a_malformed_count_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                     change):
+        code, out, err, spath = self._report_after(tmp_path, capsys, self._edit_json(change))
+        assert code == 1
+        assert err.startswith(f"error: {spath}: "), err
+        assert "Traceback" not in err
+
     def test_sweep_passes_runs_and_horizon_to_every_point(self, tmp_path, monkeypatch):
         seen = []
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sensebound.channels import make_channel
 from sensebound.errors import OutOfOrderStep
@@ -9,6 +10,7 @@ from sensebound.filters import GaussianBelief, ParticleBelief, predict, update
 from sensebound.infoflow import (
     InfoLedger,
     ensemble_mean_ledger,
+    exact_step_means,
     necessity_audit,
     rate_balance_check,
     sandwich_check,
@@ -211,3 +213,35 @@ class TestEnsembleLedger:
         for name in ("entropy-balance", "stable-baseline"):
             s = bundles(name).summary if name != "stable-baseline" else bundles(name, runs=50).summary
             assert np.all(np.asarray(s["ensemble"]["mean_cmi_bits"]) > -0.01)
+
+
+@st.composite
+def traces_with_shared_objects(draw):
+    """Ragged traces of lengths 0..T: some entries are one list object
+    passed several times, as a Kalman block's ledger columns are, the
+    others distinct arrays."""
+    T = draw(st.integers(0, 12))
+    values = st.floats(-1e12, 1e12, allow_nan=False, width=64)
+    bases = draw(st.lists(st.lists(values, max_size=T), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.booleans()),
+                          min_size=1, max_size=12))
+    return [bases[i] if shared else np.array(bases[i], dtype=float) for i, shared in picks]
+
+
+_SHARED = [0.1, 1e-17, -3.0, 2.5e8]
+
+
+class TestExactStepMeans:
+    @given(traces_with_shared_objects())
+    @example([[0.1, 0.2, 0.3]])  # one trace
+    @example([_SHARED] * 7)  # all one object
+    @example([_SHARED] * 3 + [_SHARED[:2]] * 2 + [[]])
+    @settings(max_examples=200, deadline=None)
+    def test_shared_traces_count_as_their_copies(self, traces):
+        got = exact_step_means(traces)
+        copies = exact_step_means([np.array(tr, dtype=float) for tr in traces])
+        assert np.array(got).tobytes() == np.array(copies).tobytes()
+        longest = max(len(tr) for tr in traces)
+        want = [math.fsum(tr[t] for tr in traces if len(tr) > t)
+                / sum(len(tr) > t for tr in traces) for t in range(longest)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()

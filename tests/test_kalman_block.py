@@ -12,12 +12,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sensebound.channels import pulled_back_hessian
+from sensebound import filters
+from sensebound.channels import make_channel, pulled_back_hessian
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
+from sensebound.filters import Belief, GaussianBelief, make_initial_belief
 from sensebound.infoflow import InfoLedger
-from sensebound.loop import run_block, run_closed_loop, run_ensemble, tracked_block
+from sensebound.loop import (
+    RunContext,
+    run_block,
+    run_closed_loop,
+    run_ensemble,
+    tracked_block,
+)
+from sensebound.priors import GaussianPrior
 from sensebound.report import run_experiment, to_jsonable
+from sensebound.system import SystemModel, decompose, design_gain
 
 KALMAN_BUNDLED = ("kalman-baseline", "shrinking-noise", "stable-baseline")
 ARRAY_FIELDS = ("z_u", "u", "y", "state_norm_sq", "err_norm_sq", "cond")
@@ -228,3 +238,156 @@ class TestLedgerHead:
         assert heads[5] is not heads[1] and heads[5].terminal_h_pred == h4
         cells = heads[0].csv_cells()
         assert heads[2].csv_cells() is cells and len(cells) == 4
+
+
+def plant_2d_ctx(horizon):
+    """The coupled 2x2 plant of the 2-D grid cross-check, seen through
+    C = I, R = 0.25 I."""
+    model = SystemModel([[1.5, 0.3], [0.0, 1.3]], np.eye(2))
+    dec = decompose(model)
+    return RunContext(
+        model=model, decomp=dec,
+        channel=make_channel("linear-gaussian", C=np.eye(2), R=0.25 * np.eye(2)),
+        prior=GaussianPrior([0.0, 0.0], np.eye(2)), filter_kind="kalman",
+        gain=design_gain(dec, method="lqr"), horizon=horizon,
+    )
+
+
+def replay_kalman(ctx, us, ys, fresh):
+    """(update steps, predicted entropies) of the Kalman filter replayed on
+    recorded inputs and observations. With `fresh`, every update and
+    predict starts from a belief built anew, so no lineage memo applies."""
+    trk = tracked_block(ctx.decomp)
+    belief = make_initial_belief(ctx.prior, "kalman")
+    steps, h_next = [], []
+    for t, (u, y) in enumerate(zip(us, ys, strict=True)):
+        if fresh:
+            belief = GaussianBelief(belief.mean_vec, belief.cov_mat, t=belief.t, kind=belief.kind)
+        step = filters.update(belief, ctx.channel_at(t), y)
+        post = step.belief_post
+        if fresh:
+            post = GaussianBelief(post.mean_vec, post.cov_mat, t=post.t, kind=post.kind)
+        belief = filters.predict(post, trk, u)
+        steps.append(step)
+        h_next.append(belief.entropy_bits())
+    return steps, h_next
+
+
+def first_shared_covariance(steps):
+    """The first step whose posterior covariance is its predecessor's
+    object, or None."""
+    return next((t for t in range(1, len(steps))
+                 if steps[t].belief_post.cov_mat is steps[t - 1].belief_post.cov_mat), None)
+
+
+class TestCovarianceMemo:
+    """A lineage computes a Kalman step's covariance side once per distinct
+    input; the steps it recalls must be, bit for bit, the ones a belief
+    with no memo computes."""
+
+    CASES = {
+        "kalman-baseline": (lambda: bundled_ctx("kalman-baseline"), 28),
+        "shrinking-noise": (lambda: bundled_ctx("shrinking-noise"), None),
+        "stable-baseline": (lambda: bundled_ctx("stable-baseline"), None),
+        "plant-2d": (lambda: plant_2d_ctx(60), None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_recalled_steps_equal_memo_free_steps(self, name):
+        make_ctx, shared_from = self.CASES[name]
+        ctx = make_ctx()
+        rec = run_closed_loop(ctx, 3, 0)
+        assert rec.steps == ctx.horizon
+        memo, h_memo = replay_kalman(ctx, rec.u, rec.y, fresh=False)
+        free, h_free = replay_kalman(ctx, rec.u, rec.y, fresh=True)
+        for a, b in zip(memo, free, strict=True):
+            assert (a.h_pred, a.h_post, a.cond_number) == (b.h_pred, b.h_post, b.cond_number)
+            for x, y in ((a.belief_post.mean_vec, b.belief_post.mean_vec),
+                         (a.belief_post.cov_mat, b.belief_post.cov_mat)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert h_memo == h_free
+        # which path ran: from the fixed point on, an update recalls its
+        # predecessor's covariance; no memo-free step does
+        assert first_shared_covariance(memo) == shared_from
+        if shared_from is not None:
+            assert all(memo[t].belief_post.cov_mat is memo[shared_from].belief_post.cov_mat
+                       for t in range(shared_from, len(memo)))
+        assert first_shared_covariance(free) is None
+
+    def test_memo_is_bounded_and_holds_no_mean(self, monkeypatch):
+        last = {}
+        predict = filters.predict
+
+        def keep_last(*args):
+            last["belief"] = predict(*args)
+            return last["belief"]
+
+        monkeypatch.setattr(filters, "predict", keep_last)
+        rec = run_closed_loop(bundled_ctx("kalman-baseline", horizon=2000), 3, 0)
+        assert rec.steps == 2000
+        belief = last["belief"]
+        memo = belief._memo
+        assert len(memo) == 2  # one entry per transition: predict and update
+
+        def leaves(obj):
+            if isinstance(obj, (tuple, list)):
+                return [x for item in obj for x in leaves(item)]
+            if isinstance(obj, dict):
+                return leaves(list(obj.values()))
+            return [obj]
+
+        held = leaves(list(memo.values()))
+        assert not any(isinstance(x, Belief) for x in held)
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert arrays and all(x.ndim == 2 for x in arrays)  # gains and covariances only
+        assert not any(np.shares_memory(x, belief.mean_vec) for x in arrays)
+
+    def test_a_new_lineage_starts_cold(self, monkeypatch):
+        calls = []
+        entropy = filters.gaussian_entropy_nats
+        monkeypatch.setattr(filters, "gaussian_entropy_nats",
+                            lambda P: calls.append(1) or entropy(P))
+        ctx = bundled_ctx("kalman-baseline", horizon=60)
+        first = run_closed_loop(ctx, 3, 0)
+        n_first = len(calls)
+        # each of the 28 distinct predicted and posterior covariances once
+        assert n_first == 2 * 28
+        second = run_closed_loop(ctx, 3, 1)
+        assert len(calls) == 2 * n_first
+        assert first.ledger.h_post == second.ledger.h_post
+        fresh = make_initial_belief(ctx.prior, "kalman")
+        assert fresh._memo == {}
+
+    def test_block_evaluates_each_distinct_covariance_once(self, monkeypatch):
+        calls = []
+        entropy = filters.gaussian_entropy_nats
+        monkeypatch.setattr(filters, "gaussian_entropy_nats",
+                            lambda P: calls.append(1) or entropy(P))
+        records = run_block(bundled_ctx("kalman-baseline"), 4242, range(60))
+        assert sum(r.steps for r in records) == 60 * 200
+        assert len(calls) == 2 * 28
+
+    @pytest.mark.parametrize("change", ["C", "R", "A", "P"])
+    def test_every_input_is_part_of_the_key(self, change):
+        """After a step has filled the memo, a step that differs from it in
+        one covariance-side input only computes afresh."""
+        ctx = bundled_ctx("kalman-baseline")
+        trk = tracked_block(ctx.decomp)
+        belief = make_initial_belief(ctx.prior, "kalman")
+        post = filters.update(belief, ctx.channel, [0.3]).belief_post
+        filters.predict(post, trk, [0.0])  # fills both transitions
+        ch, dec, source = ctx.channel, trk, belief
+        if change in ("C", "R"):
+            ch = make_channel("linear-gaussian", **{"C": ch.C, "R": ch.R, change: [[1.5]]})
+        elif change == "A":
+            dec = dataclasses.replace(trk, A_u=np.array([[3.0]]))
+        else:  # the same lineage, another covariance
+            source = filters.predict(post, trk, [0.0])
+        fresh = GaussianBelief(source.mean_vec, source.cov_mat, t=source.t, kind=source.kind)
+        a, b = filters.update(source, ch, [0.3]), filters.update(fresh, ch, [0.3])
+        assert (a.h_pred, a.h_post, a.cond_number) == (b.h_pred, b.h_post, b.cond_number)
+        assert a.belief_post.cov_mat.tobytes() == b.belief_post.cov_mat.tobytes()
+        assert a.belief_post.mean_vec.tobytes() == b.belief_post.mean_vec.tobytes()
+        p, q = filters.predict(a.belief_post, dec, [0.0]), filters.predict(b.belief_post, dec, [0.0])
+        assert p.entropy_bits() == q.entropy_bits()
+        assert p.cov_mat.tobytes() == q.cov_mat.tobytes()
