@@ -4,6 +4,7 @@ All estimators here return nats; callers convert to bits at public
 boundaries via :func:`nats_to_bits`.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +89,35 @@ def _kth_gap_1d(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# Cephes `psi`: Euler's constant and the coefficients of its asymptotic series
+_EULER = 0.57721566490153286061
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+
+
+def digamma_int(n: int) -> float:
+    """The digamma function at a positive integer n, bit-equal to
+    `scipy.special.digamma(n)`.
+
+    It repeats Cephes `psi`, which scipy runs for positive reals: up to 10,
+    the harmonic sum 1/1 + ... + 1/(n-1) in that order, minus Euler's
+    constant; above, log(n) - 0.5/n - z * A(z) with z = 1/n^2 and A the
+    series polynomial evaluated by Horner's rule (Cephes `polevl`).
+    """
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):  # not `sum`, which compensates from Python 3.12 on
+            y += 1.0 / i
+        return y - _EULER
+    s = float(n)
+    z = 1.0 / (s * s)
+    poly = 0.0
+    for a in _PSI_A:
+        poly = poly * z + a
+    return math.log(s) - 0.5 / s - z * poly
+
+
 @lru_cache(maxsize=4)
 def _unit_jitter(shape: tuple) -> np.ndarray:
     """The fixed-seed standard normals behind the kNN tie-break jitter.
@@ -112,8 +142,11 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
     sorted sample (:func:`_kth_gap_1d`, O(n log n)) instead of a KD-tree.
     Both compute each distance as the same difference of two jittered
     values and the distances are averaged in sample order, so the estimate
-    is bit-identical to the tree query; samples with d >= 2 use the tree.
+    is bit-identical to the tree query; samples with d >= 2 use the tree,
+    the only use of scipy here.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got k={k!r}")
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -131,6 +164,4 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
 
         dist, _ = cKDTree(xj).query(xj, k=k + 1, p=np.inf)
         eps = dist[:, k]
-    from scipy.special import digamma
-
-    return float(digamma(n) - digamma(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))
+    return float(digamma_int(n) - digamma_int(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))

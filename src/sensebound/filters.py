@@ -633,8 +633,17 @@ class ParticleBelief(Belief):
         return float(1.0 / np.sum(self.weights**2))
 
     def equal_weight_states(self) -> np.ndarray:
-        """Deterministic systematic resample used for entropy estimation."""
-        idx = _systematic_indices(self.weights, offset=0.5)
+        """Deterministic systematic resample used for entropy estimation.
+
+        Its indices depend on the weights alone, so they are memoised on the
+        instance, and `_pushed` hands them on while the weights keep their
+        bits: a posterior and the prediction from it share one resample.
+        """
+        idx = self.__dict__.get("_ew_idx")
+        if idx is None:
+            idx = _systematic_indices(self.weights, offset=0.5)
+            idx.setflags(write=False)  # shared with the beliefs pushed from this one
+            object.__setattr__(self, "_ew_idx", idx)
         return self.states[idx]
 
     def _entropy_bits(self) -> float:
@@ -658,9 +667,14 @@ class ParticleBelief(Belief):
         }
 
     def _pushed(self, A, shift):
-        return ParticleBelief(
-            self.states @ A.T + shift, self.weights.copy(), t=self.t + 1, kind="predicted"
+        pushed = ParticleBelief(
+            self.states @ A.T + shift, self.weights, t=self.t + 1, kind="predicted"
         )
+        idx = self.__dict__.get("_ew_idx")
+        # renormalising can move a weight's bits, and with them the indices
+        if idx is not None and np.array_equal(pushed.weights, self.weights):
+            object.__setattr__(pushed, "_ew_idx", idx)
+        return pushed
 
     def _conditioned(self, ch, y, rng):
         with np.errstate(divide="ignore"):

@@ -10,7 +10,7 @@ from scipy.special import digamma
 import sensebound.entropy as entropy_mod
 import sensebound.filters as filters_mod
 from sensebound.channels import make_channel
-from sensebound.entropy import _kth_gap_1d, knn_entropy_nats, nats_to_bits
+from sensebound.entropy import _kth_gap_1d, digamma_int, knn_entropy_nats, nats_to_bits
 from sensebound.errors import (
     DegenerateLikelihood,
     GridOverflow,
@@ -439,6 +439,142 @@ class TestKnnFastPath:
         hits = entropy_mod._unit_jitter.cache_info().hits
         assert knn_entropy_nats(sample * 2.0) != want
         assert entropy_mod._unit_jitter.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "4", None])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_k_checked_up_front(self, k, d):
+        """Only an integer k with 1 <= k < n is accepted, in any dimension."""
+        sample = np.random.default_rng(9).standard_normal((50, d))
+        with pytest.raises(ValueError, match="k="):
+            knn_entropy_nats(sample, k=k)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_k_below_sample_count(self, d):
+        sample = np.random.default_rng(10).standard_normal((5, d))
+        with pytest.raises(ValueError, match="k=5"):
+            knn_entropy_nats(sample, k=5)
+        assert knn_entropy_nats(sample, k=np.int64(4)) == knn_entropy_nats(sample, k=4)
+
+
+class TestDigammaInt:
+    """The integer digamma behind the kNN estimate is scipy's, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(ns):
+        got = np.array([digamma_int(int(n)) for n in ns])
+        want = digamma(np.asarray(ns, dtype=float))
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, [(int(ns[i]), got[i], want[i]) for i in bad[:5]]
+
+    def test_harmonic_branch(self):
+        self.assert_bit_equal(np.arange(1, 11))
+
+    def test_series_branch_to_1e5(self):
+        self.assert_bit_equal(np.arange(11, 10**5 + 1))
+
+    def test_seeded_large_integers(self):
+        ns = np.random.default_rng(20261019).integers(1, 2**40, 20000, endpoint=True)
+        self.assert_bit_equal(ns)
+
+
+class TestEqualWeightIndices:
+    """`equal_weight_states` resamples once per weight vector on a lineage:
+    its indices are memoised, and a push that keeps the weights' bits hands
+    them to the predicted belief."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        real = filters_mod._systematic_indices
+
+        def counting(weights, offset):
+            if offset == 0.5:
+                calls.append(weights.tobytes())
+            return real(weights, offset)
+
+        monkeypatch.setattr(filters_mod, "_systematic_indices", counting)
+        return calls
+
+    @staticmethod
+    def fresh_indices(b):
+        return filters_mod._systematic_indices(b.weights, 0.5)
+
+    def test_run_identical_without_handover(self, monkeypatch):
+        ctx = _particle_ctx(horizon=10, n_particles=1024)
+        cached = run_closed_loop(ctx, master_seed=5, run_index=2)
+        real = ParticleBelief._pushed
+
+        def no_handover(self, A, shift):
+            pushed = real(self, A, shift)
+            pushed.__dict__.pop("_ew_idx", None)
+            return pushed
+
+        monkeypatch.setattr(ParticleBelief, "_pushed", no_handover)
+        ref = run_closed_loop(ctx, master_seed=5, run_index=2)
+        assert cached.steps == ref.steps == ctx.horizon
+        assert run_csv_text(cached, 0) == run_csv_text(ref, 0)
+        for col in ("h_pred", "h_post", "cmi", "di_cum"):
+            assert getattr(cached.ledger, col) == getattr(ref.ledger, col), col
+        assert cached.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
+
+    def test_once_per_weight_vector(self, monkeypatch):
+        """Dyadic weights that sum to exactly 1 keep their bits through
+        renormalisation: pushes share their posterior's resample, and a new
+        weight vector starts one new resample."""
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(21)
+        d = rng.integers(-7, 8, 512)
+        w = rng.permutation(8 + np.concatenate([d, -d])) / 2**13
+        dec = _particle_ctx().decomp
+        chain = []
+        for weights in (w, w[::-1]):
+            b = ParticleBelief(rng.standard_normal((1024, 1)), weights)
+            assert np.array_equal(b.weights, weights)
+            chain.append(b)
+            for _ in range(3):
+                chain[-1].entropy_bits()
+                chain.append(predict(chain[-1], dec, [0.1]))
+            chain[-1].entropy_bits()
+        assert calls == [w.tobytes(), w[::-1].tobytes()]
+        for b in chain:
+            assert np.array_equal(b.equal_weight_states(), b.states[self.fresh_indices(b)])
+
+    def test_moved_bits_recompute(self, monkeypatch):
+        """A push whose renormalisation moves a weight's bits resamples anew."""
+        calls = self.count_calls(monkeypatch)
+        dec = _particle_ctx().decomp
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            b = ParticleBelief(rng.standard_normal((1000, 1)), rng.random(1000))
+            if not np.array_equal(b.weights / b.weights.sum(), b.weights):
+                break
+        else:
+            pytest.fail("no seed whose weights move under renormalisation")
+        b.entropy_bits()
+        pushed = predict(b, dec, [0.0])
+        assert not np.array_equal(pushed.weights, b.weights)
+        pushed.entropy_bits()
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert np.array_equal(pushed.equal_weight_states(), pushed.states[self.fresh_indices(pushed)])
+
+    def test_run_resamples_once_per_handover_lineage(self, monkeypatch):
+        """In a closed-loop run, an entropy evaluation resamples unless its
+        belief was pushed from one with bit-equal weights."""
+        calls = self.count_calls(monkeypatch)
+        kept = []
+        real = ParticleBelief._pushed
+
+        def watched(self, A, shift):
+            pushed = real(self, A, shift)
+            kept.append(np.array_equal(pushed.weights, self.weights))
+            return pushed
+
+        monkeypatch.setattr(ParticleBelief, "_pushed", watched)
+        ctx = _particle_ctx(horizon=10, n_particles=1024)
+        rec = run_closed_loop(ctx, master_seed=5, run_index=2)
+        assert rec.steps == ctx.horizon and len(kept) == ctx.horizon
+        assert 0 < sum(kept)
+        assert len(calls) == 2 * ctx.horizon + 1 - sum(kept)
 
 
 class TestGaussianPriorDraws:

@@ -21,8 +21,10 @@ DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.spatial", "scipy.special
 def test_bundled_runs_load_only_what_they_reach(tmp_path):
     """Phase 1 (import, `build_context` of every bundled experiment, a
     written and read-back Kalman run) loads no scipy and no multiprocessing;
-    phase 2 (a 1-D grid run, whose re-grid calls LAPACK) loads
-    `scipy.linalg` and still none of the other scipy subpackages."""
+    phase 2 (a 1-D particle run, whose kNN entropy sorts instead of building
+    a KD-tree) still loads no scipy; phase 3 (a 1-D grid run, whose re-grid
+    calls LAPACK) loads `scipy.linalg` and still none of the other scipy
+    subpackages."""
     child = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {os.path.dirname(os.path.dirname(sensebound.__file__))!r})
@@ -35,6 +37,14 @@ def test_bundled_runs_load_only_what_they_reach(tmp_path):
             cfg.run["tail_window"] = 2  # fits the 5-step horizon
             return cfg
 
+        def particles():
+            text = bundled_text("entropy-balance").replace(
+                'kind = "grid"\\ncells_per_std = 24', 'kind = "particle"\\nparticles = 300')
+            assert "particles = 300" in text
+            cfg = parse_config(text)
+            cfg.run["tail_window"] = 2
+            return cfg
+
         def loaded():
             print(json.dumps(sorted(sys.modules)))
 
@@ -44,14 +54,18 @@ def test_bundled_runs_load_only_what_they_reach(tmp_path):
         run_experiment(short("kalman-baseline"), out_dir=out, runs=2, horizon=5, write=True)
         recompute_summary_from_csvs(out)
         loaded()
+        bundle = run_experiment(particles(), runs=1, horizon=5, write=False)
+        assert bundle.summary["ensemble"]["alive"] == [1] * 5
+        loaded()
         run_experiment(short("sign-threshold-easy"), runs=2, horizon=5, write=False)
         loaded()
     """)
     out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                          check=True, timeout=120)
-    phase1, phase2 = (set(json.loads(line)) for line in out.stdout.splitlines()[-2:])
+    phase1, phase2, phase3 = (set(json.loads(line)) for line in out.stdout.splitlines()[-3:])
     tops = ("scipy", "multiprocessing", "_multiprocessing")
     assert sorted(m for m in phase1 if m.split(".")[0] in tops) == []
     assert "concurrent.futures.process" not in phase1
-    assert "scipy.linalg" in phase2
-    assert [m for m in DEFERRED if m in phase2] == []
+    assert sorted(m for m in phase2 if m.split(".")[0] == "scipy") == []
+    assert "scipy.linalg" in phase3
+    assert [m for m in DEFERRED if m in phase3] == []
