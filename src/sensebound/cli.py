@@ -19,6 +19,7 @@ from .errors import SenseboundError, ValidationError
 from .experiments import bundled_names, bundled_text
 from .report import (
     Series,
+    read_bundle_config,
     recompute_summary_from_csvs,
     render_svg,
     run_experiment,
@@ -209,7 +210,7 @@ def _stored_stats(path) -> tuple:
     n_halted and n_degenerate as ints and ensemble.alive as an int array.
     A value that is absent, or null where one is required, reads as None.
     Only the DI rate may be null, as `build_summary` writes it when no run
-    completed; it is then left out.
+    completed; it then reads as NaN, which matches only a recomputed None.
 
     A file that is not a JSON object, an `ensemble` that is not an object,
     a statistic that is not a number or a list of numbers and a count that
@@ -238,9 +239,7 @@ def _stored_stats(path) -> tuple:
     for key in ("di_rate_bits_per_step", "mean_err_sq", "mean_state_sq", "mean_cmi_bits"):
         owner = stored if key == "di_rate_bits_per_step" else ensemble
         if owner.get(key) is None:
-            if owner is stored and key in stored:
-                continue  # a null DI rate: no run completed, nothing to check
-            stats[key] = None
+            stats[key] = np.array([np.nan]) if owner is stored and key in stored else None
         else:
             arr = read(owner, key, "iuf", "a number or a list of numbers")
             stats[key] = np.atleast_1d(arr.astype(float))
@@ -260,49 +259,36 @@ def _stored_stats(path) -> tuple:
 
 def _count_mismatches(counts: dict, recomputed: dict) -> list:
     """(key, detail) for each run count of summary.json that the run CSVs
-    contradict.
+    and config.cfg contradict.
 
-    The bundle holds one CSV per run, and `alive[t]` counts the CSVs with
-    more than t rows. A CSV shorter than the horizon is a run that halted
-    or whose likelihood vanished. A run that crossed the divergence guard
-    after its last step halted too, but its CSV is full, so the short CSVs
-    bound n_halted + n_degenerate from below and all CSVs from above.
+    The bundle holds one CSV per run, `alive[t]` counts the CSVs with more
+    than t rows, and the horizon is config.cfg's. A run is completed
+    exactly when its CSV has `horizon` rows, so n_halted + n_degenerate
+    counts the shorter CSVs.
     """
-    n, alive = recomputed["n_runs"], np.asarray(recomputed["alive"])
+    n, h, alive = recomputed["n_runs"], recomputed["horizon"], recomputed["alive"]
     out = []
     if counts["n_runs"] is not None and counts["n_runs"] != n:
         out.append(("n_runs", f"summary.json says {counts['n_runs']}, the bundle has {n} "
                               "run CSVs"))
+    if counts["horizon"] is not None and counts["horizon"] != h:
+        out.append(("horizon", f"summary.json says {counts['horizon']}, config.cfg says {h}"))
     if counts["alive"] is not None and not np.array_equal(counts["alive"], alive):
         out.append(("alive", "summary.json disagrees with the lengths of the run CSVs"))
-    if None not in (counts["horizon"], counts["n_halted"], counts["n_degenerate"]):
-        h = counts["horizon"]
-        reach = [n, *alive.tolist(), 0]  # reach[k]: the CSVs with at least k rows
-        short = n - reach[min(max(h, 0), len(reach) - 1)]
+    if None not in (counts["n_halted"], counts["n_degenerate"]):
+        short = n - (int(alive[h - 1]) if h <= len(alive) else 0)  # alive[h-1]: CSVs of h rows
         failed = counts["n_halted"] + counts["n_degenerate"]
-        if not short <= failed <= n:
+        if failed != short:
             out.append(("n_halted + n_degenerate",
                         f"summary.json says {failed} runs halted or degenerated, but {short} "
                         f"of the {n} run CSVs are shorter than the horizon {h}"))
     return out
 
 
-def _written_formats(bundle_dir) -> list:
-    """The output formats the bundle's config.cfg asked for. A config.cfg
-    that cannot be read or parsed raises SenseboundError naming the file."""
-    path = os.path.join(bundle_dir, "config.cfg")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    except (OSError, ValueError, SenseboundError) as exc:  # ValueError: not UTF-8
-        raise SenseboundError(f"{path}: {exc}") from exc
-    return cfg.outputs.get("formats", OUTPUT_FORMATS)
-
-
 def _cmd_report(args) -> int:
     bundle_dir = args.bundle
-    formats = _written_formats(bundle_dir)
-    recomputed = recompute_summary_from_csvs(bundle_dir)
+    cfg = read_bundle_config(bundle_dir)
+    recomputed = recompute_summary_from_csvs(bundle_dir, cfg)
     summary_path = os.path.join(bundle_dir, "summary.json")
     status = 0
     if os.path.exists(summary_path):
@@ -311,8 +297,8 @@ def _cmd_report(args) -> int:
                       for key, a in {**stats, **counts}.items() if a is None]
         for key, a in stats.items():
             b = np.atleast_1d(np.asarray(recomputed[key], dtype=float))
-            if a is not None and (a.shape != b.shape
-                                  or not np.allclose(a, b, rtol=1e-9, atol=1e-12)):
+            if a is not None and (a.shape != b.shape or not np.allclose(
+                    a, b, rtol=1e-9, atol=1e-12, equal_nan=True)):
                 mismatches.append((key, "summary.json disagrees with CSVs"))
         mismatches += _count_mismatches(counts, recomputed)
         for key, detail in mismatches:
@@ -320,7 +306,7 @@ def _cmd_report(args) -> int:
             status = 1
         if status == 0:
             print("summary.json matches statistics recomputed from CSVs")
-    elif "json" in formats:
+    elif "json" in cfg.outputs.get("formats", OUTPUT_FORMATS):
         print("MISMATCH: summary.json missing", file=sys.stderr)
         status = 1
     path = os.path.join(bundle_dir, "recomputed.json")

@@ -294,28 +294,26 @@ def exact_step_means(traces) -> list:
     return means
 
 
-def ensemble_mean_ledger(ledgers: list, horizon: Optional[int] = None) -> InfoLedger:
-    """Average per-step ledger traces across runs of equal length.
+def ensemble_mean_ledger(ledgers: list) -> InfoLedger:
+    """Average the per-step ledger traces of runs of equal length, the
+    completed runs of an ensemble.
 
-    fsum keeps the reduction exact, hence independent of run order. Only
-    runs that reached the target horizon participate.
+    fsum keeps the reduction exact, hence independent of run order, and a
+    column shared by several runs is read once (`exact_step_means`).
     """
-    full = [lg for lg in ledgers if horizon is None or len(lg) >= horizon]
-    if not full:
-        raise ValueError("no run reached the requested horizon")
-    T = min(len(lg) for lg in full)
-    n = len(full)
+    if not ledgers:
+        raise ValueError("no ledger to average")
+    n = len(ledgers)
     mean = InfoLedger(
-        r_exp=full[0].r_exp,
-        h0=math.fsum(lg.h0 for lg in full) / n,
-        expansion=full[0].expansion,
+        r_exp=ledgers[0].r_exp,
+        h0=math.fsum(lg.h0 for lg in ledgers) / n,
+        expansion=ledgers[0].expansion,
     )
-    # a column of T steps is passed as itself, so shared columns stay shared
-    h_pred = exact_step_means([lg.h_pred if len(lg) == T else lg.h_pred[:T] for lg in full])
-    h_post = exact_step_means([lg.h_post if len(lg) == T else lg.h_post[:T] for lg in full])
+    h_pred = exact_step_means([lg.h_pred for lg in ledgers])
+    h_post = exact_step_means([lg.h_post for lg in ledgers])
     for hp, hq in zip(h_pred, h_post):
         mean._append(hp, hq)
-    terms = [lg.terminal_h_pred for lg in full if lg.terminal_h_pred is not None]
-    if len(terms) == len(full):
+    terms = [lg.terminal_h_pred for lg in ledgers if lg.terminal_h_pred is not None]
+    if len(terms) == n:
         mean.terminal_h_pred = math.fsum(terms) / n
     return mean

@@ -95,7 +95,10 @@ class RunContext:
 
 @dataclass
 class RunRecord:
-    """Per-step history of one closed-loop run plus its ledger and flags."""
+    """Per-step history of one closed-loop run, its ledger and its outcome:
+    "completed" when it records all `horizon` steps, else "halted" (its state
+    crossed the divergence guard, which is checked only between two recorded
+    steps) or "degenerate" (its likelihood vanished at the step after)."""
 
     master_seed: int
     run_index: int
@@ -107,18 +110,13 @@ class RunRecord:
     cond: np.ndarray
     ledger: InfoLedger
     cmi_channel_trace: Optional[np.ndarray] = None
-    halted: bool = False  # crossed the divergence guard after its last step
-    degenerate: bool = False  # its likelihood vanished at the step after its last
+    outcome: str = "completed"  # "completed" | "halted" | "degenerate"
     audits: Optional[CurvatureAudit] = None
     beliefs_json: Optional[list] = None
 
     @property
     def steps(self) -> int:
         return len(self.err_norm_sq)
-
-    @property
-    def completed(self) -> bool:
-        return not self.halted and not self.degenerate
 
 
 def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -> RunRecord:
@@ -143,7 +141,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
     K = ctx.gain.K if ctx.gain is not None else None
     zs, us, ys, sn, en, cond = ([] for _ in range(6))
     cmi_channel = []
-    halted = degenerate = False
+    outcome = "completed"
     beliefs_json = [] if ctx.collect_beliefs else None
     x = decomp.from_modes(np.concatenate([z_u, z_s]))
     x_sq = float(x @ x)
@@ -159,7 +157,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         try:
             step = filters.update(belief, ch_t, y_t, rng=rng)
         except DegenerateLikelihood:
-            degenerate = True
+            outcome = "degenerate"
             break
         ledger.record(step)
 
@@ -185,8 +183,8 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
 
         x = decomp.from_modes(np.concatenate([z_u, z_s]))
         x_sq = float(x @ x)
-        if x_sq > ctx.divergence_guard:
-            halted = True
+        if x_sq > ctx.divergence_guard and t + 1 < ctx.horizon:
+            outcome = "halted"
             break
 
     record = RunRecord(
@@ -204,8 +202,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
             if cmi_channel and cmi_channel[0] is not None
             else None
         ),
-        halted=halted,
-        degenerate=degenerate,
+        outcome=outcome,
         beliefs_json=beliefs_json,
     )
     if ctx.collect_audits:
@@ -257,8 +254,8 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     the one the scalar loop makes for that run. Each run's variates come
     from its own stream in the scalar loop's order, drawn up front: prior,
     stable modes, then each step's unit normals for `ChannelModel.observe`.
-    Runs that cross the divergence guard and runs whose likelihood
-    vanishes leave the arrays. A ledger step whose entropies are one value
+    Halted and degenerate runs leave the arrays at the step where the
+    scalar loop ends them. A ledger step whose entropies are one value
     for the whole block is recorded once, and the runs that end together
     share one ledger (`InfoLedger.columns`).
     """
@@ -286,7 +283,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     sn_h, en_h, cond_h, cmi_h = (np.empty((N, T)) for _ in range(4))
     beliefs = [[] for _ in runs] if ctx.collect_beliefs else None
     steps = np.full(N, T)
-    halted, degenerate = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
+    outcome = np.full(N, "completed", dtype=object)
     terminal = np.empty(N)
     has_cmi = False
     alive = np.arange(N)
@@ -310,7 +307,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
         cond, cmi = step.cond_number, step.cmi_channel
         bad = post.degenerate
         if bad is not None and bad.any():
-            steps[alive[bad]], degenerate[alive[bad]] = t, True
+            steps[alive[bad]], outcome[alive[bad]] = t, "degenerate"
             keep = ~bad
             alive, Z, Zs, U, Y, x_sq = alive[keep], Z[keep], Zs[keep], U[keep], Y[keep], x_sq[keep]
             post, h_pred, h_post, cond = post.take(keep), h_pred[keep], h_post[keep], cond[keep]
@@ -341,8 +338,8 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
 
         x_sq = state_sq(Z, Zs)
         out = x_sq > ctx.divergence_guard
-        if out.any():
-            steps[alive[out]], halted[alive[out]] = t + 1, True
+        if out.any() and t + 1 < T:
+            steps[alive[out]], outcome[alive[out]] = t + 1, "halted"
             keep = ~out
             alive, Z, Zs, x_sq, belief = alive[keep], Z[keep], Zs[keep], x_sq[keep], belief.take(keep)
 
@@ -361,8 +358,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
             cond=cond_h[r, :s],
             ledger=ledgers[r],
             cmi_channel_trace=cmi_h[r, :s] if has_cmi and s else None,
-            halted=bool(halted[r]),
-            degenerate=bool(degenerate[r]),
+            outcome=outcome[r],
             beliefs_json=beliefs[r] if beliefs is not None else None,
         )
         if ctx.collect_audits:
@@ -446,9 +442,9 @@ def run_ensemble(
     grid ensemble as one block per worker, on contiguous run ranges.
     Particle and 2-D grid runs are one `run_closed_loop` each, spread over
     `workers` processes. Statistics at each t average over the runs still
-    alive at t; exact summation makes the reduction independent of
-    completion order, so the same master seed gives identical results at
-    any worker count.
+    alive at t, the mean ledger and DI rate over the completed runs (each
+    run's `outcome`). Exact summation makes the reduction order-free, so
+    the same master seed gives identical results at any worker count.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
@@ -477,14 +473,13 @@ def run_ensemble(
         mean_cmi_ch = exact_step_means(channel)
         mean_cmi_ch += [float("nan")] * (len(alive) - len(mean_cmi_ch))
 
-    completed = [r.ledger for r in records if r.steps >= horizon]
-    mean_ledger = ensemble_mean_ledger(completed, horizon) if completed else None
+    completed = [r.ledger for r in records if r.outcome == "completed"]
+    mean_ledger = ensemble_mean_ledger(completed) if completed else None
     di_rate = mean_ledger.di_rate() if mean_ledger is not None else None
 
-    n_halted = sum(1 for r in records if r.halted)
+    halted = [r.steps for r in records if r.outcome == "halted"]
     frac_halted_by = {
-        tcut: sum(1 for r in records if r.halted and r.steps <= tcut) / n_runs
-        for tcut in (horizon // 2, horizon)
+        tcut: sum(s <= tcut for s in halted) / n_runs for tcut in (horizon // 2, horizon)
     }
     return EnsembleStats(
         n_runs=n_runs,
@@ -495,8 +490,8 @@ def run_ensemble(
         mean_cmi=np.array(mean_cmi),
         mean_cmi_channel=np.array(mean_cmi_ch) if mean_cmi_ch is not None else None,
         alive=alive,
-        n_halted=n_halted,
-        n_degenerate=sum(1 for r in records if r.degenerate),
+        n_halted=len(halted),
+        n_degenerate=sum(r.outcome == "degenerate" for r in records),
         fraction_halted_by=frac_halted_by,
         mean_ledger=mean_ledger,
         di_rate=di_rate,

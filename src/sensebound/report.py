@@ -30,7 +30,7 @@ from .infoflow import (
     necessity_audit,
     rate_balance_check,
 )
-from .loop import EnsembleStats, classify_outcome, run_ensemble
+from .loop import DEFAULT_HORIZON, EnsembleStats, classify_outcome, run_ensemble
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = (
@@ -497,20 +497,34 @@ def run_sweep(
     return {"rows": rows, "violation": violation}
 
 
-def recompute_summary_from_csvs(bundle_dir: str) -> dict:
-    """Re-derive ensemble statistics straight from the run CSVs; `alive`
-    counts at each step the CSVs that reach it, as `run_ensemble` does."""
+def read_bundle_config(bundle_dir) -> ExperimentConfig:
+    """A bundle's parsed config.cfg; one that cannot be read or parsed
+    raises SenseboundError naming the file."""
+    path = os.path.join(bundle_dir, "config.cfg")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except (OSError, ValueError, SenseboundError) as exc:  # ValueError: not UTF-8
+        raise SenseboundError(f"{path}: {exc}") from exc
+
+
+def recompute_summary_from_csvs(bundle_dir: str, cfg: Optional[ExperimentConfig] = None) -> dict:
+    """Re-derive ensemble statistics straight from the run CSVs. The horizon
+    is the bundle's config's (`cfg`, else config.cfg's); the DI rate averages
+    the CSVs of `horizon` rows, the completed runs, and is None without one.
+    `alive` counts at each step the CSVs that reach it, as `run_ensemble` does."""
+    cfg = read_bundle_config(bundle_dir) if cfg is None else cfg
+    horizon = int(cfg.run.get("horizon", DEFAULT_HORIZON))
     runs_dir = os.path.join(bundle_dir, "runs")
     names = sorted(os.listdir(runs_dir)) if os.path.isdir(runs_dir) else []
     if not names:
         raise SenseboundError(f"no run CSVs under {bundle_dir!r}")
     datas = [read_run_csv(os.path.join(runs_dir, n)) for n in names]
     steps = np.array([len(d["t"]) for d in datas])
-    horizon = int(steps.max())
     full = [d for d in datas if len(d["t"]) == horizon]
     di_rate = (
         math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
-        if horizon
+        if full
         else None
     )
     return {
@@ -519,6 +533,6 @@ def recompute_summary_from_csvs(bundle_dir: str) -> dict:
         "mean_err_sq": exact_step_means([d["err_norm_sq"] for d in datas]),
         "mean_state_sq": exact_step_means([d["state_norm_sq"] for d in datas]),
         "mean_cmi_bits": exact_step_means([d["cmi_bits"] for d in datas]),
-        "alive": (np.arange(horizon)[:, None] < steps).sum(axis=1),
+        "alive": (np.arange(steps.max())[:, None] < steps).sum(axis=1),
         "di_rate_bits_per_step": di_rate,
     }

@@ -363,11 +363,13 @@ class TestCli:
         assert "matches" not in out
         assert "Traceback" not in err
 
-    def test_report_accepts_a_null_di_rate_only(self, tmp_path, capsys):
+    def test_report_detects_a_nulled_statistic(self, tmp_path, capsys):
+        """A null DI rate stands only for a bundle where no run completed."""
         null_di = self._edit_json(lambda s: s.update(di_rate_bits_per_step=None))
         code, out, err, _ = self._report_after(tmp_path, capsys, null_di)
-        assert (code, err) == (0, "")
-        assert "matches" in out
+        assert code == 1
+        assert "MISMATCH in di_rate_bits_per_step" in err
+        assert "matches" not in out and "Traceback" not in err
         null_cmi = self._edit_json(lambda s: s["ensemble"].update(mean_cmi_bits=None))
         code, out, err, _ = self._report_after(tmp_path / "cmi", capsys, null_cmi)
         assert code == 1
@@ -448,10 +450,10 @@ class TestCli:
         assert "matches" in out
 
     def test_report_accepts_runs_halted_after_their_last_step(self, tmp_path, capsys):
-        """A run that crosses the guard after its final step is halted but
-        leaves a full CSV, so it is not a mismatch."""
+        """A run that crosses the guard after its final step has recorded
+        every step, so it completed: the halted runs are the short CSVs."""
         code, out, err, s = self._open_loop_report(tmp_path, capsys, runs=40, horizon=20)
-        assert s["n_halted"] > s["n_runs"] - s["ensemble"]["alive"][-1] > 0
+        assert s["n_halted"] == s["n_runs"] - s["ensemble"]["alive"][-1] > 0
         assert (code, err) == (0, "")
 
     def test_report_detects_a_tampered_run_count(self, tmp_path, capsys):
@@ -467,6 +469,13 @@ class TestCli:
         code, out, err, _ = self._open_loop_report(tmp_path, capsys, self._edit_json(tamper))
         assert code == 1
         assert "MISMATCH in alive" in err
+        assert "matches" not in out and "Traceback" not in err
+
+    def test_report_detects_a_tampered_horizon(self, tmp_path, capsys):
+        code, out, err, _ = self._open_loop_report(
+            tmp_path, capsys, self._edit_json(lambda s: s.update(horizon=s["horizon"] + 1)))
+        assert code == 1
+        assert "MISMATCH in horizon" in err
         assert "matches" not in out and "Traceback" not in err
 
     def test_report_detects_a_tampered_halt_count(self, tmp_path, capsys):

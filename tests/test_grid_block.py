@@ -136,20 +136,21 @@ class TestBlockAgainstScalarLoop:
     def test_cases_cover_what_they_claim(self, case):
         label, ctx, _, _, refs = case
         if label == "sign-threshold-hard":
-            assert all(r.halted for r in refs)
+            assert all(r.outcome == "halted" for r in refs)
         if label == "modulo-audited":
             assert all(r.audits is not None for r in refs)
         if label == "degenerate-mix":
-            late = [r.steps for r in refs if r.degenerate and r.steps > 0]
-            assert late and any(r.completed for r in refs)
+            late = [r.steps for r in refs if r.outcome == "degenerate" and r.steps > 0]
+            assert late and any(r.outcome == "completed" for r in refs)
         if label == "debug-beliefs":
             assert all(len(r.beliefs_json) == r.steps for r in refs)
         if label == "stable-mode":
             assert ctx.decomp.n == 2 and ctx.decomp.n_u == 1 and ctx.model.m == 2
-            assert all(r.completed for r in refs)
+            assert all(r.outcome == "completed" for r in refs)
         if label == "three-nodes":
             assert ctx.grid_spec.nodes_per_axis() == 3
-            assert any(r.degenerate for r in refs) and any(r.halted for r in refs)
+            assert any(r.outcome == "degenerate" for r in refs)
+            assert any(r.outcome == "halted" for r in refs)
 
 
 def harvest_regrids(monkeypatch):

@@ -185,7 +185,7 @@ class TestEnsembleLedger:
             lg.record(_FakeStep(0, 2.0, 1.0))
             lg.terminal_h_pred = 2.0
             ledgers.append(lg)
-        mean = ensemble_mean_ledger(ledgers, horizon=1)
+        mean = ensemble_mean_ledger(ledgers)
         assert mean.di_cum[-1] == pytest.approx(1.0)
         assert mean.terminal_h_pred == pytest.approx(2.0)
 

@@ -17,7 +17,7 @@ from sensebound.channels import make_channel, pulled_back_hessian
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
 from sensebound.filters import Belief, GaussianBelief, make_initial_belief
-from sensebound.infoflow import InfoLedger
+from sensebound.infoflow import InfoLedger, ensemble_mean_ledger
 from sensebound.loop import (
     RunContext,
     run_block,
@@ -102,7 +102,7 @@ def record_bytes(records):
     return [
         ([getattr(r, f).tobytes() for f in ARRAY_FIELDS],
          [getattr(r.ledger, col) for col in LEDGER_COLUMNS],
-         r.ledger.terminal_h_pred, r.steps, r.halted, r.degenerate)
+         r.ledger.terminal_h_pred, r.steps, r.outcome)
         for r in records
     ]
 
@@ -121,13 +121,33 @@ class TestBundledKalmanExperiments:
         loop halts them; the others run on untouched."""
         ctx = bundled_ctx("shrinking-noise", divergence_guard=30.0)
         block = run_block(ctx, 77, range(3, 11))
-        halted = [r.halted for r in block]
+        halted = [r.outcome == "halted" for r in block]
         assert any(halted) and not all(halted)
         for rec in block:
             ref = run_closed_loop(ctx, 77, rec.run_index)
-            assert (rec.halted, rec.steps) == (ref.halted, ref.steps)
+            assert (rec.outcome, rec.steps) == (ref.outcome, ref.steps)
             assert rec.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
             assert_records_equal(rec, ref)
+
+    def test_guard_crossed_after_the_last_step(self):
+        """A run whose state crosses the guard only after its final step has
+        recorded every step: it completed, in the scalar loop and at any
+        block size, and its ledger enters the DI rate."""
+        ctx = bundled_ctx("kalman-baseline", controller_mode="none", horizon=20)
+        seed, n = 20250802, 40
+        longer = run_block(replace(ctx, horizon=21), seed, range(n))
+        late = [r.run_index for r in longer if r.outcome == "halted" and r.steps == 20]
+        assert late
+        whole = run_block(ctx, seed, range(n))
+        for i in late:
+            single = run_block(ctx, seed, range(i, i + 1))[0]
+            for rec in (whole[i], single, run_closed_loop(ctx, seed, i)):
+                assert (rec.outcome, rec.steps) == ("completed", 20)
+        ens = run_ensemble(ctx, n, master_seed=seed)
+        assert ens.n_halted == sum(r.steps < 20 for r in ens.runs) > 0
+        completed = [r for r in ens.runs if r.outcome == "completed"]
+        assert set(late) <= {r.run_index for r in completed}
+        assert ens.di_rate == ensemble_mean_ledger([r.ledger for r in completed]).di_rate()
 
     def test_debug_beliefs(self, tmp_path):
         """The bundle's belief snapshots, written from the batched records,

@@ -81,7 +81,7 @@ class TestClosedLoop:
 
     def test_open_loop_divergence_flag(self):
         rec = run_closed_loop(kalman_ctx(mode="none"), 7, 0)
-        assert rec.halted and rec.steps > 0
+        assert rec.outcome == "halted" and rec.steps > 0
         # autonomous growth doubles the state every step
         assert rec.steps < 45
 

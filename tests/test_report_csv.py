@@ -3,6 +3,7 @@ and the read-back against the DictReader parse it replaced."""
 
 import csv
 import io
+import json
 import math
 import os
 import pickle
@@ -13,7 +14,7 @@ import pytest
 
 from sensebound.channels import make_channel
 from sensebound.cli import main
-from sensebound.config import build_context
+from sensebound.config import build_context, parse_config
 from sensebound.errors import SenseboundError
 from sensebound.experiments import load_bundled
 from sensebound.infoflow import InfoLedger
@@ -52,18 +53,22 @@ def reference_read(path) -> dict:
 
 
 def reference_recompute(bundle_dir) -> dict:
-    """Per-step scans over the runs alive at each t."""
+    """Per-step scans over the runs alive at each t; the DI rate averages
+    the runs that record the horizon of the bundle's config.cfg."""
     runs_dir = os.path.join(bundle_dir, "runs")
     datas = [reference_read(os.path.join(runs_dir, n)) for n in sorted(os.listdir(runs_dir))]
-    horizon = max(len(d["t"]) for d in datas)
+    with open(os.path.join(bundle_dir, "config.cfg"), encoding="utf-8") as fh:
+        horizon = parse_config(fh.read()).run["horizon"]
     out = {"mean_err_sq": [], "mean_state_sq": [], "mean_cmi_bits": []}
-    for t in range(horizon):
+    for t in range(max(len(d["t"]) for d in datas)):
         at_t = [d for d in datas if len(d["t"]) > t]
         for key, col in (("mean_err_sq", "err_norm_sq"), ("mean_state_sq", "state_norm_sq"),
                          ("mean_cmi_bits", "cmi_bits")):
             out[key].append(math.fsum(d[col][t] for d in at_t) / len(at_t))
     full = [d for d in datas if len(d["t"]) == horizon]
-    out["di_rate_bits_per_step"] = math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
+    out["di_rate_bits_per_step"] = (
+        math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon if full else None
+    )
     return out
 
 
@@ -110,8 +115,8 @@ class TestWriter:
         block = run_block(ctx, 77, range(3, 11))
         assert any(0 < r.steps < ctx.horizon for r in block)
         self.assert_reference(block)
-        ref = run_closed_loop(ctx, 77, next(r.run_index for r in block if r.halted))
-        assert ref.halted
+        ref = run_closed_loop(ctx, 77, next(r.run_index for r in block if r.outcome == "halted"))
+        assert ref.outcome == "halted"
         self.assert_reference([ref])
         # the runs that end together share one ledger, the others do not
         for a in block:
@@ -168,6 +173,21 @@ class TestReadBack:
             assert bits(got[key]) == bits(value), key
         assert len(got["mean_err_sq"]) == 60
 
+    def test_bundle_where_every_run_halts(self, tmp_path, capsys):
+        """No CSV reaches the horizon, so the read-back keeps the config's
+        horizon and, as summary.json does, gives no DI rate."""
+        out = tmp_path / "hard"
+        assert main(["run", "--experiment", "sign-threshold-hard", "--runs", "6",
+                     "--workers", "1", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_halted"] == 6 and summary["di_rate_bits_per_step"] is None
+        assert len(summary["ensemble"]["alive"]) < 60
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(out)]) == 0
+        assert "matches" in capsys.readouterr().out
+        recomputed = json.loads((out / "recomputed.json").read_text())
+        assert (recomputed["horizon"], recomputed["di_rate_bits_per_step"]) == (60, None)
+
     @pytest.mark.parametrize("edit", ["missing", "non-numeric", "missing-and-extra"])
     def test_malformed_row_names_the_file(self, bundle, edit, capsys):
         path = bundle / "runs" / "run_00002.csv"
@@ -207,10 +227,12 @@ class TestReadBack:
         assert all(data[c].shape == (0,) for c in CSV_COLUMNS)
 
     def test_bundle_of_empty_runs_has_no_rate(self, tmp_path):
-        """Runs that went degenerate at t = 0 leave header-only CSVs."""
+        """Runs that went degenerate at t = 0 leave header-only CSVs; the
+        horizon is still the config's."""
         (tmp_path / "runs").mkdir()
+        (tmp_path / "config.cfg").write_text("[system]\nA = [[2.0]]\n[run]\nhorizon = 8\n")
         for i in range(2):
             (tmp_path / "runs" / f"run_{i:05d}.csv").write_text(",".join(CSV_COLUMNS) + "\n")
         got = recompute_summary_from_csvs(str(tmp_path))
-        assert (got["n_runs"], got["horizon"], got["di_rate_bits_per_step"]) == (2, 0, None)
+        assert (got["n_runs"], got["horizon"], got["di_rate_bits_per_step"]) == (2, 8, None)
         assert got["mean_err_sq"] == got["mean_cmi_bits"] == []
