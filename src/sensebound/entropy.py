@@ -57,9 +57,10 @@ def grid_entropy_nats(density, cell_volume):
     return -plogp_row_sums(d) * cell_volume
 
 
-def _kth_gap_1d(x: np.ndarray, k: int) -> np.ndarray:
+def _kth_gap_1d(x: np.ndarray, k: int, order=None) -> np.ndarray:
     """Distance from each point of a 1-D sample to its k-th nearest other
-    point, in sample order.
+    point, in sample order; `order` is a permutation that sorts x, found
+    by `argsort` when not given.
 
     In the sorted sample the k nearest neighbours of a point are its j
     nearest on the left and k - j nearest on the right for some j, so the
@@ -71,7 +72,8 @@ def _kth_gap_1d(x: np.ndarray, k: int) -> np.ndarray:
     order.
     """
     n = x.size
-    order = np.argsort(x)
+    if order is None:
+        order = np.argsort(x)
     s = x[order]
     padded = np.concatenate([np.full(k, -np.inf), s, np.full(k, np.inf)])
 
@@ -130,7 +132,7 @@ def _unit_jitter(shape: tuple) -> np.ndarray:
     return z
 
 
-def knn_entropy_nats(samples, k: int = 4) -> float:
+def knn_entropy_nats(samples, k: int = 4, order=None, return_order: bool = False):
     """Kozachenko-Leonenko k-NN entropy estimate for equal-weight samples.
 
     Uses the Chebyshev norm, for which the unit-ball volume term is
@@ -144,6 +146,16 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
     values and the distances are averaged in sample order, so the estimate
     is bit-identical to the tree query; samples with d >= 2 use the tree,
     the only use of scipy here.
+
+    `order` is a hint for a 1-D sample: a permutation of range(n) that
+    may sort the jittered sample, such as the order of an earlier sample
+    that an increasing map carried here. It is used only if the jittered
+    values it gathers are non-decreasing, an exact check that fails at any
+    NaN; otherwise the sample is sorted by `argsort`. Every permutation
+    that sorts the sample gives the same gaps bit for bit, so the estimate
+    does not depend on the hint. With `return_order` the result is
+    (estimate, the permutation the sample was sorted by), the permutation
+    None for d >= 2, which ignores the hint.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got k={k!r}")
@@ -158,10 +170,24 @@ def knn_entropy_nats(samples, k: int = 4) -> float:
     scale = np.maximum(np.std(x, axis=0), 1e-4 * (1.0 + np.abs(x).max(axis=0)))
     xj = x + 1e-10 * scale * _unit_jitter(x.shape)
     if d == 1:
-        eps = _kth_gap_1d(xj[:, 0], k)
+        v = xj[:, 0]
+        if order is None or not _sorts(order, v):
+            order = np.argsort(v)
+        eps = _kth_gap_1d(v, k, order)
     else:
         from scipy.spatial import cKDTree
 
         dist, _ = cKDTree(xj).query(xj, k=k + 1, p=np.inf)
         eps = dist[:, k]
-    return float(digamma_int(n) - digamma_int(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))
+        order = None
+    h = float(digamma_int(n) - digamma_int(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))
+    return (h, order) if return_order else h
+
+
+def _sorts(order, x: np.ndarray) -> bool:
+    """Whether the permutation `order` of x's indices sorts x: x[order] is
+    non-decreasing, which is False wherever a NaN is compared."""
+    if len(order) != x.size:
+        return False
+    s = x[order]
+    return bool(np.all(s[1:] >= s[:-1]))

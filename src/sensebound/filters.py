@@ -21,6 +21,7 @@ rate up to representation error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -610,6 +611,7 @@ class ParticleBelief(Belief):
         w = self.weights
         if w is None:
             w = np.full(x.shape[0], 1.0 / x.shape[0])
+            object.__setattr__(self, "_ew_idx", _equal_weight_indices(x.shape[0]))
         else:
             w = np.asarray(w, dtype=float)
             total = w.sum()
@@ -637,7 +639,9 @@ class ParticleBelief(Belief):
 
         Its indices depend on the weights alone, so they are memoised on the
         instance, and `_pushed` hands them on while the weights keep their
-        bits: a posterior and the prediction from it share one resample.
+        bits: a posterior and the prediction from it share one resample. A
+        belief built with equal weights (`weights=None`) takes them from
+        the cache of its particle count.
         """
         idx = self.__dict__.get("_ew_idx")
         if idx is None:
@@ -647,7 +651,13 @@ class ParticleBelief(Belief):
         return self.states[idx]
 
     def _entropy_bits(self) -> float:
-        return nats_to_bits(knn_entropy_nats(self.equal_weight_states(), k=4))
+        """The kNN estimate on the equal-weight states. The permutation it
+        sorts them by is memoised, and `_pushed` hands it on with the
+        resample indices as the hint for the predicted belief's estimate."""
+        h, order = knn_entropy_nats(self.equal_weight_states(), k=4,
+                                    order=self.__dict__.get("_knn_order"), return_order=True)
+        object.__setattr__(self, "_knn_order", order)
+        return nats_to_bits(h)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.states
@@ -674,6 +684,7 @@ class ParticleBelief(Belief):
         # renormalising can move a weight's bits, and with them the indices
         if idx is not None and np.array_equal(pushed.weights, self.weights):
             object.__setattr__(pushed, "_ew_idx", idx)
+            object.__setattr__(pushed, "_knn_order", self.__dict__.get("_knn_order"))
         return pushed
 
     def _conditioned(self, ch, y, rng):
@@ -704,6 +715,15 @@ class ParticleBelief(Belief):
 
     def _weighted_points(self):
         return self.states, self.weights
+
+
+@lru_cache(maxsize=4)
+def _equal_weight_indices(n: int) -> np.ndarray:
+    """The offset-0.5 systematic indices of n equal weights, computed once
+    per particle count and shared read-only."""
+    idx = _systematic_indices(np.full(n, 1.0 / n), offset=0.5)
+    idx.setflags(write=False)
+    return idx
 
 
 def _systematic_indices(weights: np.ndarray, offset: float) -> np.ndarray:

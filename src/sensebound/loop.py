@@ -181,9 +181,11 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         belief = filters.predict(step.belief_post, trk, u_t)
         ledger.terminal_h_pred = belief.entropy_bits()
 
+        if t + 1 == ctx.horizon:  # the guard reads x only between two steps
+            break
         x = decomp.from_modes(np.concatenate([z_u, z_s]))
         x_sq = float(x @ x)
-        if x_sq > ctx.divergence_guard and t + 1 < ctx.horizon:
+        if x_sq > ctx.divergence_guard:
             outcome = "halted"
             break
 
@@ -336,9 +338,11 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
         belief = filters.predict(post, trk, U)
         terminal[alive] = belief.entropy_bits()
 
+        if t + 1 == T:  # the guard reads x only between two steps
+            break
         x_sq = state_sq(Z, Zs)
         out = x_sq > ctx.divergence_guard
-        if out.any() and t + 1 < T:
+        if out.any():
             steps[alive[out]], outcome[alive[out]] = t + 1, "halted"
             keep = ~out
             alive, Z, Zs, x_sq, belief = alive[keep], Z[keep], Zs[keep], x_sq[keep], belief.take(keep)

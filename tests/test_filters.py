@@ -348,7 +348,7 @@ class TestGridSpecOnTheBelief:
         assert b.tiled(2).spec == GridSpec()
 
 
-def _tree_kth_gap(x, k):
+def _tree_kth_gap(x, k, order=None):
     """KD-tree reference for the sorted-gap k-th neighbour distance."""
     pts = np.asarray(x, dtype=float)[:, None]
     return cKDTree(pts).query(pts, k=k + 1, p=np.inf)[0][:, k]
@@ -368,6 +368,15 @@ def _particle_ctx(horizon=8, n_particles=2048):
         horizon=horizon,
         n_particles=n_particles,
     )
+
+
+def _assert_same_run(rec, ref, horizon):
+    """Two complete runs with the same CSV and the same ledger, bit for bit."""
+    assert rec.steps == ref.steps == horizon
+    assert run_csv_text(rec, 0) == run_csv_text(ref, 0)
+    for col in ("h_pred", "h_post", "cmi", "di_cum"):
+        assert getattr(rec.ledger, col) == getattr(ref.ledger, col), col
+    assert rec.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
 
 
 class TestKnnFastPath:
@@ -390,7 +399,7 @@ class TestKnnFastPath:
         assert knn_entropy_nats(sample) == fast
 
     def test_2d_sample_takes_tree_path(self, monkeypatch):
-        def not_for_2d(x, k):
+        def not_for_2d(x, k, order=None):
             raise AssertionError("the sorted-gap path is 1-D only")
 
         monkeypatch.setattr(entropy_mod, "_kth_gap_1d", not_for_2d)
@@ -404,18 +413,14 @@ class TestKnnFastPath:
         fast = run_closed_loop(ctx, master_seed=3, run_index=1)
         monkeypatch.setattr(entropy_mod, "_kth_gap_1d", _tree_kth_gap)
         ref = run_closed_loop(ctx, master_seed=3, run_index=1)
-        assert fast.steps == ref.steps == ctx.horizon
-        assert run_csv_text(fast, 0) == run_csv_text(ref, 0)
-        for col in ("h_pred", "h_post", "cmi", "di_cum"):
-            assert getattr(fast.ledger, col) == getattr(ref.ledger, col), col
-        assert fast.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
+        _assert_same_run(fast, ref, ctx.horizon)
 
     def test_entropy_evaluated_once_per_belief(self, monkeypatch):
         calls = []
 
-        def counting(samples, k=4):
+        def counting(samples, k=4, **hint):
             calls.append(len(samples))
-            return knn_entropy_nats(samples, k=k)
+            return knn_entropy_nats(samples, k=k, **hint)
 
         monkeypatch.setattr(filters_mod, "knn_entropy_nats", counting)
         ctx = _particle_ctx(horizon=6, n_particles=512)
@@ -454,6 +459,151 @@ class TestKnnFastPath:
         with pytest.raises(ValueError, match="k=5"):
             knn_entropy_nats(sample, k=5)
         assert knn_entropy_nats(sample, k=np.int64(4)) == knn_entropy_nats(sample, k=4)
+
+
+def _bits(h):
+    return np.float64(h).tobytes()
+
+
+class TestKnnOrderHint:
+    """A permutation hint is used when it sorts the jittered sample and
+    changes no bit of the estimate; any other hint falls back to argsort."""
+
+    N = 4001
+
+    def sample(self):
+        return np.random.default_rng(12).standard_normal(self.N) * 0.7 - 0.2
+
+    @pytest.mark.parametrize("kind", ["stale", "shuffled", "reversed", "short"])
+    def test_unsorting_hint_falls_back(self, kind):
+        x = self.sample()
+        want, order = knn_entropy_nats(x, return_order=True)
+        rng = np.random.default_rng(13)
+        hint = {
+            "stale": lambda: knn_entropy_nats(rng.standard_normal(self.N), return_order=True)[1],
+            "shuffled": lambda: rng.permutation(self.N),
+            "reversed": lambda: order[::-1],
+            "short": lambda: order[:-1],
+        }[kind]()
+        h, used = knn_entropy_nats(x, order=hint, return_order=True)
+        assert _bits(h) == _bits(want)
+        assert used is not hint and np.array_equal(used, order)
+
+    def test_sorting_hint_is_used(self):
+        x = self.sample()
+        want, order = knn_entropy_nats(x, return_order=True)
+        h, used = knn_entropy_nats(x, order=order, return_order=True)
+        assert _bits(h) == _bits(want) and used is order
+        assert knn_entropy_nats(x, order=order) == want
+
+    def test_pushed_sample_keeps_the_order(self):
+        """An increasing affine map keeps the jittered sample's order here,
+        so the hint is used, with the bits of a fresh sort."""
+        x = self.sample()
+        _, order = knn_entropy_nats(x, return_order=True)
+        y = x * 2.0 + 0.25
+        want = knn_entropy_nats(y)
+        h, used = knn_entropy_nats(y, order=order, return_order=True)
+        assert _bits(h) == _bits(want) and used is order
+
+    def test_ties_in_another_order(self, monkeypatch):
+        """Without the jitter, tied values stay tied; a hint that orders
+        them otherwise than argsort is used and gives argsort's bits."""
+        monkeypatch.setattr(entropy_mod, "_unit_jitter", lambda shape: np.zeros(shape))
+        rng = np.random.default_rng(14)
+        x = np.repeat(rng.standard_normal(self.N // 3), 3)[rng.permutation(self.N // 3 * 3)]
+        want, order = knn_entropy_nats(x, return_order=True)
+        hint = np.lexsort((rng.random(x.size), x))  # by value, ties at random
+        assert not np.array_equal(hint, order)
+        assert np.array_equal(x[hint], x[order])
+        h, used = knn_entropy_nats(x, order=hint, return_order=True)
+        assert _bits(h) == _bits(want) and used is hint
+        assert _kth_gap_1d(x, 4, hint).tobytes() == _kth_gap_1d(x, 4).tobytes()
+
+    def test_nan_sample_falls_back(self):
+        x = self.sample()
+        x[17] = np.nan
+        want, order = knn_entropy_nats(x, return_order=True)
+        assert np.isnan(want)
+        for hint in (order, np.arange(self.N)):
+            h, used = knn_entropy_nats(x, order=hint, return_order=True)
+            assert _bits(h) == _bits(want)
+            assert used is not hint and np.array_equal(used, order)
+
+    def test_2d_sample_ignores_the_hint(self):
+        x = np.random.default_rng(15).standard_normal((500, 2))
+        h, used = knn_entropy_nats(x, order=np.arange(500), return_order=True)
+        assert used is None and _bits(h) == _bits(knn_entropy_nats(x))
+
+    @pytest.mark.parametrize("n_particles", [1024, 2**14])
+    def test_run_identical_without_handover(self, monkeypatch, n_particles):
+        ctx = _particle_ctx(horizon=10, n_particles=n_particles)
+        hinted = run_closed_loop(ctx, master_seed=6, run_index=1)
+        real = ParticleBelief._pushed
+
+        def no_handover(self, A, shift):
+            pushed = real(self, A, shift)
+            pushed.__dict__.pop("_knn_order", None)
+            return pushed
+
+        monkeypatch.setattr(ParticleBelief, "_pushed", no_handover)
+        ref = run_closed_loop(ctx, master_seed=6, run_index=1)
+        _assert_same_run(hinted, ref, ctx.horizon)
+
+    def test_one_sort_per_posterior_cloud(self, monkeypatch):
+        """A run sorts the initial cloud and each posterior; a predicted
+        belief reuses its posterior's order unless the push did not hand it
+        on or the hint no longer sorts (a fallback, rare under a = 2)."""
+        sorts = []
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(1)
+            return real_argsort(*args, **kwargs)
+
+        evals = []  # (hinted, argsorts in the call) per estimate
+        real_knn = filters_mod.knn_entropy_nats
+
+        def counting_knn(samples, k=4, order=None, return_order=False):
+            before = len(sorts)
+            out = real_knn(samples, k=k, order=order, return_order=return_order)
+            evals.append((order is not None, len(sorts) - before))
+            return out
+
+        handed = []
+        real_push = ParticleBelief._pushed
+
+        def watched_push(self, A, shift):
+            pushed = real_push(self, A, shift)
+            handed.append(pushed.__dict__.get("_knn_order") is not None)
+            return pushed
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(filters_mod, "knn_entropy_nats", counting_knn)
+        monkeypatch.setattr(ParticleBelief, "_pushed", watched_push)
+        ctx = _particle_ctx(horizon=12, n_particles=1024)
+        rec = run_closed_loop(ctx, master_seed=7, run_index=3)
+        T = ctx.horizon
+        assert rec.steps == T and len(evals) == 2 * T + 1 and len(handed) == T
+        assert all(n == 1 for hinted, n in evals if not hinted)
+        assert all(n in (0, 1) for hinted, n in evals if hinted)
+        # the hinted estimates are exactly the predictions that got an order
+        assert sum(hinted for hinted, _ in evals) == sum(handed)
+        fallbacks = sum(n for hinted, n in evals if hinted)
+        assert fallbacks <= 1 and sum(handed) >= T - 1
+        assert len(sorts) == 1 + T + (T - sum(handed)) + fallbacks
+
+    def test_one_equal_weight_resample_per_particle_count(self, monkeypatch):
+        filters_mod._equal_weight_indices.cache_clear()
+        calls = TestEqualWeightIndices.count_calls(monkeypatch)
+        for n_particles, run_index in ((1024, 0), (512, 0), (1024, 1), (512, 1)):
+            ctx = _particle_ctx(horizon=8, n_particles=n_particles)
+            assert run_closed_loop(ctx, master_seed=9, run_index=run_index).steps == 8
+        for n in (1024, 512):
+            assert calls.count(np.full(n, 1.0 / n).tobytes()) == 1
+        idx = filters_mod._equal_weight_indices(512)
+        assert not idx.flags.writeable
+        assert np.array_equal(idx, filters_mod._systematic_indices(np.full(512, 1 / 512), 0.5))
 
 
 class TestDigammaInt:
@@ -511,11 +661,7 @@ class TestEqualWeightIndices:
 
         monkeypatch.setattr(ParticleBelief, "_pushed", no_handover)
         ref = run_closed_loop(ctx, master_seed=5, run_index=2)
-        assert cached.steps == ref.steps == ctx.horizon
-        assert run_csv_text(cached, 0) == run_csv_text(ref, 0)
-        for col in ("h_pred", "h_post", "cmi", "di_cum"):
-            assert getattr(cached.ledger, col) == getattr(ref.ledger, col), col
-        assert cached.ledger.terminal_h_pred == ref.ledger.terminal_h_pred
+        _assert_same_run(cached, ref, ctx.horizon)
 
     def test_once_per_weight_vector(self, monkeypatch):
         """Dyadic weights that sum to exactly 1 keep their bits through
@@ -559,22 +705,33 @@ class TestEqualWeightIndices:
 
     def test_run_resamples_once_per_handover_lineage(self, monkeypatch):
         """In a closed-loop run, an entropy evaluation resamples unless its
-        belief was pushed from one with bit-equal weights."""
+        belief was pushed from one with bit-equal weights or was built with
+        equal weights, whose indices are computed once per particle count."""
+        filters_mod._equal_weight_indices.cache_clear()
         calls = self.count_calls(monkeypatch)
-        kept = []
-        real = ParticleBelief._pushed
+        kept, resampled = [], []
+        pushed_from, conditioned = ParticleBelief._pushed, ParticleBelief._conditioned
 
-        def watched(self, A, shift):
-            pushed = real(self, A, shift)
+        def watched_push(self, A, shift):
+            pushed = pushed_from(self, A, shift)
             kept.append(np.array_equal(pushed.weights, self.weights))
             return pushed
 
-        monkeypatch.setattr(ParticleBelief, "_pushed", watched)
+        def watched_update(self, ch, y, rng):
+            post, flag = conditioned(self, ch, y, rng)
+            resampled.append(flag)
+            return post, flag
+
+        monkeypatch.setattr(ParticleBelief, "_pushed", watched_push)
+        monkeypatch.setattr(ParticleBelief, "_conditioned", watched_update)
         ctx = _particle_ctx(horizon=10, n_particles=1024)
         rec = run_closed_loop(ctx, master_seed=5, run_index=2)
-        assert rec.steps == ctx.horizon and len(kept) == ctx.horizon
-        assert 0 < sum(kept)
-        assert len(calls) == 2 * ctx.horizon + 1 - sum(kept)
+        assert rec.steps == ctx.horizon and len(kept) == len(resampled) == ctx.horizon
+        assert 0 < sum(kept) and 0 < sum(resampled) < ctx.horizon
+        # the equal-weight cache of 1024 particles, each weighted posterior,
+        # and each prediction whose renormalised weights moved
+        assert len(calls) == 1 + (ctx.horizon - sum(resampled)) + (ctx.horizon - sum(kept))
+        assert calls.count(np.full(1024, 1 / 1024).tobytes()) == 1
 
 
 class TestGaussianPriorDraws:

@@ -63,8 +63,9 @@ class TestClosedLoop:
         assert tail == pytest.approx(kalman_error_floor(2.0, 1.0), rel=0.05)
 
     def test_modal_state_mapped_once_per_step(self, monkeypatch):
-        """x at the end of step t is x at the start of step t+1: one
-        from_modes call per step plus the initial state."""
+        """x at the end of step t is x at the start of step t+1, and the
+        guard does not read x after the final step: one from_modes call per
+        step, the initial state's and one after each step but the last."""
         ctx = kalman_ctx(horizon=12)
         calls = []
         original = ModeDecomposition.from_modes
@@ -76,7 +77,7 @@ class TestClosedLoop:
         ref = run_closed_loop(ctx, 8, 2)
         monkeypatch.setattr(ModeDecomposition, "from_modes", counting)
         rec = run_closed_loop(ctx, 8, 2)
-        assert len(calls) == ctx.horizon + 1
+        assert len(calls) == ctx.horizon
         assert rec.state_norm_sq.tobytes() == ref.state_norm_sq.tobytes()
 
     def test_open_loop_divergence_flag(self):

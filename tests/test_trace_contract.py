@@ -1,4 +1,4 @@
-"""The benchmark's span tracer must see every layer of a quantizer run.
+"""The benchmark's span tracer must see every layer of a run, on each driver.
 
 perfbench/spans.py wraps layer entry points where their callers look
 them up (for example ``sensebound.filters.update``). A refactor that binds
@@ -11,7 +11,7 @@ import importlib.util
 import os
 
 import sensebound
-from sensebound.experiments import load_bundled
+from sensebound.experiments import bundled_text, load_bundled
 
 SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
 
@@ -78,3 +78,23 @@ def test_written_kalman_bundle_keeps_the_layer_split(tmp_path):
     assert calls["loop.ensemble"] == 1 and self_s["loop.ensemble"] > 0
     assert calls["loop.driver"] == 0
     assert calls["report.write"] == 1
+
+
+def test_tracer_sees_the_particle_driver():
+    """A particle ensemble runs one scalar driver per run: under the tracer
+    a run records the kNN entropy 2T+1 times (the initial cloud, then each
+    step's prediction and posterior), filters.update and filters.predict
+    T times each and loop.driver once."""
+    tracer = load_spans().Tracer()
+    text = bundled_text("entropy-balance").replace(
+        'kind = "grid"\ncells_per_std = 24', 'kind = "particle"\nparticles = 1024')
+    assert "particles = 1024" in text
+    horizon = 30
+    with tracer.instrument(sensebound):
+        sensebound.report.run_experiment(sensebound.config.parse_config(text), write=False,
+                                         runs=1, horizon=horizon, workers=1)
+    _, calls, _, _ = tracer.take()
+    assert calls["entropy.knn"] == 2 * horizon + 1
+    assert calls["filters.update"] == calls["filters.predict"] == horizon
+    assert calls["loop.driver"] == 1
+    assert not hasattr(sensebound.filters.knn_entropy_nats, "__wrapped__")
