@@ -22,7 +22,6 @@ from .audits import (
 from .channels import (
     ChannelModel,
     CubicGaussianChannel,
-    LikelihoodEval,
     LinearGaussianChannel,
     ModuloGaussianChannel,
     SignQuantizerChannel,

@@ -67,17 +67,11 @@ class CurvatureAudit:
         }
 
 
-def audit_assumption1(
-    ch, decomp, z_trace, y_trace, inputs, L: int, channel_at=None
-) -> AssumptionVerdict:
+def audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L: int) -> AssumptionVerdict:
     """Window the pulled-back observation Hessians and find the worst top
     eigenvalue: alpha_hat is the largest margin by which the windowed sums
-    stay negative definite.
-
-    channel_at(k) is the channel of step k, for time-varying noise; by
-    default every step uses ch.
+    stay negative definite. Step k's term is taken with its channel, ch.at(k).
     """
-    at = channel_at or (lambda k: ch)
     if L < 1:
         raise ValueError("window length must be >= 1")
     n_steps = len(y_trace)
@@ -88,7 +82,7 @@ def audit_assumption1(
         S = np.zeros((decomp.n_u, decomp.n_u))
         for k in range(t - L + 1, t + 1):
             S = S + pulled_back_hessian(
-                at(k), decomp, y_trace[k], k, t, z_trace[t], inputs=inputs
+                ch.at(k), decomp, y_trace[k], k, t, z_trace[t], inputs=inputs
             )
         eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
         lam_max = float(eigs[-1])
@@ -259,14 +253,13 @@ def lemma2_accumulate(
     inputs,
     c: float = DEFAULT_NEG_DEF_C,
     keep_hessians: bool = False,
-    channel_at=None,
 ) -> CurvatureAccumulation:
     """Accumulate H_t = (A^-t)^T H_prior (A^-t) + sum_k pulled-back H_obs,k.
 
     Uses the equivalent one-step recursion
     H_t = (A^-1)^T H_{t-1} (A^-1) + H_obs,t with H_obs evaluated along the
-    recorded trajectory, through channel_at(t) when the channel varies
-    with t (as in audit_assumption1). first_negative_t is the first time
+    recorded trajectory, with the channel of step t, ch.at(t) (as in
+    audit_assumption1). first_negative_t is the first time
     the trace enters the lambda_max <= -c regime and stays there through
     the trailing half of the audited horizon; None when positive
     excursions keep recurring that late (the log-concavity-violation
@@ -274,7 +267,6 @@ def lemma2_accumulate(
     """
     if c <= 0:
         raise ValueError("negative-definiteness threshold c must be positive")
-    at = channel_at or (lambda k: ch)
     ch._require_smooth()
     A_u = np.asarray(decomp.A_u, dtype=float)
     mags = np.abs(np.linalg.eigvals(A_u))
@@ -291,7 +283,7 @@ def lemma2_accumulate(
     for t in range(len(y_trace)):
         if t > 0:
             H = A_inv.T @ H @ A_inv
-        H_obs = at(t).log_likelihood(y_trace[t], np.asarray(z_trace[t]).reshape(-1)).hessian
+        H_obs = ch.at(t).hessian(y_trace[t], np.asarray(z_trace[t]).reshape(-1))
         H = 0.5 * ((H + H_obs) + (H + H_obs).T)
         lam_trace.append(float(np.max(np.linalg.eigvalsh(H))))
         if keep_hessians:
@@ -320,19 +312,17 @@ def audit_run(
     cond_trace,
     L: int = DEFAULT_AUDIT_WINDOW,
     kappa_cap: float = DEFAULT_KAPPA_CAP,
-    channel_at=None,
 ) -> CurvatureAudit:
     """Run the three assumption audits against one recorded trajectory.
 
     Non-smooth channels make the curvature audits inapplicable rather
     than failed, mirroring the scope of the assumptions themselves.
-    channel_at(k), when given, is the channel of step k (time-varying
-    noise); each curvature term is evaluated with it.
+    Each curvature term is evaluated with the channel of its step, ch.at(k).
     """
     verdicts = {}
     alpha_hat = None
     try:
-        v1 = audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L, channel_at)
+        v1 = audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L)
         alpha_hat = v1.statistic
     except UnsupportedDerivative as exc:
         v1 = AssumptionVerdict(
@@ -367,9 +357,7 @@ def audit_run(
     accumulation = None
     if hasattr(prior, "hessian_logpdf"):
         try:
-            acc = lemma2_accumulate(
-                ch, decomp, prior, z_trace, y_trace, inputs, channel_at=channel_at,
-            )
+            acc = lemma2_accumulate(ch, decomp, prior, z_trace, y_trace, inputs)
             lam = acc.lambda_max_trace
             accumulation = {
                 "first_negative_t": acc.first_negative_t,

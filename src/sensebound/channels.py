@@ -2,10 +2,11 @@
 
 Each channel writes its law once, as `observe(X, W)`: the observations of
 states X given `noise_dim` unit normals per observation, one row each or
-a single state; `sample` feeds it normals from a generator. Channels also
-evaluate the log-likelihood in nats and, for the twice-differentiable
-kinds, its closed-form gradient and Hessian in the state. The library
-spans the regimes the experiment suite needs:
+a single state; `sample` feeds it normals from a generator. Its
+log-likelihood in nats is `log_density_batch`, for a block of states, and
+the twice-differentiable kinds give its closed-form Hessian in the state,
+`hessian`. Under a noise schedule the channel of step t is `at(t)`. The
+library spans the regimes the experiment suite needs:
 
 - linear-gaussian: exactly solvable baseline (Kalman-compatible)
 - tanh-gaussian:   smooth, log-concave saturating nonlinearity
@@ -14,7 +15,6 @@ spans the regimes the experiment suite needs:
 - modulo-gaussian: wrapped Gaussian; smooth but violates log-concavity
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,22 +26,6 @@ from .errors import (
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class LikelihoodEval:
-    """Log-likelihood value (nats) and optional state derivatives."""
-
-    loglik: float
-    grad: Optional[np.ndarray] = None
-    hessian: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.hessian is not None:
-            H = np.atleast_2d(np.asarray(self.hessian, dtype=float))
-            object.__setattr__(self, "hessian", 0.5 * (H + H.T))
-        if self.grad is not None:
-            object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float).reshape(-1))
 
 
 def rows_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -73,6 +57,9 @@ class ChannelModel:
     kind: str = "abstract"
     smoothness: str = "C2"
     support: str = "continuous"
+    # the noise schedule's decay, set from `channel.schedule`: the channel
+    # of step t observes with its noise scaled by gamma**t
+    gamma: Optional[float] = None
 
     @property
     def obs_dim(self) -> int:
@@ -110,8 +97,20 @@ class ChannelModel:
         """Log-likelihood in nats for each state row of X against a fixed y."""
         raise NotImplementedError
 
-    def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
+    def hessian(self, y, x) -> np.ndarray:
+        """The Hessian in the state x of the log-likelihood of y, symmetrised;
+        raises `UnsupportedDerivative` for a kind that is not C2."""
+        self._require_smooth()
+        H = self._hessian(y, x)
+        return 0.5 * (H + H.T)
+
+    def _hessian(self, y, x) -> np.ndarray:
         raise NotImplementedError
+
+    def at(self, t: int) -> "ChannelModel":
+        """The channel of step t: this one, or with a schedule this one with
+        its noise scaled by gamma**t."""
+        return self if self.gamma is None else self.with_noise_scale(self.gamma**t)
 
     def _require_smooth(self):
         if self.smoothness != "C2":
@@ -136,7 +135,7 @@ class _GaussianNoiseChannel(ChannelModel):
         return self.R.shape[0]
 
     # g, g', g'' are elementwise; LinearGaussianChannel has g = C x and
-    # overrides `log_likelihood`.
+    # overrides `_hessian`.
     def _g(self, X):
         raise NotImplementedError
 
@@ -155,19 +154,11 @@ class _GaussianNoiseChannel(ChannelModel):
         E = y[None, :] - self._g(X)
         return self._log_norm - 0.5 * np.einsum("ij,jk,ik->i", E, self._R_inv, E)
 
-    def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
+    def _hessian(self, y, x) -> np.ndarray:
         x = self._check_x(x)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        e = y - self._g(x)
-        ll = float(self._log_norm - 0.5 * e @ self._R_inv @ e)
-        if not derivatives:
-            return LikelihoodEval(loglik=ll)
-        slope = self._g1(x)
-        J = np.diag(slope)
-        w = self._R_inv @ e
-        grad = J @ w
-        hess = -J @ self._R_inv @ J + np.diag(w * self._g2(x))
-        return LikelihoodEval(loglik=ll, grad=grad, hessian=hess)
+        e = np.asarray(y, dtype=float).reshape(-1) - self._g(x)
+        J = np.diag(self._g1(x))
+        return -J @ self._R_inv @ J + np.diag(self._R_inv @ e * self._g2(x))
 
     def _scaled_R(self, scale: float) -> np.ndarray:
         if scale <= 0:
@@ -196,16 +187,9 @@ class LinearGaussianChannel(_GaussianNoiseChannel):
     def _g(self, X):
         return rows_matvec(self.C, X)
 
-    def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
-        x = self._check_x(x)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        e = y - self.C @ x
-        ll = float(self._log_norm - 0.5 * e @ self._R_inv @ e)
-        if not derivatives:
-            return LikelihoodEval(loglik=ll)
-        grad = self.C.T @ self._R_inv @ e
-        hess = -self.C.T @ self._R_inv @ self.C
-        return LikelihoodEval(loglik=ll, grad=grad, hessian=hess)
+    def _hessian(self, y, x) -> np.ndarray:
+        self._check_x(x)
+        return -self.C.T @ self._R_inv @ self.C
 
     def with_noise_scale(self, scale: float) -> "LinearGaussianChannel":
         return LinearGaussianChannel(self.C, self._scaled_R(scale))
@@ -318,12 +302,6 @@ class SignQuantizerChannel(ChannelModel):
         match = np.all(self._quantize(X) == y[None, :], axis=1)
         return np.where(match, 0.0, -np.inf)
 
-    def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
-        if derivatives:
-            self._require_smooth()
-        ll = float(self.log_density_batch(y, np.asarray(x, dtype=float)[None, :])[0])
-        return LikelihoodEval(loglik=ll)
-
 
 class ModuloGaussianChannel(ChannelModel):
     """y_i = (x_i + v_i) mod period, v_i ~ N(0, r) independently.
@@ -368,22 +346,17 @@ class ModuloGaussianChannel(ChannelModel):
         )
         return np.sum(per_coord, axis=1)
 
-    def log_likelihood(self, y, x, derivatives: bool = True) -> LikelihoodEval:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        ll = float(self.log_density_batch(y, x[None, :])[0])
-        if not derivatives:
-            return LikelihoodEval(loglik=ll)
+    def _hessian(self, y, x) -> np.ndarray:
         from scipy.special import logsumexp
 
+        x = np.asarray(x, dtype=float).reshape(-1)
+        y = np.asarray(y, dtype=float).reshape(-1)
         d = self._wrap_terms(y, x[None, :])[0]  # (dim, n_k)
         logw = -0.5 * d * d / self.r
         w = np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
         mean_d = np.sum(w * d, axis=-1)
         mean_d2 = np.sum(w * d * d, axis=-1)
-        grad = mean_d / self.r
-        curv = (mean_d2 - mean_d**2) / self.r**2 - 1.0 / self.r
-        return LikelihoodEval(loglik=ll, grad=grad, hessian=np.diag(curv))
+        return np.diag((mean_d2 - mean_d**2) / self.r**2 - 1.0 / self.r)
 
     def with_noise_scale(self, scale: float) -> "ModuloGaussianChannel":
         if scale <= 0:
@@ -417,7 +390,7 @@ def pulled_back_hessian(ch, decomp, y_k, k: int, t: int, z_t, inputs=None) -> np
         M = np.linalg.matrix_power(A_inv, steps)
     else:
         M = np.eye(decomp.n_u)
-    H = ch.log_likelihood(y_k, z, derivatives=True).hessian
+    H = ch.hessian(y_k, z)
     return M.T @ H @ M
 
 

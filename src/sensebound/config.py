@@ -80,7 +80,8 @@ _CONTEXT_OPTIONS = {
     ("filter", "particles"): ("n_particles", int),
     ("outputs", "debug_beliefs"): ("collect_beliefs", bool),
 }
-# every key that switches something on, as JSON true or false
+# every key that switches something on, as JSON true or false; no other
+# key's value may hold true or false anywhere
 _BOOLEAN_KEYS = (
     ("system", "allow_stable"), ("channel", "extension"), ("run", "audit"),
     ("outputs", "svg"), ("outputs", "debug_beliefs"),
@@ -231,6 +232,15 @@ def _is_number(value, cast=float) -> bool:
     return True
 
 
+def _has_bool(value) -> bool:
+    """Whether JSON true or false appears anywhere in the value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _float_array(value, field_path) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
@@ -261,10 +271,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _require(key in known, f"{section}.{key}",
                      f"unknown key; known: {', '.join(sorted(known))}")
 
-    for section, key in _BOOLEAN_KEYS:
-        value = getattr(cfg, section).get(key, False)
-        _require(isinstance(value, bool), f"{section}.{key}",
-                 f"expected true or false, got {value!r}")
+    for section in SECTIONS:
+        for key, value in getattr(cfg, section).items():
+            if (section, key) in _BOOLEAN_KEYS:
+                _require(isinstance(value, bool), f"{section}.{key}",
+                         f"expected true or false, got {value!r}")
+            else:
+                _require(not _has_bool(value), f"{section}.{key}",
+                         f"only a switch key takes true or false, got {value!r}")
 
     _require("A" in sys_c, "system.A", "system matrix A is required")
     A = np.atleast_2d(_float_array(sys_c["A"], "system.A"))
@@ -386,6 +400,8 @@ def build_context(cfg: ExperimentConfig) -> RunContext:
     kinds = _kinds(cfg)
 
     channel = build_channel(cfg)
+    if "schedule" in cfg.channel:
+        channel.gamma = float(cfg.channel["schedule"]["gamma"])
     dim_key = next(k for k in ("C", "dim", "R") if k in kind_keys(type(channel)))
     _require(channel.state_dim == n_u, f"channel.{dim_key}",
              f"the channel observes a state of length {channel.state_dim}, "
@@ -409,7 +425,6 @@ def build_context(cfg: ExperimentConfig) -> RunContext:
     }
     if kinds.filter == "grid":
         options["grid_spec"] = _construct("filter", GridSpec, **_params(cfg, "filter"))
-    sched = cfg.channel.get("schedule")
     return RunContext(
         model=model,
         decomp=decomp,
@@ -418,7 +433,6 @@ def build_context(cfg: ExperimentConfig) -> RunContext:
         filter_kind=kinds.filter,
         gain=gain,
         controller_mode=kinds.mode,
-        noise_gamma=float(sched["gamma"]) if sched else None,
         **options,
     )
 

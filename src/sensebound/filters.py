@@ -638,8 +638,8 @@ class ParticleBelief(Belief):
         """Deterministic systematic resample used for entropy estimation.
 
         Its indices depend on the weights alone, so they are memoised on the
-        instance, and `_pushed` hands them on while the weights keep their
-        bits: a posterior and the prediction from it share one resample. A
+        instance, and `_pushed`, which keeps the weights, hands them on: a
+        posterior and the prediction from it share one resample. A
         belief built with equal weights (`weights=None`) takes them from
         the cache of its particle count.
         """
@@ -677,15 +677,14 @@ class ParticleBelief(Belief):
         }
 
     def _pushed(self, A, shift):
-        pushed = ParticleBelief(
-            self.states @ A.T + shift, self.weights, t=self.t + 1, kind="predicted"
-        )
-        idx = self.__dict__.get("_ew_idx")
-        # renormalising can move a weight's bits, and with them the indices
-        if idx is not None and np.array_equal(pushed.weights, self.weights):
-            object.__setattr__(pushed, "_ew_idx", idx)
-            object.__setattr__(pushed, "_knn_order", self.__dict__.get("_knn_order"))
-        return pushed
+        """The cloud moved, its weights taken as they are (normalising them
+        again would move their bits), with their resample indices and kNN
+        order."""
+        out = object.__new__(ParticleBelief)
+        memo = {k: v for k, v in self.__dict__.items() if k in ("_ew_idx", "_knn_order")}
+        out.__dict__.update(memo, states=self.states @ A.T + shift, weights=self.weights,
+                            t=self.t + 1, kind="predicted")
+        return out
 
     def _conditioned(self, ch, y, rng):
         with np.errstate(divide="ignore"):

@@ -80,17 +80,11 @@ class RunContext:
     horizon: int = DEFAULT_HORIZON
     grid_spec: GridSpec = DEFAULT_GRID_SPEC
     n_particles: int = DEFAULT_PARTICLES
-    noise_gamma: Optional[float] = None  # extension: R_t = R * gamma^t
     divergence_guard: float = DIVERGENCE_GUARD
     collect_audits: bool = False  # curvature audits of each finished run
     audit_window: int = DEFAULT_AUDIT_WINDOW
     kappa_cap: float = DEFAULT_KAPPA_CAP
     collect_beliefs: bool = False  # each step's posterior, as JSON
-
-    def channel_at(self, t: int):
-        if self.noise_gamma is None:
-            return self.channel
-        return self.channel.with_noise_scale(self.noise_gamma**t)
 
 
 @dataclass
@@ -147,7 +141,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
     x_sq = float(x @ x)
 
     for t in range(ctx.horizon):
-        ch_t = ctx.channel_at(t)
+        ch_t = ctx.channel.at(t)
         if ctx.controller_mode == "predict" and K is not None:
             u_t = K @ belief.mean()
         else:
@@ -234,7 +228,6 @@ def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
         record.cond,
         L=min(ctx.audit_window, record.steps),
         kappa_cap=ctx.kappa_cap,
-        channel_at=ctx.channel_at,
     )
 
 
@@ -298,7 +291,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     for t in range(T):
         if alive.size == 0:
             break
-        ch_t = ctx.channel_at(t)
+        ch_t = ctx.channel.at(t)
         if ctx.controller_mode == "predict" and K is not None:
             U = rows_matvec(K, belief.mean())
         else:

@@ -15,7 +15,6 @@ from .errors import DimensionMismatch
 
 class GaussianPrior:
     family = "gaussian"
-    smooth = True
 
     def __init__(self, mean=None, cov=None, *, dim: int = 1):
         """N(mean, cov); mean defaults to zero in `dim` dimensions, cov to I."""
@@ -67,7 +66,6 @@ class StudentTPrior:
     """1-D Student-t with df nu and scale s (location 0)."""
 
     family = "student-t"
-    smooth = True
 
     def __init__(self, df, scale=1.0):
         if df <= 2:
@@ -118,7 +116,6 @@ class LaplacePrior:
     """1-D Laplace with scale b (location 0)."""
 
     family = "laplace"
-    smooth = False
 
     def __init__(self, scale=1.0):
         self.scale = float(scale)
@@ -146,7 +143,6 @@ class LaplacePrior:
 
 class ExponentialPrior:
     family = "exponential"
-    smooth = False
 
     def __init__(self, rate=1.0):
         self.rate = float(rate)
@@ -174,7 +170,6 @@ class ExponentialPrior:
 
 class UniformPrior:
     family = "uniform"
-    smooth = False
 
     def __init__(self, low=0.0, high=1.0):
         if high <= low:

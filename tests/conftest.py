@@ -44,16 +44,6 @@ def fd_hessian_1d(f, x, h=1e-5):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def fd_gradient(f, x, h=1e-5):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
 def fd_hessian(f, x, h=1e-4):
     x = np.asarray(x, dtype=float)
     n = x.size

@@ -274,7 +274,7 @@ class TestLemma2:
             terms = []
             for k in range(t, -1, -1):
                 M = np.linalg.matrix_power(A_inv, t - k)
-                terms.append(M.T @ ch.log_likelihood(ys[k], zk).hessian @ M)
+                terms.append(M.T @ ch.hessian(ys[k], zk) @ M)
                 if k > 0:
                     zk = A_inv @ (zk - scalar_double.B_u @ us[k - 1])
             Mt = np.linalg.matrix_power(A_inv, t)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, fd_hessian_1d
+from conftest import fd_hessian_1d
 from sensebound.channels import make_channel, pulled_back_hessian
 from sensebound.errors import MissingInputHistory, UnsupportedDerivative
 
@@ -11,6 +11,11 @@ C2_CHANNELS = {
     "cubic-gaussian": dict(R=[[1.0]]),
     "modulo-gaussian": dict(period=1.0, r=0.04),
 }
+
+
+def loglik(ch, y, x) -> float:
+    """log p(y | x) in nats of one state x, through `log_density_batch`."""
+    return float(ch.log_density_batch(y, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
 
 
 class TestSampling:
@@ -45,48 +50,37 @@ class TestLogLikelihood:
     def test_linear_gaussian_hessian_constant(self):
         ch = make_channel("linear-gaussian", C=[[1.0]], R=[[1.0]])
         for y, x in [(0.0, 0.0), (1.3, -0.4), (-2.0, 3.0)]:
-            ev = ch.log_likelihood([y], [x])
-            assert ev.hessian == pytest.approx(np.array([[-1.0]]), abs=1e-12)
+            assert ch.hessian([y], [x]) == pytest.approx(np.array([[-1.0]]), abs=1e-12)
 
     def test_tanh_hessian_at_origin(self):
         ch = make_channel("tanh-gaussian", scale=1.0, R=[[1.0]])
-        ev = ch.log_likelihood([0.0], [0.0])
-        fd = fd_hessian_1d(
-            lambda x: ch.log_likelihood([0.0], [x], derivatives=False).loglik, 0.0
-        )
-        assert ev.hessian[0, 0] == pytest.approx(-1.0, abs=1e-9)
-        assert ev.hessian[0, 0] == pytest.approx(fd, abs=1e-6)
+        H = ch.hessian([0.0], [0.0])
+        fd = fd_hessian_1d(lambda x: loglik(ch, [0.0], x), 0.0)
+        assert H[0, 0] == pytest.approx(-1.0, abs=1e-9)
+        assert H[0, 0] == pytest.approx(fd, abs=1e-6)
 
     def test_sign_rejects_derivatives(self):
         ch = make_channel("sign-quantizer")
         with pytest.raises(UnsupportedDerivative):
-            ch.log_likelihood([1.0], [0.5], derivatives=True)
-        ev = ch.log_likelihood([1.0], [0.5], derivatives=False)
-        assert ev.loglik == 0.0 and ev.grad is None
+            ch.hessian([1.0], [0.5])
+        assert loglik(ch, [1.0], [0.5]) == 0.0
 
     def test_sign_pmf(self):
         ch = make_channel("sign-quantizer")
-        assert ch.log_likelihood([-1.0], [0.5], derivatives=False).loglik == -np.inf
+        assert loglik(ch, [-1.0], [0.5]) == -np.inf
 
     @pytest.mark.parametrize("kind", sorted(C2_CHANNELS))
     def test_derivative_consistency(self, kind):
-        """Closed forms vs central differences on 100 random (x, y) pairs."""
+        """The closed-form Hessian vs central differences of
+        `log_density_batch` on 100 random (x, y) pairs."""
         ch = make_channel(kind, **C2_CHANNELS[kind])
         rng = np.random.default_rng(hash(kind) % 2**32)
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=1)
             y = ch.sample(x, rng)
-            ev = ch.log_likelihood(y, x)
-
-            def f(xx):
-                return ch.log_likelihood(y, np.atleast_1d(xx), derivatives=False).loglik
-
-            g_fd = fd_gradient(lambda v: f(v[0]), x, h=1e-5)
-            h_fd = fd_hessian_1d(f, x[0], h=1e-4)
-            scale_g = max(1.0, abs(ev.grad[0]))
-            scale_h = max(1.0, abs(ev.hessian[0, 0]))
-            assert abs(ev.grad[0] - g_fd[0]) / scale_g < 1e-5
-            assert abs(ev.hessian[0, 0] - h_fd) / scale_h < 1e-4
+            H = ch.hessian(y, x)
+            h_fd = fd_hessian_1d(lambda xx: loglik(ch, y, xx), x[0], h=1e-4)
+            assert abs(H[0, 0] - h_fd) / max(1.0, abs(H[0, 0])) < 1e-4
 
     @pytest.mark.parametrize("kind", sorted(C2_CHANNELS))
     def test_normalization(self, kind):
@@ -102,12 +96,7 @@ class TestLogLikelihood:
                     "cubic-gaussian": x**3,
                 }[kind]
                 ys = np.linspace(center - 8.0, center + 8.0, 4001)
-            dens = np.array(
-                [
-                    np.exp(ch.log_likelihood([y], [x], derivatives=False).loglik)
-                    for y in ys
-                ]
-            )
+            dens = np.array([np.exp(loglik(ch, [y], x)) for y in ys])
             mass = np.trapezoid(dens, ys) if kind != "modulo-gaussian" else dens.mean() * ch.period
             assert mass == pytest.approx(1.0, abs=1e-4)
 
@@ -118,27 +107,27 @@ class TestLogLikelihood:
         for _ in range(50):
             x = rng.uniform(-3.0, 3.0, size=1)
             y = rng.uniform(-4.0, 4.0, size=1)
-            assert lg.log_likelihood(y, x).hessian[0, 0] <= 1e-12
+            assert lg.hessian(y, x)[0, 0] <= 1e-12
         # tanh: nonpositive on the documented region |scale*x| <= 0.5,
         # residual within 0.4 of the mean response
         tg = make_channel("tanh-gaussian", scale=1.0, R=[[0.01]])
         for _ in range(200):
             x = rng.uniform(-0.5, 0.5, size=1)
             y = np.tanh(x) + rng.uniform(-0.4, 0.4, size=1)
-            assert tg.log_likelihood(y, x).hessian[0, 0] <= 1e-12
+            assert tg.hessian(y, x)[0, 0] <= 1e-12
         # modulo: a positive-curvature witness exists
         mg = make_channel("modulo-gaussian", period=1.0, r=0.04)
         found = False
         for x in np.linspace(0.0, 1.0, 21):
             for y in np.linspace(0.0, 1.0, 21):
-                if mg.log_likelihood([y], [x]).hessian[0, 0] > 0:
+                if mg.hessian([y], [x])[0, 0] > 0:
                     found = True
         assert found
 
     def test_hessian_symmetric(self):
         ch = make_channel("tanh-gaussian", scale=0.7, R=np.diag([1.0, 0.5]))
-        ev = ch.log_likelihood([0.3, -0.2], [0.5, 0.1])
-        assert np.abs(ev.hessian - ev.hessian.T).max() < 1e-10
+        H = ch.hessian([0.3, -0.2], [0.5, 0.1])
+        assert np.abs(H - H.T).max() < 1e-10
 
 
 class TestPulledBackHessian:
@@ -185,7 +174,7 @@ class TestPulledBackHessian:
                 z = np.linalg.inv(scalar_double.A_u) @ (z - scalar_double.B_u @ us[j])
                 hist[j] = z
             for k in range(3):
-                total += ch.log_likelihood(ys[k], hist[k], derivatives=False).loglik
+                total += loglik(ch, ys[k], hist[k])
             return total
 
         H_sum = sum(
@@ -211,3 +200,16 @@ class TestNoiseScale:
         assert ch.with_noise_scale(0.5).R == pytest.approx(np.array([[1.0]]))
         tg = make_channel("tanh-gaussian", scale=1.0, R=[[1.0]])
         assert tg.with_noise_scale(0.25).R == pytest.approx(np.array([[0.25]]))
+
+    def test_step_channel(self):
+        """Without a schedule every step's channel is the channel itself;
+        with one, step t's noise is R * gamma**t."""
+        ch = make_channel("tanh-gaussian", scale=1.0, R=[[2.0]])
+        assert ch.gamma is None and ch.at(0) is ch and ch.at(7) is ch
+        ch.gamma = 0.5
+        for t in range(4):
+            assert ch.at(t).R.tobytes() == (ch.R * 0.5**t).tobytes()
+            assert ch.at(t).gamma is None and ch.at(t).scale == ch.scale
+        mg = make_channel("modulo-gaussian", period=1.0, r=0.04)
+        mg.gamma = 0.9
+        assert mg.at(3).r == 0.04 * 0.9**3

@@ -64,7 +64,7 @@ class TestParse:
             'kind = "linear-gaussian"\nschedule = {"gamma": 0.5}\nextension = true',
         )
         ctx = build_context(parse_config(good))
-        assert ctx.noise_gamma == 0.5
+        assert ctx.channel.gamma == 0.5
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ParseError) as err:

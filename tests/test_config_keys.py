@@ -166,6 +166,34 @@ def test_boolean_key_accepts_true_and_false(field):
     assert build_context(off).collect_audits is False
 
 
+# a kind's key set to "{}", in the sections that select that kind
+KINDED_KEYS = {
+    "channel.R": dict(channel='kind = "linear-gaussian"\nR = {}'),
+    "channel.C": dict(channel='kind = "linear-gaussian"\nC = {}'),
+    "channel.scale": dict(channel=TANH + "\nscale = {}", filter=GRID),
+    "prior.cov": dict(prior='family = "gaussian"\ncov = {}'),
+    "filter.half_width_stds": dict(channel=TANH, filter=GRID + "\nhalf_width_stds = {}"),
+    "controller.q": dict(controller='design = "lqr"\nq = {}'),
+    "controller.target_pole": dict(controller='design = "deadbeat"\ntarget_pole = {}'),
+}
+
+
+@pytest.mark.parametrize("value", ["true", "[[true]]"])
+@pytest.mark.parametrize("field", KINDED_KEYS)
+def test_true_or_false_only_in_a_switch_key(tmp_path, capsys, field, value):
+    """JSON true is not the number 1 anywhere in a value, nested lists
+    included: a kind's key holding it is an error naming the key, not a run
+    with 1.0 that records true."""
+    text = config_text(**{s: v.format(value) for s, v in KINDED_KEYS[field].items()})
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 # the first key each section sets in config_text, and another value for it
 DUPLICATED = {
     "system": ("A", "[[3.0]]"),

@@ -14,11 +14,12 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from sensebound import filters
-from sensebound.channels import SignQuantizerChannel
+from sensebound.audits import audit_run
+from sensebound.channels import SignQuantizerChannel, TanhGaussianChannel
 from sensebound.config import build_context, parse_config
-from sensebound.experiments import load_bundled
+from sensebound.experiments import bundled_text, load_bundled
 from sensebound.filters import GridBelief, GridSpec, ParticleBelief
-from sensebound.loop import run_block, run_closed_loop, run_ensemble
+from sensebound.loop import run_block, run_closed_loop, run_ensemble, tracked_block
 
 from test_kalman_block import LEDGER_COLUMNS, assert_records_equal
 
@@ -87,6 +88,19 @@ runs = 9
 seed = 8
 """
 
+# entropy-balance with shrinking noise: step t observes with R * 0.9**t
+SCHEDULED = bundled_text("entropy-balance").replace(
+    "[channel]", '[channel]\nschedule = {"gamma": 0.9}\nextension = true'
+)
+
+
+class HandSteppedTanh(TanhGaussianChannel):
+    """The scheduled tanh channel with each step's channel built here from
+    R * 0.9**t, not by `ChannelModel.at`."""
+
+    def at(self, t):
+        return TanhGaussianChannel(self.scale, self.R * 0.9**t)
+
 
 def bundled_ctx(name, **changes):
     return replace(build_context(load_bundled(name)), **changes)
@@ -106,6 +120,8 @@ def cases():
         # three nodes: the re-grid takes scipy's small-grid branches
         ("three-nodes", bundled_ctx("sign-threshold-easy",
                                     grid_spec=GridSpec(half_width_stds=0.06)), 1, 4),
+        ("scheduled-audited", replace(build_context(parse_config(SCHEDULED)), horizon=30,
+                                      collect_audits=True), 4, 4),
     ]
 
 
@@ -151,6 +167,14 @@ class TestBlockAgainstScalarLoop:
             assert ctx.grid_spec.nodes_per_axis() == 3
             assert any(r.outcome == "degenerate" for r in refs)
             assert any(r.outcome == "halted" for r in refs)
+        if label == "scheduled-audited":
+            ch = ctx.channel
+            assert ch.gamma == 0.9 and all(r.outcome == "completed" for r in refs)
+            for r in refs:
+                want = audit_run(HandSteppedTanh(ch.scale, ch.R), tracked_block(ctx.decomp),
+                                 ctx.prior, r.z_u, r.y, r.u, r.cond, L=ctx.audit_window,
+                                 kappa_cap=ctx.kappa_cap)
+                assert r.audits.to_json_dict() == want.to_json_dict()
 
 
 def harvest_regrids(monkeypatch):

@@ -198,7 +198,7 @@ class TestShrinkingNoiseAudit:
             )
             return -float(worst)
 
-        assert got == pytest.approx(alpha_hat(ctx.channel_at), rel=1e-12)
+        assert got == pytest.approx(alpha_hat(ctx.channel.at), rel=1e-12)
         r0_only = alpha_hat(lambda k: ctx.channel)
         assert abs(got - r0_only) > 0.5
 
@@ -283,7 +283,7 @@ def replay_kalman(ctx, us, ys, fresh):
     for t, (u, y) in enumerate(zip(us, ys, strict=True)):
         if fresh:
             belief = GaussianBelief(belief.mean_vec, belief.cov_mat, t=belief.t, kind=belief.kind)
-        step = filters.update(belief, ctx.channel_at(t), y)
+        step = filters.update(belief, ctx.channel.at(t), y)
         post = step.belief_post
         if fresh:
             post = GaussianBelief(post.mean_vec, post.cov_mat, t=post.t, kind=post.kind)
