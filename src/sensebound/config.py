@@ -170,9 +170,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"key {dotted!r} is set twice", line=line_no)
         table[key] = _parse_value(raw_value, line_no)
 
-    cfg = ExperimentConfig(
-        experiment=str(top.get("experiment", "unnamed")), source_text=text, **sections
-    )
+    experiment = top.get("experiment", "unnamed")
+    _require(isinstance(experiment, str), "experiment",
+             f"expected a string, got {experiment!r}")
+    cfg = ExperimentConfig(experiment=experiment, source_text=text, **sections)
     validate_config(cfg)
     return cfg
 

@@ -20,6 +20,10 @@ predicted entropy exceeds the previous posterior entropy by the expansion
 rate up to representation error.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -434,13 +438,8 @@ class GridBelief(Belief):
         elif self.batch:
             raise NotImplementedError("a block of 2-D grids has no re-grid; predict each alone")
         else:
-            from scipy.interpolate import RegularGridInterpolator
-
-            interp = RegularGridInterpolator(
-                self.axes, self.density, bounds_error=False, fill_value=0.0,
-                method="cubic",
-            )
-            dens = interp((_grid_nodes(axes) - shift) @ A_inv.T).reshape(
+            dens = _grid_bicubic(self.axes, self.density,
+                                 (_grid_nodes(axes) - shift) @ A_inv.T).reshape(
                 [len(a) for a in axes])
         dens = np.clip(dens, 0.0, None) / det
         return GridBelief(axes, dens, t=self.t + 1, kind="predicted", spec=self.spec)
@@ -508,19 +507,52 @@ def _rows_axes(mean: np.ndarray, cov: np.ndarray, spec: GridSpec) -> tuple:
     return tuple(axes)
 
 
+def _flapack():
+    """scipy's LAPACK extension module, `scipy.linalg._flapack`, loaded from
+    its file once per process without running `scipy/linalg/__init__.py`.
+
+    The re-grid needs one routine, dgtsv. Reaching it through the
+    package's `lapack` module would import all of `scipy.linalg` (some 85
+    modules and 26 MB of resident memory) for it. The extension is
+    registered in `sys.modules` under its own name, so a later
+    `import scipy.linalg` reuses this module object, and the package's
+    `dgtsv` is this routine. Where scipy's layout has no such file, the
+    public `scipy.linalg.lapack` is returned: the same routine, only
+    without the memory saving.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.exists(path):
+            break
+    else:  # not a file beside the package: the public module, same dgtsv
+        return importlib.import_module("scipy.linalg.lapack")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row r is `CubicSpline(x[r], y[r])(q[r])`, bit for bit, at the queries
     inside [x[r, 0], x[r, -1]] (outside them it is some finite value). The
     rows run along the last axis, under any leading shape, a single grid's
     none included; this is the one 1-D re-grid.
 
-    The arithmetic is scipy's, elementwise on rows: `CubicSpline.__init__`
-    (not-a-knot ends) builds the tridiagonal system of the node slopes,
-    LAPACK dgtsv solves the N systems as one whose blocks are joined by zero
-    off-diagonals (the routine `solve_banded((1, 1), ...)` calls; a zero
-    coupling only ever adds exact zeros), `CubicHermiteSpline` turns slopes
-    into coefficients, and PPoly's evaluation is reproduced term by term
-    from the interval searchsorted(x, q, "right") - 1 clipped to [0, n-2].
+    The node slopes are `_rows_spline_slopes`; PPoly's evaluation is
+    reproduced term by term, by `_hermite`, from the interval
+    searchsorted(x, q, "right") - 1 clipped to [0, n-2].
     """
     shape = q.shape
     x, y, q = (a.reshape(-1, a.shape[-1]) for a in (x, y, q))
@@ -529,8 +561,31 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
         from scipy.interpolate import CubicSpline
 
         return np.array([CubicSpline(a, b)(c) for a, b, c in zip(x, y, q)]).reshape(shape)
-    from scipy.linalg.lapack import dgtsv
+    s = _rows_spline_slopes(x, y)
+    flat = _rows_interval(x, q) + n * np.arange(N)[:, None]
+    x, y, s = x.ravel(), y.ravel(), s.ravel()
+    return _hermite(y[flat], y[flat + 1], s[flat], s[flat + 1], x[flat + 1] - x[flat],
+                    q - x[flat]).reshape(shape)
 
+
+def _rows_spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The node slopes of `CubicSpline(x[r], y[r])` (not-a-knot ends) for
+    every row r of the 2-D x and y, bit for bit when a row has 4 or more
+    nodes.
+
+    The arithmetic is scipy's, elementwise on rows: `CubicSpline.__init__`
+    builds the tridiagonal system of the node slopes, and LAPACK dgtsv
+    solves the N systems as one whose blocks are joined by zero
+    off-diagonals (the routine `solve_banded((1, 1), ...)` calls; a zero
+    coupling only ever adds exact zeros). Rows of 2 or 3 nodes are scipy's
+    special cases, a line and a parabola, whose slopes are the spline's
+    derivative at its nodes.
+    """
+    N, n = x.shape
+    if n < 4:
+        from scipy.interpolate import CubicSpline
+
+        return np.array([CubicSpline(a, b)(a, 1) for a, b in zip(x, y)])
     dx = np.diff(x, axis=1)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
@@ -549,23 +604,54 @@ def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarra
     d = x[:, -1] - x[:, -3]
     diag[:, -1], lower[:, -2] = dx[:, -2], d
     b[:, -1] = (dx[:, -1] ** 2 * slope[:, -2] + (2 * d + dx[:, -1]) * dx[:, -2] * slope[:, -1]) / d
-    *_, s, info = dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], b.reshape(-1, 1),
-                        True, True, True, True)
+    *_, s, info = _flapack().dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1],
+                                   b.reshape(-1, 1), True, True, True, True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    s = s.reshape(N, n)
+    return s.reshape(N, n)
 
-    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
-    c0, c1 = t / dx, (slope - s[:, :-1]) / dx - t
 
-    i = _rows_interval(x, q)
-    flat = i + n * np.arange(N)[:, None]
-    k = i + (n - 1) * np.arange(N)[:, None]
-    u = q - x.ravel()[flat]
+def _hermite(y0, y1, s0, s1, h, u):
+    """The cubic with values y0, y1 and slopes s0, s1 at the ends of an
+    interval of width h, at offset u from its left end; elementwise, in the
+    coefficients `CubicHermiteSpline` makes and the order PPoly sums them."""
+    slope = (y1 - y0) / h
+    t = (s0 + s1 - 2 * slope) / h
+    c0, c1 = t / h, (slope - s0) / h - t
     uu = u * u
-    return ((
-        ((0.0 + y.ravel()[flat]) + s.ravel()[flat] * u) + c1.ravel()[k] * uu
-    ) + c0.ravel()[k] * (uu * u)).reshape(shape)
+    return (((0.0 + y0) + s0 * u) + c1 * uu) + c0 * (uu * u)
+
+
+def _grid_bicubic(axes, F, pts):
+    """The not-a-knot tensor-product cubic spline of the grid values F on
+    the two `axes` (de Boor, A Practical Guide to Splines, ch. 17) at the
+    points pts (M, 2), and 0 outside the grid's box.
+
+    The spline restricted to a node line is that line's 1-D spline, so its
+    node derivatives are 1-D slope solves: F_x along axis 0, F_y along
+    axis 1 and F_xy, the slopes of F_x along axis 1. Each cell is then the
+    bicubic Hermite patch of its corners' values and derivatives, evaluated
+    as four cubics along x and one along y.
+    """
+    x, y = axes
+    Fx = _rows_spline_slopes(np.broadcast_to(x, F.shape[::-1]), F.T).T
+    Fy = _rows_spline_slopes(np.broadcast_to(y, F.shape), F)
+    Fxy = _rows_spline_slopes(np.broadcast_to(y, F.shape), Fx)
+    px, py = pts[:, 0], pts[:, 1]
+    i = _rows_interval(x[None], px[None])[0]
+    j = _rows_interval(y[None], py[None])[0]
+    hx, ux = x[i + 1] - x[i], px - x[i]
+    ny = len(y)
+    cell = i * ny + j  # the flat index of the cell's lower corner
+
+    def along_x(V, Vx, k):  # the cubic along x on node line j + k
+        v, vx, at = V.ravel(), Vx.ravel(), cell + k
+        return _hermite(v[at], v[at + ny], vx[at], vx[at + ny], hx, ux)
+
+    dens = _hermite(along_x(F, Fx, 0), along_x(F, Fx, 1), along_x(Fy, Fxy, 0),
+                    along_x(Fy, Fxy, 1), y[j + 1] - y[j], py - y[j])
+    inside = (px >= x[0]) & (px <= x[-1]) & (py >= y[0]) & (py <= y[-1])
+    return np.where(inside, dens, 0.0)
 
 
 def _rows_interval(x: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -546,6 +546,18 @@ class TestCli:
         assert err.startswith(f"error: {field}:"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["true", "1", "[1, 2]"])
+    def test_non_string_experiment_name_is_an_error(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace('experiment = "minimal"', f"experiment = {value}"))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: experiment:"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
     def test_horizon_override_checked_before_the_runs(self, tmp_path, capsys):
         """--horizon below twice the experiment's tail window is a config
         error, raised before any run, not a traceback after all of them."""
