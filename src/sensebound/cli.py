@@ -19,11 +19,13 @@ from .errors import SenseboundError, ValidationError
 from .experiments import bundled_names, bundled_text
 from .report import (
     Series,
+    read_back_summary,
     read_bundle_config,
-    recompute_summary_from_csvs,
+    recomputed_stats,
     render_svg,
     run_experiment,
     run_sweep,
+    summary_mismatches,
     to_jsonable,
 )
 
@@ -91,7 +93,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("audit", help="run with assumption audits enabled")
     add_common(sp)
 
-    sp = sub.add_parser("report", help="recompute summary stats from a bundle's CSVs")
+    sp = sub.add_parser(
+        "report", help="re-derive a bundle's summary.json from its files and compare it")
     sp.add_argument("--bundle", required=True, help="existing bundle directory")
     return p
 
@@ -204,114 +207,25 @@ def _cmd_sweep(args) -> int:
     return 2 if result["violation"] else 0
 
 
-def _stored_stats(path) -> tuple:
-    """(statistics, run counts) that `report` re-checks, read from a
-    bundle's summary.json: the statistics as float arrays; n_runs, horizon,
-    n_halted and n_degenerate as ints and ensemble.alive as an int array.
-    A value that is absent, or null where one is required, reads as None.
-    Only the DI rate may be null, as `build_summary` writes it when no run
-    completed; it then reads as NaN, which matches only a recomputed None.
-
-    A file that is not a JSON object, an `ensemble` that is not an object,
-    a statistic that is not a number or a list of numbers and a count that
-    is not a whole number (alive: a list of them) each raise
-    SenseboundError naming the file.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise SenseboundError(f"{path}: not JSON ({exc})") from exc
-    ensemble = stored.get("ensemble", {}) if isinstance(stored, dict) else None
-    if not isinstance(ensemble, dict):
-        raise SenseboundError(f"{path}: expected a JSON object with an object 'ensemble'")
-
-    def read(owner, key, kinds, what):
-        try:
-            arr = np.asarray(owner[key])  # a ragged list raises ValueError
-            if arr.size and arr.dtype.kind not in kinds:  # [] reads as floats
-                raise ValueError(f"dtype {arr.dtype}")
-        except ValueError as exc:
-            raise SenseboundError(f"{path}: {key} is not {what}") from exc
-        return arr
-
-    stats = {}
-    for key in ("di_rate_bits_per_step", "mean_err_sq", "mean_state_sq", "mean_cmi_bits"):
-        owner = stored if key == "di_rate_bits_per_step" else ensemble
-        if owner.get(key) is None:
-            stats[key] = np.array([np.nan]) if owner is stored and key in stored else None
-        else:
-            arr = read(owner, key, "iuf", "a number or a list of numbers")
-            stats[key] = np.atleast_1d(arr.astype(float))
-    counts = {}
-    for key in ("n_runs", "horizon", "n_halted", "n_degenerate", "alive"):
-        owner = ensemble if key == "alive" else stored
-        what = "a list of whole numbers" if key == "alive" else "a whole number"
-        if owner.get(key) is None:
-            counts[key] = None
-            continue
-        arr = read(owner, key, "iu", what)
-        if arr.ndim != (key == "alive"):
-            raise SenseboundError(f"{path}: {key} is not {what}")
-        counts[key] = arr if arr.ndim else int(arr)
-    return stats, counts
-
-
-def _count_mismatches(counts: dict, recomputed: dict) -> list:
-    """(key, detail) for each run count of summary.json that the run CSVs
-    and config.cfg contradict.
-
-    The bundle holds one CSV per run, `alive[t]` counts the CSVs with more
-    than t rows, and the horizon is config.cfg's. A run is completed
-    exactly when its CSV has `horizon` rows, so n_halted + n_degenerate
-    counts the shorter CSVs.
-    """
-    n, h, alive = recomputed["n_runs"], recomputed["horizon"], recomputed["alive"]
-    out = []
-    if counts["n_runs"] is not None and counts["n_runs"] != n:
-        out.append(("n_runs", f"summary.json says {counts['n_runs']}, the bundle has {n} "
-                              "run CSVs"))
-    if counts["horizon"] is not None and counts["horizon"] != h:
-        out.append(("horizon", f"summary.json says {counts['horizon']}, config.cfg says {h}"))
-    if counts["alive"] is not None and not np.array_equal(counts["alive"], alive):
-        out.append(("alive", "summary.json disagrees with the lengths of the run CSVs"))
-    if None not in (counts["n_halted"], counts["n_degenerate"]):
-        short = n - (int(alive[h - 1]) if h <= len(alive) else 0)  # alive[h-1]: CSVs of h rows
-        failed = counts["n_halted"] + counts["n_degenerate"]
-        if failed != short:
-            out.append(("n_halted + n_degenerate",
-                        f"summary.json says {failed} runs halted or degenerated, but {short} "
-                        f"of the {n} run CSVs are shorter than the horizon {h}"))
-    return out
-
-
 def _cmd_report(args) -> int:
     bundle_dir = args.bundle
     cfg = read_bundle_config(bundle_dir)
-    recomputed = recompute_summary_from_csvs(bundle_dir, cfg)
+    derived = read_back_summary(bundle_dir, cfg)
     summary_path = os.path.join(bundle_dir, "summary.json")
     status = 0
     if os.path.exists(summary_path):
-        stats, counts = _stored_stats(summary_path)
-        mismatches = [(key, "missing from summary.json")
-                      for key, a in {**stats, **counts}.items() if a is None]
-        for key, a in stats.items():
-            b = np.atleast_1d(np.asarray(recomputed[key], dtype=float))
-            if a is not None and (a.shape != b.shape or not np.allclose(
-                    a, b, rtol=1e-9, atol=1e-12, equal_nan=True)):
-                mismatches.append((key, "summary.json disagrees with CSVs"))
-        mismatches += _count_mismatches(counts, recomputed)
-        for key, detail in mismatches:
+        for key, detail in summary_mismatches(summary_path, derived):
             print(f"MISMATCH in {key}: {detail}", file=sys.stderr)
             status = 1
         if status == 0:
-            print("summary.json matches statistics recomputed from CSVs")
+            print("summary.json matches the summary re-derived from the bundle")
     elif "json" in cfg.outputs.get("formats", OUTPUT_FORMATS):
         print("MISMATCH: summary.json missing", file=sys.stderr)
         status = 1
+    recomputed = recomputed_stats(derived)
     path = os.path.join(bundle_dir, "recomputed.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_jsonable(recomputed), fh, indent=2, sort_keys=True)
+        json.dump(recomputed, fh, indent=2, sort_keys=True)
         fh.write("\n")
     ts = list(range(len(recomputed["mean_err_sq"])))
     if ts:

@@ -34,10 +34,9 @@ class InfoLedger:
     only on allow-stable baselines where the tracked block contracts.
     """
 
-    def __init__(self, r_exp: float, h0: float, expansion: Optional[float] = None):
+    def __init__(self, r_exp: float, expansion: Optional[float] = None):
         self.r_exp = float(r_exp)
         self.expansion = float(r_exp if expansion is None else expansion)
-        self.h0 = float(h0)
         self.h_pred: list = []
         self.h_post: list = []
         self.cmi: list = []
@@ -69,8 +68,9 @@ class InfoLedger:
         self._append(step.h_pred, step.h_post)
         return self
 
-    def _closed(self, h_pred, h_post, cmi, di_cum, terminal) -> "InfoLedger":
-        run = InfoLedger(self.r_exp, self.h0, self.expansion)
+    def closed(self, h_pred, h_post, cmi, di_cum, terminal) -> "InfoLedger":
+        """A ledger with these columns and terminal h_pred, and this one's rates."""
+        run = InfoLedger(self.r_exp, self.expansion)
         run.h_pred, run.h_post, run.cmi, run.di_cum = h_pred, h_post, cmi, di_cum
         run.terminal_h_pred = terminal
         return run
@@ -91,12 +91,12 @@ class InfoLedger:
         cols = (self.h_pred, self.h_post, self.cmi, self.di_cum)
         if cols[0] and np.ndim(cols[0][0]):
             split = [np.array(col).T.tolist() for col in cols]
-            return [self._closed(*(col[r][:k] for col in split), term)
+            return [self.closed(*(col[r][:k] for col in split), term)
                     for r, (k, term) in enumerate(zip(steps, terminal))]
         heads = {}
         for k, term in zip(steps, terminal):
             if (k, term) not in heads:
-                heads[k, term] = self._closed(*(col[:k] for col in cols), term)
+                heads[k, term] = self.closed(*(col[:k] for col in cols), term)
         return [heads[k, term] for k, term in zip(steps, terminal)]
 
     def csv_cells(self) -> list:
@@ -115,11 +115,11 @@ class InfoLedger:
 
 
 def rate_balance_check(ledger: InfoLedger, T: Optional[int] = None) -> float:
-    """Residual of di_cum/(T+1) = expansion + (h0 - h_{T+1})/(T+1), bits/step.
+    """Residual of di_cum/(T+1) = expansion + (h_0 - h_{T+1})/(T+1), bits/step.
 
-    h_{T+1} is the predicted entropy one step past T: taken from the next
-    ledger step when present, else from the terminal predict recorded at
-    the end of the run.
+    h_0 is h_pred[0]. h_{T+1} is the predicted entropy one step past T:
+    taken from the next ledger step when present, else from the terminal
+    predict recorded at the end of the run.
     """
     n = len(ledger)
     T = n - 1 if T is None else T
@@ -134,7 +134,7 @@ def rate_balance_check(ledger: InfoLedger, T: Optional[int] = None) -> float:
             "rate balance at the last step needs the terminal predicted entropy"
         )
     lhs = ledger.di_cum[T] / (T + 1)
-    return lhs - ledger.expansion - (ledger.h0 - h_next) / (T + 1)
+    return lhs - ledger.expansion - (ledger.h_pred[0] - h_next) / (T + 1)
 
 
 @dataclass(frozen=True)
@@ -304,11 +304,7 @@ def ensemble_mean_ledger(ledgers: list) -> InfoLedger:
     if not ledgers:
         raise ValueError("no ledger to average")
     n = len(ledgers)
-    mean = InfoLedger(
-        r_exp=ledgers[0].r_exp,
-        h0=math.fsum(lg.h0 for lg in ledgers) / n,
-        expansion=ledgers[0].expansion,
-    )
+    mean = InfoLedger(r_exp=ledgers[0].r_exp, expansion=ledgers[0].expansion)
     h_pred = exact_step_means([lg.h_pred for lg in ledgers])
     h_post = exact_step_means([lg.h_post for lg in ledgers])
     for hp, hq in zip(h_pred, h_post):

@@ -92,7 +92,9 @@ class RunRecord:
     """Per-step history of one closed-loop run, its ledger and its outcome:
     "completed" when it records all `horizon` steps, else "halted" (its state
     crossed the divergence guard, which is checked only between two recorded
-    steps) or "degenerate" (its likelihood vanished at the step after)."""
+    steps) or "degenerate" (its likelihood vanished at the step after).
+    A run read back from a bundle (`report.read_back_summary`) holds only what
+    its CSV and outcomes.csv give: z_u, u, y and cond are None."""
 
     master_seed: int
     run_index: int
@@ -128,9 +130,7 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
         ctx.prior, ctx.filter_kind, grid_spec=ctx.grid_spec,
         n_particles=ctx.n_particles, rng=rng,
     )
-    ledger = InfoLedger(
-        r_exp=decomp.r_exp, h0=belief.entropy_bits(), expansion=_expansion(decomp, trk)
-    )
+    ledger = InfoLedger(r_exp=decomp.r_exp, expansion=tracked_expansion(decomp))
 
     K = ctx.gain.K if ctx.gain is not None else None
     zs, us, ys, sn, en, cond = ([] for _ in range(6))
@@ -206,11 +206,11 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
     return record
 
 
-def _expansion(decomp: ModeDecomposition, trk: ModeDecomposition) -> float:
+def tracked_expansion(decomp: ModeDecomposition) -> float:
     """Entropy production of the tracked block, log2|det A_block|."""
     if decomp.n_u > 0:
         return decomp.r_exp
-    return float(np.log2(abs(np.linalg.det(trk.A_u))))
+    return float(np.log2(abs(np.linalg.det(tracked_block(decomp).A_u))))
 
 
 def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
@@ -268,9 +268,7 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
         W[r] = rng.standard_normal(W.shape[1:])
 
     start = make_initial_belief(ctx.prior, ctx.filter_kind, grid_spec=ctx.grid_spec)
-    ledger = InfoLedger(
-        r_exp=decomp.r_exp, h0=start.entropy_bits(), expansion=_expansion(decomp, trk)
-    )
+    ledger = InfoLedger(r_exp=decomp.r_exp, expansion=tracked_expansion(decomp))
     belief = start.tiled(N)
     K = ctx.gain.K if ctx.gain is not None else None
 
@@ -457,8 +455,14 @@ def run_ensemble(
     else:
         one_run = partial(run_closed_loop, ctx, master_seed)
         records = _map(one_run, range(n_runs), workers, max(1, n_runs // (4 * workers)))
+    return reduce_ensemble(records, ctx.horizon, master_seed)
 
-    horizon = ctx.horizon
+
+def reduce_ensemble(records: list, horizon: int, master_seed: int) -> EnsembleStats:
+    """The statistics of finished runs, in run order (see `run_ensemble`).
+    Each record's norm traces, ledger, `cmi_channel_trace` and `outcome` are
+    all it reads, so the runs read back from a bundle reduce alike."""
+    n_runs = len(records)
     steps = np.array([r.steps for r in records])
     mean_state = exact_step_means([r.state_norm_sq for r in records])
     mean_err = exact_step_means([r.err_norm_sq for r in records])

@@ -5,7 +5,10 @@ CSV schema (version 1, column set is frozen):
     t, run_id, state_norm_sq, err_norm_sq, h_pred_bits, h_post_bits,
     cmi_bits, di_cum_bits
 Floats are serialized with repr, which round-trips exactly, so identical
-(config, seed) pairs produce byte-identical files.
+(config, seed) pairs produce byte-identical files. outcomes.csv holds
+each run's outcome and terminal h_pred (blank for a run with no step),
+which no run CSV gives; with config.cfg and the first audits/ file they
+determine summary.json (`read_back_summary`) but for UNCHECKED_KEY.
 """
 
 import csv
@@ -24,13 +27,11 @@ from .config import (
     parse_config, validate_config,
 )
 from .errors import EmptySeries, SenseboundError
-from .infoflow import (
-    NecessityVerdict,
-    exact_step_means,
-    necessity_audit,
-    rate_balance_check,
+from .infoflow import InfoLedger, necessity_audit, rate_balance_check
+from .loop import (
+    EnsembleStats, RunContext, RunRecord, classify_outcome, reduce_ensemble, run_ensemble,
+    tracked_expansion,
 )
-from .loop import DEFAULT_HORIZON, EnsembleStats, classify_outcome, run_ensemble
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = (
@@ -44,9 +45,16 @@ CSV_COLUMNS = (
     "di_cum_bits",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+OUTCOMES_HEADER = "run_id,outcome,terminal_h_pred_bits\n"
+OUTCOMES = ("completed", "halted", "degenerate")
+UNCHECKED_KEY = ("ensemble", "mean_cmi_channel_bits")  # no CSV v1 column holds it
+RECOMPUTED_KEYS = ("n_runs", "horizon", "mean_err_sq", "mean_state_sq", "mean_cmi_bits", "alive",
+                   "di_rate_bits_per_step")  # the keys of recomputed.json
 
 
 def to_jsonable(obj):
+    if hasattr(obj, "to_json_dict"):
+        return to_jsonable(obj.to_json_dict())
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,6 +78,15 @@ def run_csv_text(record, run_id: int) -> str:
         f"{t},{run_id},{s!r},{e!r},{cells}\n"
         for t, (s, e, cells) in enumerate(zip(sn, en, record.ledger.csv_cells(), strict=True))
     ]
+    return "".join(lines)
+
+
+def outcomes_csv_text(records) -> str:
+    """outcomes.csv: each run's outcome and terminal h_pred, repr(float(x))."""
+    lines = [OUTCOMES_HEADER]
+    for r in records:
+        term = r.ledger.terminal_h_pred
+        lines.append(f"{r.run_index},{r.outcome},{'' if term is None else repr(float(term))}\n")
     return "".join(lines)
 
 
@@ -246,8 +263,6 @@ def render_svg(
 class ReportBundle:
     out_dir: str
     summary: dict
-    csv_names: list
-    svg_names: list
     acceptance_violation: bool
 
     @property
@@ -255,8 +270,18 @@ class ReportBundle:
         return 2 if self.acceptance_violation else 0
 
 
-def build_summary(cfg: ExperimentConfig, ctx, ens: EnsembleStats, outcome,
-                  verdict: Optional[NecessityVerdict], residual) -> dict:
+def build_summary(cfg: ExperimentConfig, ctx: RunContext, ens: EnsembleStats) -> dict:
+    """An ensemble's statistics with their verdicts: the outcome and, when a
+    run completed, the necessity audit and rate-balance residual of the
+    mean ledger. `run` and `report` (`read_back_summary`) both call it."""
+    thresholds = default_thresholds(cfg, ctx)
+    verdict = residual = None
+    if ens.mean_ledger is not None:
+        verdict = necessity_audit(
+            ens.mean_ledger, ens.mean_err_sq, threshold=thresholds.bound_error,
+            tail_window=thresholds.tail_window,
+        )
+        residual = rate_balance_check(ens.mean_ledger)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
@@ -268,8 +293,8 @@ def build_summary(cfg: ExperimentConfig, ctx, ens: EnsembleStats, outcome,
         "eigenvalues": [{"re": l.real, "im": l.imag} for l in ctx.decomp.eigenvalues],
         "di_rate_bits_per_step": ens.di_rate,
         "rate_balance_residual_bits_per_step": residual,
-        "outcome": outcome.to_json_dict(),
-        "necessity": verdict.to_json_dict() if verdict is not None else None,
+        "outcome": classify_outcome(ens, thresholds),
+        "necessity": verdict,
         "n_halted": ens.n_halted,
         "n_degenerate": ens.n_degenerate,
         "fraction_halted_by": {str(k): v for k, v in ens.fraction_halted_by.items()},
@@ -279,13 +304,13 @@ def build_summary(cfg: ExperimentConfig, ctx, ens: EnsembleStats, outcome,
             "mean_cmi_bits": ens.mean_cmi,
             "alive": ens.alive,
         },
-        "config": cfg.to_json_dict(),
+        "config": cfg,
     }
     if ens.mean_cmi_channel is not None:
         summary["ensemble"]["mean_cmi_channel_bits"] = ens.mean_cmi_channel
     audited = [r for r in ens.runs if r.audits is not None]
     if audited:
-        summary["audits"] = audited[0].audits.to_json_dict()
+        summary["audits"] = audited[0].audits
     return to_jsonable(summary)
 
 
@@ -319,20 +344,10 @@ def run_experiment(
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
     ens = run_ensemble(ctx, n_runs, master_seed=master_seed, workers=workers)
-    thresholds = default_thresholds(cfg, ctx)
-    outcome = classify_outcome(ens, thresholds)
-    verdict = None
-    residual = None
-    if ens.mean_ledger is not None:
-        verdict = necessity_audit(
-            ens.mean_ledger, ens.mean_err_sq, threshold=thresholds.bound_error,
-            tail_window=thresholds.tail_window,
-        )
-        residual = rate_balance_check(ens.mean_ledger)
-    summary = build_summary(cfg, ctx, ens, outcome, verdict, residual)
-    violation = bool(verdict is not None and verdict.applicable and not verdict.passed)
+    summary = build_summary(cfg, ctx, ens)
+    necessity = summary["necessity"]
+    violation = bool(necessity and necessity["applicable"] and not necessity["passed"])
 
-    csv_names, svg_names = [], []
     out_path = out_dir if out_dir is not None else cfg.outputs.get("dir", "out")
     if write:
         formats = cfg.outputs.get("formats", OUTPUT_FORMATS)
@@ -340,23 +355,20 @@ def run_experiment(
         files = {}
         if "csv" in formats:
             for r in ens.runs:
-                name = os.path.join("runs", f"run_{r.run_index:05d}.csv")
-                files[name] = run_csv_text(r, r.run_index)
-                csv_names.append(name)
+                files[os.path.join("runs", f"run_{r.run_index:05d}.csv")] = run_csv_text(
+                    r, r.run_index)
+            files["outcomes.csv"] = outcomes_csv_text(ens.runs)
         if "json" in formats:
             files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         files["config.cfg"] = cfg.source_text or _render_config(cfg)
         for r in ens.runs:
+            name = f"run_{r.run_index:05d}.json"
             if r.beliefs_json is not None:
-                files[os.path.join("beliefs", f"run_{r.run_index:05d}.json")] = (
-                    json.dumps(to_jsonable(r.beliefs_json), indent=1) + "\n"
-                )
-        for r in ens.runs:
+                files[os.path.join("beliefs", name)] = json.dumps(
+                    to_jsonable(r.beliefs_json), indent=1) + "\n"
             if r.audits is not None:
-                files[os.path.join("audits", f"run_{r.run_index:05d}.json")] = (
-                    json.dumps(to_jsonable(r.audits.to_json_dict()), indent=2, sort_keys=True)
-                    + "\n"
-                )
+                files[os.path.join("audits", name)] = json.dumps(
+                    to_jsonable(r.audits), indent=2, sort_keys=True) + "\n"
         if want_svg:
             ts = list(range(len(ens.mean_err_sq)))
             files["plots/err_norm_sq.svg"] = render_svg(
@@ -365,14 +377,12 @@ def run_experiment(
                 ylabel="E ||e_t||^2",
                 logy=bool(np.all(ens.mean_err_sq > 0)),
             )
-            svg_names.append("plots/err_norm_sq.svg")
             files["plots/state_norm_sq.svg"] = render_svg(
                 [Series("mean ||x||^2", tuple(ts), tuple(ens.mean_state_sq))],
                 title=f"{cfg.experiment}: state second moment",
                 ylabel="E ||x_t||^2",
                 logy=bool(np.all(ens.mean_state_sq > 0)),
             )
-            svg_names.append("plots/state_norm_sq.svg")
             if ens.mean_ledger is not None:
                 rates = [d / (t + 1) for t, d in enumerate(ens.mean_ledger.di_cum)]
                 files["plots/di_rate.svg"] = render_svg(
@@ -381,16 +391,9 @@ def run_experiment(
                     ylabel="bits/step",
                     hlines=[("r_exp", ctx.decomp.r_exp)],
                 )
-                svg_names.append("plots/di_rate.svg")
         write_bundle_atomic(out_path, files)
 
-    return ReportBundle(
-        out_dir=str(out_path),
-        summary=summary,
-        csv_names=csv_names,
-        svg_names=svg_names,
-        acceptance_violation=violation,
-    )
+    return ReportBundle(out_dir=str(out_path), summary=summary, acceptance_violation=violation)
 
 
 def _render_config(cfg: ExperimentConfig) -> str:
@@ -508,31 +511,119 @@ def read_bundle_config(bundle_dir) -> ExperimentConfig:
         raise SenseboundError(f"{path}: {exc}") from exc
 
 
-def recompute_summary_from_csvs(bundle_dir: str, cfg: Optional[ExperimentConfig] = None) -> dict:
-    """Re-derive ensemble statistics straight from the run CSVs. The horizon
-    is the bundle's config's (`cfg`, else config.cfg's); the DI rate averages
-    the CSVs of `horizon` rows, the completed runs, and is None without one.
-    `alive` counts at each step the CSVs that reach it, as `run_ensemble` does."""
-    cfg = read_bundle_config(bundle_dir) if cfg is None else cfg
-    horizon = int(cfg.run.get("horizon", DEFAULT_HORIZON))
+def read_outcomes_csv(path) -> dict:
+    """{run_id: (outcome, terminal h_pred or None)} from outcomes.csv; a
+    missing file, a wrong header, a malformed or repeated row and an
+    unknown outcome each raise SenseboundError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+    except FileNotFoundError:
+        raise SenseboundError(f"{path}: missing; a bundle without it cannot be checked") from None
+    except ValueError as exc:  # not UTF-8, or no header line
+        raise SenseboundError(f"{path}: not an outcomes table ({exc})") from exc
+    if header + "\n" != OUTCOMES_HEADER:
+        raise SenseboundError(f"{path}: expected the header {OUTCOMES_HEADER.strip()!r}")
+    table = {}
+    for row in rows:
+        try:
+            run_id, outcome, term = row.split(",")
+            run_id, term = int(run_id), float(term) if term else None
+        except ValueError:
+            raise SenseboundError(f"{path}: malformed row {row!r}") from None
+        if outcome not in OUTCOMES:
+            raise SenseboundError(f"{path}: run {run_id} has outcome {outcome!r}, "
+                                  f"not one of {', '.join(OUTCOMES)}")
+        if run_id in table:
+            raise SenseboundError(f"{path}: run {run_id} has two rows")
+        table[run_id] = (outcome, term)
+    return table
+
+
+def read_back_summary(bundle_dir, cfg: ExperimentConfig) -> dict:
+    """`build_summary` of a bundle's runs, each rebuilt from runs/run_NNNNN.csv
+    and its outcomes.csv row, with the first audits/ file. A CSV and a row
+    that do not pair up by run_id, `completed` on a CSV shorter than the
+    horizon or another outcome on a full one, and a terminal value on a run
+    with no step or none on a run with steps raise SenseboundError."""
+    ctx = build_context(cfg)
+    master_seed = int(cfg.run.get("seed", 0))
     runs_dir = os.path.join(bundle_dir, "runs")
-    names = sorted(os.listdir(runs_dir)) if os.path.isdir(runs_dir) else []
+    names = set(os.listdir(runs_dir)) if os.path.isdir(runs_dir) else set()
     if not names:
         raise SenseboundError(f"no run CSVs under {bundle_dir!r}")
-    datas = [read_run_csv(os.path.join(runs_dir, n)) for n in names]
-    steps = np.array([len(d["t"]) for d in datas])
-    full = [d for d in datas if len(d["t"]) == horizon]
-    di_rate = (
-        math.fsum(d["di_cum_bits"][-1] for d in full) / len(full) / horizon
-        if full
-        else None
-    )
-    return {
-        "n_runs": len(datas),
-        "horizon": horizon,
-        "mean_err_sq": exact_step_means([d["err_norm_sq"] for d in datas]),
-        "mean_state_sq": exact_step_means([d["state_norm_sq"] for d in datas]),
-        "mean_cmi_bits": exact_step_means([d["cmi_bits"] for d in datas]),
-        "alive": (np.arange(steps.max())[:, None] < steps).sum(axis=1),
-        "di_rate_bits_per_step": di_rate,
-    }
+    path = os.path.join(bundle_dir, "outcomes.csv")
+    table = read_outcomes_csv(path)
+    unpaired = sorted(names ^ {f"run_{i:05d}.csv" for i in table})
+    if unpaired:
+        what = "no row for" if unpaired[0] in names else "no CSV"
+        raise SenseboundError(f"{path}: {what} runs/{unpaired[0]}")
+    template = InfoLedger(ctx.decomp.r_exp, tracked_expansion(ctx.decomp))
+    records = []
+    for i, (outcome, term) in sorted(table.items()):
+        cols = read_run_csv(os.path.join(runs_dir, f"run_{i:05d}.csv"))
+        steps = len(cols["t"])
+        if steps > ctx.horizon or (outcome == "completed") != (steps == ctx.horizon):
+            raise SenseboundError(f"{path}: run {i} is {outcome}, but its CSV has {steps} "
+                                  f"rows and the horizon is {ctx.horizon}")
+        if (term is None) != (steps == 0):
+            raise SenseboundError(f"{path}: run {i} has {steps} rows and "
+                                  f"{'no' if term is None else 'a'} terminal h_pred")
+        ledger = template.closed(cols["h_pred_bits"], cols["h_post_bits"], cols["cmi_bits"],
+                                 cols["di_cum_bits"], term)
+        records.append(RunRecord(
+            master_seed, i, z_u=None, u=None, y=None, state_norm_sq=cols["state_norm_sq"],
+            err_norm_sq=cols["err_norm_sq"], cond=None, ledger=ledger, outcome=outcome))
+    for r in records:
+        audit_path = os.path.join(bundle_dir, "audits", f"run_{r.run_index:05d}.json")
+        if os.path.exists(audit_path):
+            r.audits = _read_json_object(audit_path)
+            break
+    return build_summary(cfg, ctx, reduce_ensemble(records, ctx.horizon, master_seed))
+
+
+def recomputed_stats(summary: dict) -> dict:
+    """The run counts and statistics of a summary, as recomputed.json holds them."""
+    return {k: summary[k] if k in summary else summary["ensemble"][k] for k in RECOMPUTED_KEYS}
+
+
+def recompute_summary_from_csvs(bundle_dir: str, cfg: Optional[ExperimentConfig] = None) -> dict:
+    """`recomputed_stats` of the summary read back from a bundle whose
+    config is `cfg`, else its config.cfg."""
+    cfg = read_bundle_config(bundle_dir) if cfg is None else cfg
+    return recomputed_stats(read_back_summary(bundle_dir, cfg))
+
+
+def _read_json_object(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SenseboundError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise SenseboundError(f"{path}: expected a JSON object")
+    return value
+
+
+def summary_mismatches(summary_path, derived: dict) -> list:
+    """(key, detail) for each leaf of summary.json but UNCHECKED_KEY whose JSON
+    text differs from the derived summary's: a value other than a non-empty
+    object, named by its dotted path, `ensemble.` left off."""
+    def leaves(obj, path=()):
+        for key, value in obj.items():
+            if isinstance(value, dict) and value:
+                yield from leaves(value, path + (key,))
+            else:
+                yield path + (key,), json.dumps(value, sort_keys=True)
+
+    def brief(text):
+        return "nothing" if text is None else text if len(text) <= 60 else text[:57] + "..."
+
+    stored = dict(leaves(_read_json_object(summary_path)))
+    stored.pop(UNCHECKED_KEY, None)
+    derived = dict(leaves(json.loads(json.dumps(derived))))
+    return [
+        (".".join(p[1:] if p[0] == "ensemble" and len(p) > 1 else p),
+         f"summary.json has {brief(stored.get(p))}, the bundle gives {brief(derived.get(p))}")
+        for p in dict.fromkeys([*derived, *stored]) if stored.get(p) != derived.get(p)
+    ]

@@ -350,7 +350,7 @@ class TestCli:
         edit = self._edit_json(lambda s: s["ensemble"].update(mean_err_sq="abc"))
         code, out, err, spath = self._report_after(tmp_path, capsys, edit)
         assert code == 1
-        assert err.startswith(f"error: {spath}: mean_err_sq"), err
+        assert 'MISMATCH in mean_err_sq: summary.json has "abc"' in err, err
         assert "Traceback" not in err
 
     def test_report_counts_a_deleted_statistic_as_a_mismatch(self, tmp_path, capsys):
@@ -482,19 +482,23 @@ class TestCli:
         code, out, err, _ = self._open_loop_report(
             tmp_path, capsys, self._edit_json(lambda s: s.update(n_halted=0)))
         assert code == 1
-        assert "MISMATCH in n_halted + n_degenerate" in err
+        assert "MISMATCH in n_halted: summary.json has 0, the bundle gives 6" in err
+        assert "n_degenerate" not in err
         assert "matches" not in out and "Traceback" not in err
 
-    @pytest.mark.parametrize("change", [
-        pytest.param(lambda s: s.update(n_runs=2.5), id="fractional-runs"),
-        pytest.param(lambda s: s.update(n_halted=[1]), id="listed-halts"),
-        pytest.param(lambda s: s["ensemble"].update(alive=3), id="scalar-alive"),
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda s: s.update(n_runs=2.5), "n_runs: summary.json has 2.5,",
+                     id="fractional-runs"),
+        pytest.param(lambda s: s.update(n_halted=[1]), "n_halted: summary.json has [1],",
+                     id="listed-halts"),
+        pytest.param(lambda s: s["ensemble"].update(alive=3), "alive: summary.json has 3,",
+                     id="scalar-alive"),
     ])
     def test_report_on_a_malformed_count_is_an_error_not_a_traceback(self, tmp_path, capsys,
-                                                                     change):
+                                                                     change, message):
         code, out, err, spath = self._report_after(tmp_path, capsys, self._edit_json(change))
         assert code == 1
-        assert err.startswith(f"error: {spath}: "), err
+        assert f"MISMATCH in {message}" in err, err
         assert "Traceback" not in err
 
     def test_sweep_passes_runs_and_horizon_to_every_point(self, tmp_path, monkeypatch):
@@ -645,8 +649,5 @@ class TestCli:
         """The exit-code mapping flags acceptance violations as 2."""
         from sensebound.report import ReportBundle
 
-        bundle = ReportBundle(
-            out_dir="x", summary={}, csv_names=[], svg_names=[],
-            acceptance_violation=True,
-        )
+        bundle = ReportBundle(out_dir="x", summary={}, acceptance_violation=True)
         assert bundle.exit_code == 2

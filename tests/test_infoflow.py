@@ -29,12 +29,12 @@ class _FakeStep:
 
 class TestLedger:
     def test_single_step(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         lg.record(_FakeStep(0, 2.0, 1.0))
         assert lg.di_cum[-1] == pytest.approx(1.0)
 
     def test_additivity(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         lg.record(_FakeStep(0, 2.0, 1.0))
         lg.record(_FakeStep(1, 2.0, 1.5))
         assert lg.di_cum == pytest.approx([1.0, 1.5])
@@ -42,14 +42,14 @@ class TestLedger:
         assert (lg.h_pred, lg.h_post) == ([2.0, 2.0], [1.0, 1.5])
 
     def test_out_of_order(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         with pytest.raises(OutOfOrderStep):
             lg.record(_FakeStep(3, 2.0, 1.0))
 
     def test_compensated_sum_matches_fsum(self):
         rng = np.random.default_rng(5)
         vals = rng.uniform(-1.0, 1.0, size=2000)
-        lg = InfoLedger(r_exp=0.0, h0=0.0)
+        lg = InfoLedger(r_exp=0.0)
         for t, v in enumerate(vals):
             lg.record(_FakeStep(t, v, 0.0))
         assert lg.di_cum[-1] == pytest.approx(math.fsum(vals), abs=1e-12)
@@ -57,7 +57,7 @@ class TestLedger:
     def test_steady_state_cmi_is_log2_a(self, scalar_double, unit_gaussian_channel):
         """Riccati fixed point: p* = r(1 - a^-2), cmi* = log2 a."""
         b = GaussianBelief([0.0], [[1.0]], t=0, kind="predicted")
-        lg = InfoLedger(r_exp=1.0, h0=b.entropy_bits())
+        lg = InfoLedger(r_exp=1.0)
         for t in range(120):
             step = update(b, unit_gaussian_channel, [0.0])
             lg.record(step)
@@ -107,7 +107,7 @@ class TestRateBalance:
                 assert abs(rate_balance_check(rec.ledger)) <= 1e-9
 
     def test_needs_terminal_entropy(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         lg.record(_FakeStep(0, 2.0, 1.0))
         with pytest.raises(ValueError):
             rate_balance_check(lg, T=0)
@@ -122,7 +122,7 @@ class TestRateBalance:
 
 class TestNecessity:
     def test_bounded_kalman_passes(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.0))
         v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
@@ -130,7 +130,7 @@ class TestNecessity:
         assert v.di_rate == pytest.approx(1.0)
 
     def test_unbounded_is_vacuous(self):
-        lg = InfoLedger(r_exp=1.585, h0=2.0)
+        lg = InfoLedger(r_exp=1.585)
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.9))
         err = np.geomspace(1.0, 1e9, 40)
@@ -138,7 +138,7 @@ class TestNecessity:
         assert not v.applicable and v.passed is None
 
     def test_violation_detected(self):
-        lg = InfoLedger(r_exp=1.0, h0=2.0)
+        lg = InfoLedger(r_exp=1.0)
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.8))  # 0.2 bits/step only
         v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
@@ -181,7 +181,7 @@ class TestEnsembleLedger:
     def test_mean_of_identical_runs(self):
         ledgers = []
         for _ in range(3):
-            lg = InfoLedger(r_exp=1.0, h0=2.0)
+            lg = InfoLedger(r_exp=1.0)
             lg.record(_FakeStep(0, 2.0, 1.0))
             lg.terminal_h_pred = 2.0
             ledgers.append(lg)

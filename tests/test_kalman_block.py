@@ -76,8 +76,8 @@ def assert_ledgers_equal(a: InfoLedger, b: InfoLedger):
         x, y = getattr(a, col), getattr(b, col)
         assert x == y, col
         assert [type(v) for v in x] == [type(v) for v in y], col
-    assert (a.h0, a.r_exp, a.expansion, a.terminal_h_pred) == (
-        b.h0, b.r_exp, b.expansion, b.terminal_h_pred
+    assert (a.r_exp, a.expansion, a.terminal_h_pred) == (
+        b.r_exp, b.expansion, b.terminal_h_pred
     )
 
 

@@ -253,7 +253,7 @@ class TestEnsemble:
                 if f.name == "ledger":
                     for col in ("h_pred", "h_post", "cmi", "di_cum"):
                         assert getattr(x, col) == getattr(y, col), col
-                    assert (x.h0, x.terminal_h_pred) == (y.h0, y.terminal_h_pred)
+                    assert x.terminal_h_pred == y.terminal_h_pred
                 elif isinstance(x, np.ndarray):
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
                 else:

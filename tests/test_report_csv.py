@@ -16,7 +16,7 @@ from sensebound.channels import make_channel
 from sensebound.cli import main
 from sensebound.config import build_context, parse_config
 from sensebound.errors import SenseboundError
-from sensebound.experiments import load_bundled
+from sensebound.experiments import bundled_names, load_bundled
 from sensebound.infoflow import InfoLedger
 from sensebound.loop import RunContext, run_block, run_closed_loop
 from sensebound.priors import GaussianPrior
@@ -126,7 +126,7 @@ class TestWriter:
 
     def test_signed_zero_and_numpy_scalars(self):
         rec = run_block(bundled_ctx("kalman-baseline", horizon=2), 1, range(1))[0]
-        ledger = InfoLedger(r_exp=1.0, h0=0.5)
+        ledger = InfoLedger(r_exp=1.0)
         ledger.h_pred = [np.float64(-0.0), np.float64(2.5)]
         ledger.h_post = [0.0, -1e16]
         ledger.cmi = [-0.0, float("inf")]
@@ -140,7 +140,7 @@ class TestWriter:
     def test_memo_follows_the_ledger(self):
         """A step recorded after the cells were formatted gets its own cell,
         and a pickled ledger gives the same cells."""
-        ledger = InfoLedger(r_exp=1.0, h0=2.0)
+        ledger = InfoLedger(r_exp=1.0)
         ledger._append(1.0, 0.5)
         assert ledger.csv_cells() == ["1.0,0.5,0.5,0.5"]
         ledger._append(np.float64(2.0), 1.25)
@@ -155,6 +155,22 @@ class TestReadBack:
         run_experiment(load_bundled("kalman-baseline"), out_dir=str(out), seed=3, runs=3,
                        horizon=100)
         return out
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_read_back_equals_summary_exactly(self, name, tmp_path):
+        """The read-back and summary.json come from one reduction, so they
+        agree with ==, not to a tolerance, at every bundled experiment."""
+        out = tmp_path / "b"
+        run_experiment(load_bundled(name), out_dir=str(out), runs=4)
+        stored = json.loads((out / "summary.json").read_text())
+        got = recompute_summary_from_csvs(str(out))
+        ens = stored["ensemble"]
+        assert got == {
+            "n_runs": stored["n_runs"], "horizon": stored["horizon"],
+            "mean_err_sq": ens["mean_err_sq"], "mean_state_sq": ens["mean_state_sq"],
+            "mean_cmi_bits": ens["mean_cmi_bits"], "alive": ens["alive"],
+            "di_rate_bits_per_step": stored["di_rate_bits_per_step"],
+        }
 
     def test_columns_equal_reference(self, bundle):
         path = bundle / "runs" / "run_00001.csv"
@@ -233,6 +249,8 @@ class TestReadBack:
         (tmp_path / "config.cfg").write_text("[system]\nA = [[2.0]]\n[run]\nhorizon = 8\n")
         for i in range(2):
             (tmp_path / "runs" / f"run_{i:05d}.csv").write_text(",".join(CSV_COLUMNS) + "\n")
+        (tmp_path / "outcomes.csv").write_text(
+            "run_id,outcome,terminal_h_pred_bits\n0,degenerate,\n1,degenerate,\n")
         got = recompute_summary_from_csvs(str(tmp_path))
         assert (got["n_runs"], got["horizon"], got["di_rate_bits_per_step"]) == (2, 8, None)
         assert got["mean_err_sq"] == got["mean_cmi_bits"] == []
