@@ -143,8 +143,6 @@ def _cmd_run(args, force_audit: bool = False) -> int:
         cfg.outputs["formats"] = [args.format]
     if force_audit:
         cfg.run["audit"] = True
-    if args.format is not None or force_audit:
-        cfg.source_text = ""  # the bundle's config.cfg is then rendered with the override
     bundle = run_experiment(
         cfg,
         out_dir=args.out,

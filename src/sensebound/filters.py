@@ -20,10 +20,7 @@ predicted entropy exceeds the previous posterior entropy by the expansion
 rate up to representation error.
 """
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -507,41 +504,55 @@ def _rows_axes(mean: np.ndarray, cov: np.ndarray, spec: GridSpec) -> tuple:
     return tuple(axes)
 
 
-def _flapack():
-    """scipy's LAPACK extension module, `scipy.linalg._flapack`, loaded from
-    its file once per process without running `scipy/linalg/__init__.py`.
+@lru_cache(maxsize=None)
+def _gtsv():
+    """LAPACK dgtsv as `solve(dl, d, du, b)`: the solution of the
+    tridiagonal system with sub-, main and super-diagonals dl, d, du and
+    one right-hand side b (1-D float64 arrays, C-contiguous and writable,
+    all four overwritten). A singular system raises LinAlgError.
 
-    The re-grid needs one routine, dgtsv. Reaching it through the
-    package's `lapack` module would import all of `scipy.linalg` (some 85
-    modules and 26 MB of resident memory) for it. The extension is
-    registered in `sys.modules` under its own name, so a later
-    `import scipy.linalg` reuses this module object, and the package's
-    `dgtsv` is this routine. Where scipy's layout has no such file, the
-    public `scipy.linalg.lapack` is returned: the same routine, only
-    without the memory saving.
+    numpy's wheels bundle an ILP64 OpenBLAS whose LAPACK symbols carry the
+    `scipy_` prefix and `64_` suffix. The routine is looked up once per
+    process through the handle of the loaded `numpy.linalg._umath_linalg`
+    extension (`dlsym` searches its dependencies too), so the re-grid maps
+    no second LAPACK and imports no scipy. Only that known ILP64 name is
+    used: an unsuffixed `dgtsv_` could take 32- or 64-bit integers. Where
+    it is absent (numpy built on MKL or Accelerate, Windows) the public
+    `scipy.linalg.lapack.dgtsv` solves instead; both are the reference
+    LAPACK routine, with the same bits.
     """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    import scipy
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.exists(path):
-            break
-    else:  # not a file beside the package: the public module, same dgtsv
-        return importlib.import_module("scipy.linalg.lapack")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
+        from numpy.linalg import _umath_linalg
+
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        from scipy.linalg.lapack import dgtsv
+
+        def solve(dl, d, du, b):
+            *_, x, info = dgtsv(dl, d, du, b.reshape(-1, 1), True, True, True, True)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            return x.reshape(b.shape)
+
+        return solve
+
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS, WRITEABLE")
+    routine.argtypes = [int64, int64, vector, vector, vector, vector, int64, int64]
+    routine.restype = None
+
+    def solve(dl, d, du, b):
+        n = len(d)
+        if dl.shape != (n - 1,) or du.shape != (n - 1,) or b.shape != (n,):
+            raise ValueError(f"dgtsv: shapes {dl.shape} {d.shape} {du.shape} {b.shape} "
+                             "do not form an n x n tridiagonal system")
+        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        routine(size, ctypes.c_int64(1), dl, d, du, b, size, info)
+        if info.value > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return b
+
+    return solve
 
 
 def _rows_cubic_spline(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -604,10 +615,7 @@ def _rows_spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = x[:, -1] - x[:, -3]
     diag[:, -1], lower[:, -2] = dx[:, -2], d
     b[:, -1] = (dx[:, -1] ** 2 * slope[:, -2] + (2 * d + dx[:, -1]) * dx[:, -2] * slope[:, -1]) / d
-    *_, s, info = _flapack().dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1],
-                                   b.reshape(-1, 1), True, True, True, True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+    s = _gtsv()(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], b.ravel())
     return s.reshape(N, n)
 
 

@@ -93,12 +93,16 @@ def outcomes_csv_text(records) -> str:
 def read_run_csv(path) -> dict:
     """The columns of one run CSV, as float arrays.
 
-    A wrong header, a row with a missing or extra cell and a cell that is
-    not a number each raise SenseboundError naming the file.
+    Bytes that are not UTF-8, a wrong header, a row with a missing or extra
+    cell and a cell that is not a number each raise SenseboundError naming
+    the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SenseboundError(f"{path}: not a UTF-8 run CSV ({exc})") from exc
     if header != CSV_HEADER:
         got = header.rstrip("\n").split(",")
         raise SenseboundError(f"unexpected CSV columns in {path}: {got}")
@@ -325,11 +329,12 @@ def run_experiment(
 ) -> ReportBundle:
     """Run the configured ensemble and emit the report bundle.
 
-    A seed, run count or horizon given here goes into `cfg.run`, and the
-    bundle's config.cfg is then rendered from `cfg` rather than copied from
-    its source text, so a rerun from it repeats this run. The bundle
-    directory must not already exist; everything is staged in a sibling
-    temp dir and renamed into place in one shot.
+    A seed, run count or horizon given here goes into `cfg.run`. The
+    bundle's config.cfg is `cfg.source_text` while that text parses to
+    `cfg`, else `cfg` rendered, so a rerun from it repeats this run
+    whatever was changed in `cfg` after parsing. The bundle directory must
+    not already exist; everything is staged in a sibling temp dir and
+    renamed into place in one shot.
     """
     if seed is not None:
         cfg.run["seed"] = check_seed(seed)
@@ -339,7 +344,6 @@ def run_experiment(
         cfg.run["runs"] = int(runs)
     if any(v is not None for v in (seed, horizon, runs)):
         validate_config(cfg)  # an override must fit the rest of the config
-        cfg.source_text = ""
     master_seed = int(cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
@@ -360,7 +364,7 @@ def run_experiment(
             files["outcomes.csv"] = outcomes_csv_text(ens.runs)
         if "json" in formats:
             files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        files["config.cfg"] = cfg.source_text or _render_config(cfg)
+        files["config.cfg"] = _bundle_config_text(cfg)
         for r in ens.runs:
             name = f"run_{r.run_index:05d}.json"
             if r.beliefs_json is not None:
@@ -396,7 +400,14 @@ def run_experiment(
     return ReportBundle(out_dir=str(out_path), summary=summary, acceptance_violation=violation)
 
 
-def _render_config(cfg: ExperimentConfig) -> str:
+def _bundle_config_text(cfg: ExperimentConfig) -> str:
+    """A bundle's config.cfg: `cfg.source_text` while that text parses to
+    `cfg` (compared as JSON text), else `cfg` rendered one key a line."""
+    def as_json(c):
+        return json.dumps(to_jsonable(c), sort_keys=True)
+
+    if cfg.source_text and as_json(parse_config(cfg.source_text)) == as_json(cfg):
+        return cfg.source_text
     lines = [f'experiment = "{cfg.experiment}"']
     for section in SECTIONS:
         data = getattr(cfg, section)

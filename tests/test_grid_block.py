@@ -6,12 +6,14 @@ run index, at any block size and worker count. The one 1-D re-grid,
 `filters._rows_cubic_spline`, must give scipy's `CubicSpline` bits.
 """
 
+import ctypes
 import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from sensebound import filters
 from sensebound.audits import audit_run
@@ -217,6 +219,48 @@ def test_row_spline_small_grids_use_scipy():
     got = filters._rows_cubic_spline(x, y, q)
     for r in range(2):
         assert got[r].tobytes() == CubicSpline(x[r], y[r])(q[r]).tobytes()
+
+
+def joined_blocks(rng, blocks, n, diag_scale):
+    """One tridiagonal system of `blocks` systems of n rows joined by zero
+    off-diagonals, as the row spline solves them; a small `diag_scale`
+    makes the sub-diagonal outweigh the diagonal, so dgtsv swaps rows."""
+    m = blocks * n
+    lower, upper = rng.normal(size=m - 1), rng.normal(size=m - 1)
+    lower[n - 1 :: n] = upper[n - 1 :: n] = 0.0
+    return lower, diag_scale * rng.normal(size=m), upper, rng.normal(size=m)
+
+
+@pytest.mark.parametrize("source", ["numpy", "fallback"])
+def test_row_solve_bits_equal_scipy(monkeypatch, source):
+    """The re-grid's dgtsv, from numpy's LAPACK or, where that symbol
+    cannot be found, from scipy, solves joined block systems to scipy's
+    bits and calls a singular one singular."""
+    if source == "fallback":
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # no symbol to find
+    filters._gtsv.cache_clear()
+    try:
+        solve = filters._gtsv()
+        rng = np.random.default_rng(23)
+        systems = [joined_blocks(rng, 24, 385, 4.0), joined_blocks(rng, 7, 40, 0.1)]
+        lower, diag = systems[1][:2]
+        assert np.sum(np.abs(lower) > np.abs(diag[:-1])) > 100  # rows that pivot
+        for blocks, n in ((1, 4), (3, 5), (50, 97)):
+            systems += [joined_blocks(rng, blocks, n, s) for s in (0.5, 4.0)]
+        for system in systems:
+            _, _, _, want, info = dgtsv(*(a.copy() for a in system[:3]),
+                                        system[3].reshape(-1, 1).copy())
+            assert info == 0
+            got = solve(*(a.copy() for a in system))
+            assert got.tobytes() == want.ravel().tobytes()
+
+        lower, diag, upper, b = joined_blocks(rng, 5, 30, 4.0)
+        diag[60] = lower[60] = 0.0  # block 2 has a zero first column
+        assert dgtsv(lower.copy(), diag.copy(), upper.copy(), b.reshape(-1, 1).copy())[4] > 0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(lower, diag, upper, b)
+    finally:
+        filters._gtsv.cache_clear()
 
 
 def axis0_pmf_bits(belief, ch) -> float:

@@ -204,7 +204,8 @@ class TestReadBack:
         recomputed = json.loads((out / "recomputed.json").read_text())
         assert (recomputed["horizon"], recomputed["di_rate_bits_per_step"]) == (60, None)
 
-    @pytest.mark.parametrize("edit", ["missing", "non-numeric", "missing-and-extra"])
+    @pytest.mark.parametrize("edit", ["missing", "non-numeric", "missing-and-extra",
+                                      "non-utf8"])
     def test_malformed_row_names_the_file(self, bundle, edit, capsys):
         path = bundle / "runs" / "run_00002.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -213,10 +214,12 @@ class TestReadBack:
             lines[3] = ",".join(cells[:-1]) + "\n"
         elif edit == "non-numeric":
             lines[3] = ",".join(cells[:4] + ["n/a"] + cells[5:]) + "\n"
-        else:
+        elif edit == "missing-and-extra":
             lines[3] = ",".join(cells[:-1]) + "\n"
             lines[5] = lines[5].rstrip("\n") + ",0.0\n"
-        path.write_text("".join(lines))
+        else:
+            lines.append("\xff\xfe")  # encoded as latin-1: not UTF-8
+        path.write_text("".join(lines), encoding="latin-1")
         with pytest.raises(SenseboundError, match="run_00002.csv"):
             read_run_csv(path)
         assert main(["report", "--bundle", str(bundle)]) == 1

@@ -13,7 +13,9 @@ import shutil
 import pytest
 
 from sensebound.cli import main
-from sensebound.experiments import bundled_text
+from sensebound.config import parse_config
+from sensebound.experiments import bundled_text, load_bundled
+from sensebound.report import run_experiment
 
 UNCHECKED = ("ensemble", "mean_cmi_channel_bits")  # no CSV v1 column holds it
 
@@ -157,6 +159,21 @@ def test_mean_cmi_channel_is_the_one_unchecked_key(tmp_path, capsys):
     trace[0] += 1.0
     spath.write_text(json.dumps(summary))
     assert _report(bundle, capsys)[0] == 0
+
+
+def test_a_config_edited_after_parsing_is_the_one_recorded(tmp_path, capsys):
+    """config.cfg records the run the bundle holds: the source text while it
+    still parses to the config, else the config rendered."""
+    cfg = load_bundled("shrinking-noise")
+    cfg.run["divergence_guard"] = 30.0
+    cfg.run["runs"] = 12
+    bundle = tmp_path / "b"
+    run_experiment(cfg, out_dir=str(bundle))
+    assert parse_config((bundle / "config.cfg").read_text()).to_json_dict() == cfg.to_json_dict()
+    code, out, _ = _report(bundle, capsys)
+    assert code == 0 and "matches" in out
+    run_experiment(load_bundled("shrinking-noise"), out_dir=str(tmp_path / "same"))
+    assert (tmp_path / "same" / "config.cfg").read_text() == bundled_text("shrinking-noise")
 
 
 def _edit_outcomes(bundle, edit):

@@ -2,10 +2,10 @@
 
 Every scipy subpackage, and the process pool with multiprocessing, is
 imported inside the one function that needs it, so a run that never
-reaches that function never pays for the import. The grid re-grid loads
-only scipy's LAPACK extension module, not the `scipy.linalg` package. The check runs in a
-fresh interpreter, because the test modules of this suite import scipy
-themselves.
+reaches that function never pays for the import. The grid re-grid calls
+the LAPACK that numpy already loaded, so a 1-D grid run loads no scipy.
+The check runs in a fresh interpreter, because the test modules of this
+suite import scipy themselves.
 """
 
 import json
@@ -16,17 +16,13 @@ import textwrap
 
 import sensebound
 
-DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.spatial", "scipy.special", "scipy.stats")
-
 
 def test_bundled_runs_load_only_what_they_reach(tmp_path):
     """Phase 1 (import, `build_context` of every bundled experiment, a
     written and read-back Kalman run) loads no scipy and no multiprocessing;
     phase 2 (a 1-D particle run, whose kNN entropy sorts instead of building
     a KD-tree) still loads no scipy; phase 3 (a 1-D grid run, whose re-grid
-    calls LAPACK) loads the LAPACK extension `scipy.linalg._flapack` alone,
-    not the `scipy.linalg` package, and none of the other scipy
-    subpackages."""
+    calls numpy's own LAPACK) loads no scipy either."""
     child = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {os.path.dirname(os.path.dirname(sensebound.__file__))!r})
@@ -69,37 +65,4 @@ def test_bundled_runs_load_only_what_they_reach(tmp_path):
     assert sorted(m for m in phase1 if m.split(".")[0] in tops) == []
     assert "concurrent.futures.process" not in phase1
     assert sorted(m for m in phase2 if m.split(".")[0] == "scipy") == []
-    assert "scipy.linalg._flapack" in phase3
-    assert "scipy.linalg" not in phase3
-    assert [m for m in DEFERRED if m in phase3] == []
-
-
-def test_loaded_lapack_is_the_package_routine():
-    """The extension the re-grid loads from its file is the module object
-    `scipy.linalg.lapack` takes its dgtsv from once the package is imported
-    after it, and both solve a block system to the same bits."""
-    child = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {os.path.dirname(os.path.dirname(sensebound.__file__))!r})
-        import numpy as np
-        from sensebound import filters
-
-        flapack = filters._flapack()
-        assert "scipy.linalg" not in sys.modules
-        rng = np.random.default_rng(3)
-        n = 24 * 40
-        lower, upper = rng.normal(size=n - 1), rng.normal(size=n - 1)
-        lower[39::40] = upper[39::40] = 0.0  # 24 blocks of 40 rows
-        system = (lower, 4.0 + rng.random(n), upper, rng.normal(size=(n, 1)))
-        before = flapack.dgtsv(*system)[3]
-
-        from scipy.linalg import lapack
-
-        assert lapack._flapack is flapack and lapack.dgtsv is flapack.dgtsv
-        assert filters._flapack() is flapack
-        assert lapack.dgtsv(*system)[3].tobytes() == before.tobytes()
-        print("ok")
-    """)
-    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.split() == ["ok"]
+    assert sorted(m for m in phase3 if m.split(".")[0] == "scipy") == []
