@@ -109,8 +109,8 @@ def audit_assumption2(prior) -> AssumptionVerdict:
 
     Gaussian priors have Hessian -inv(cov) <= 0: any positive beta works,
     reported as 0. The Student-t stress prior has positive curvature in
-    its tails; its cap comes from a dense 1-D scan of the closed-form
-    second derivative.
+    its tails: its second derivative -(nu+1)(nu s^2 - z^2)/(nu s^2 + z^2)^2
+    peaks at z^2 = 3 nu s^2, where it is (nu+1)/(8 nu s^2).
     """
     if isinstance(prior, GaussianPrior):
         return AssumptionVerdict(
@@ -121,9 +121,8 @@ def audit_assumption2(prior) -> AssumptionVerdict:
             detail="gaussian prior: Hessian = -inv(cov) <= 0",
         )
     if isinstance(prior, StudentTPrior):
-        zs = np.linspace(-50.0 * prior.scale, 50.0 * prior.scale, 20001)
-        d2 = np.array([prior.d2_logpdf(z) for z in zs])
-        beta_hat = float(np.max(d2))
+        nu, s = prior.df, prior.scale
+        beta_hat = (nu + 1.0) / (8.0 * nu * s * s)
         return AssumptionVerdict(
             name="assumption2",
             applicable=True,

@@ -5,8 +5,9 @@ states X given `noise_dim` unit normals per observation, one row each or
 a single state; `sample` feeds it normals from a generator. Its
 log-likelihood in nats is `log_density_batch`, for a block of states, and
 the twice-differentiable kinds give its closed-form Hessian in the state,
-`hessian`. Under a noise schedule the channel of step t is `at(t)`. The
-library spans the regimes the experiment suite needs:
+`hessian`. Under a noise schedule, the constructor's `gamma`, the channel
+of step t is `at(t)`. The library spans the regimes the experiment suite
+needs:
 
 - linear-gaussian: exactly solvable baseline (Kalman-compatible)
 - tanh-gaussian:   smooth, log-concave saturating nonlinearity
@@ -38,6 +39,16 @@ def rows_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(M, X[..., None])[..., 0]
 
 
+def _check_gamma(gamma) -> Optional[float]:
+    """A noise schedule's decay as a float in (0, 1], or None for none."""
+    if gamma is None:
+        return None
+    gamma = float(gamma)
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
+    return gamma
+
+
 def _check_spd(R: np.ndarray, name: str = "R") -> np.ndarray:
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if R.shape[0] != R.shape[1]:
@@ -57,8 +68,8 @@ class ChannelModel:
     kind: str = "abstract"
     smoothness: str = "C2"
     support: str = "continuous"
-    # the noise schedule's decay, set from `channel.schedule`: the channel
-    # of step t observes with its noise scaled by gamma**t
+    # the noise schedule's decay: the channel of step t observes with its
+    # noise scaled by gamma**t; a kind with noise takes it as a parameter
     gamma: Optional[float] = None
 
     @property
@@ -122,7 +133,8 @@ class ChannelModel:
 class _GaussianNoiseChannel(ChannelModel):
     """Shared machinery for y = g(x) + v, v ~ N(0, R)."""
 
-    def __init__(self, R):
+    def __init__(self, R, gamma=None):
+        self.gamma = _check_gamma(gamma)
         R = _check_spd(R)
         self.R = R
         self._R_inv = np.linalg.inv(R)
@@ -171,9 +183,9 @@ class LinearGaussianChannel(_GaussianNoiseChannel):
 
     kind = "linear-gaussian"
 
-    def __init__(self, C=1.0, R=1.0):
+    def __init__(self, C=1.0, R=1.0, gamma=None):
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        super().__init__(R)
+        super().__init__(R, gamma)
         if C.shape[0] != self.R.shape[0]:
             raise DimensionMismatch(
                 f"C has {C.shape[0]} rows but R is {self.R.shape[0]}x{self.R.shape[0]}"
@@ -207,8 +219,8 @@ class TanhGaussianChannel(_GaussianNoiseChannel):
 
     kind = "tanh-gaussian"
 
-    def __init__(self, scale=1.0, R=1.0):
-        super().__init__(R)
+    def __init__(self, scale=1.0, R=1.0, gamma=None):
+        super().__init__(R, gamma)
         self.scale = float(scale)
 
     def _g(self, X):
@@ -230,8 +242,8 @@ class CubicGaussianChannel(_GaussianNoiseChannel):
 
     kind = "cubic-gaussian"
 
-    def __init__(self, R=1.0):
-        super().__init__(R)
+    def __init__(self, R=1.0, gamma=None):
+        super().__init__(R, gamma)
 
     def _g(self, X):
         return X**3
@@ -313,7 +325,8 @@ class ModuloGaussianChannel(ChannelModel):
 
     kind = "modulo-gaussian"
 
-    def __init__(self, period=1.0, r=0.04, dim: int = 1):
+    def __init__(self, period=1.0, r=0.04, dim: int = 1, gamma=None):
+        self.gamma = _check_gamma(gamma)
         self.period = float(period)
         self.r = float(r)
         self.dim = int(dim)

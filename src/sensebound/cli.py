@@ -18,11 +18,8 @@ from .config import OUTPUT_FORMATS, build_system, parse_config
 from .errors import SenseboundError, ValidationError
 from .experiments import bundled_names, bundled_text
 from .report import (
-    Series,
     read_back_summary,
     read_bundle_config,
-    recomputed_stats,
-    render_svg,
     run_experiment,
     run_sweep,
     summary_mismatches,
@@ -220,21 +217,6 @@ def _cmd_report(args) -> int:
     elif "json" in cfg.outputs.get("formats", OUTPUT_FORMATS):
         print("MISMATCH: summary.json missing", file=sys.stderr)
         status = 1
-    recomputed = recomputed_stats(derived)
-    path = os.path.join(bundle_dir, "recomputed.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(recomputed, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    ts = list(range(len(recomputed["mean_err_sq"])))
-    if ts:
-        svg = render_svg(
-            [Series("mean ||e||^2 (recomputed)", tuple(ts), tuple(recomputed["mean_err_sq"]))],
-            title="recomputed estimation error",
-            ylabel="E ||e_t||^2",
-        )
-        with open(os.path.join(bundle_dir, "recomputed_err.svg"), "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    print(f"recomputed stats written to {path}")
     return status
 
 

@@ -56,7 +56,7 @@ FILTER_KINDS = tuple(FILTER_KEYS)
 
 # the keys of a kinded section that select its kind, not the kind's own
 _SELECTOR_KEYS = {
-    "channel": ("kind", "schedule", "extension"),
+    "channel": ("kind",),
     "prior": ("family",),
     "filter": ("kind",),
     "controller": ("mode", "design"),
@@ -83,8 +83,8 @@ _CONTEXT_OPTIONS = {
 # every key that switches something on, as JSON true or false; no other
 # key's value may hold true or false anywhere
 _BOOLEAN_KEYS = (
-    ("system", "allow_stable"), ("channel", "extension"), ("run", "audit"),
-    ("outputs", "svg"), ("outputs", "debug_beliefs"),
+    ("system", "allow_stable"), ("run", "audit"), ("outputs", "svg"),
+    ("outputs", "debug_beliefs"),
 )
 # every key read as a number, with its cast; an int key takes whole
 # numbers only (run.seed has its own check, `check_seed`)
@@ -93,6 +93,7 @@ _NUMERIC_KEYS = {
     ("system", "cond_cap"): float,
     ("channel", "levels"): int,
     ("channel", "dim"): int,
+    ("channel", "gamma"): float,
     ("filter", "cells_per_std"): int,
     ("filter", "max_cells"): int,
     ("run", "runs"): int,
@@ -263,7 +264,7 @@ def _tail_window(run: dict, horizon: int) -> int:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    sys_c, ch, ctl, run = cfg.system, cfg.channel, cfg.controller, cfg.run
+    sys_c, ctl, run = cfg.system, cfg.controller, cfg.run
     kind, family, fkind, mode, design = _kinds(cfg)
 
     for section in ("system", "run", "outputs"):
@@ -271,15 +272,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for key in getattr(cfg, section):
             _require(key in known, f"{section}.{key}",
                      f"unknown key; known: {', '.join(sorted(known))}")
-
-    for section in SECTIONS:
-        for key, value in getattr(cfg, section).items():
-            if (section, key) in _BOOLEAN_KEYS:
-                _require(isinstance(value, bool), f"{section}.{key}",
-                         f"expected true or false, got {value!r}")
-            else:
-                _require(not _has_bool(value), f"{section}.{key}",
-                         f"only a switch key takes true or false, got {value!r}")
 
     _require("A" in sys_c, "system.A", "system matrix A is required")
     A = np.atleast_2d(_float_array(sys_c["A"], "system.A"))
@@ -292,21 +284,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(kind in CHANNEL_KINDS, "channel.kind",
              f"unknown channel kind {kind!r}; known: {', '.join(CHANNEL_KINDS)}")
     _check_keys(cfg, "channel", kind_keys(CHANNELS[kind]), f"channel kind {kind!r}")
-    _require("extension" not in ch or "schedule" in ch, "channel.extension",
-             "extension opts in to a per-step schedule, and no schedule is set")
-    if "schedule" in ch:
-        _require(ch.get("extension", False), "channel.schedule",
-                 "a per-step parameter schedule is a flagged extension beyond the "
-                 "time-invariant observation model; set extension = true to opt in")
-        sched = ch["schedule"]
-        _require(isinstance(sched, dict) and "gamma" in sched, "channel.schedule",
-                 'schedule must be an object like {"gamma": 0.5}')
-        _require(_is_number(sched["gamma"]), "channel.schedule",
-                 f"gamma must be a number, got {sched['gamma']!r}")
-        _require(0.0 < float(sched["gamma"]) <= 1.0, "channel.schedule",
-                 "gamma must be in (0, 1]")
-        _require(kind != "sign-quantizer", "channel.schedule",
-                 "the sign quantizer has no noise parameter to schedule")
 
     _require(family in PRIOR_FAMILIES, "prior.family",
              f"unknown prior family {family!r}; known: {', '.join(PRIOR_FAMILIES)}")
@@ -332,6 +309,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"unknown gain design {design!r}; known: {', '.join(GAIN_DESIGNS)}")
         _check_keys(cfg, "controller", kind_keys(GAIN_DESIGNS[design]),
                     f"gain design {design!r}")
+
+    for section in SECTIONS:
+        for key, value in getattr(cfg, section).items():
+            if (section, key) in _BOOLEAN_KEYS:
+                _require(isinstance(value, bool), f"{section}.{key}",
+                         f"expected true or false, got {value!r}")
+            else:
+                _require(not _has_bool(value), f"{section}.{key}",
+                         f"only a switch key takes true or false, got {value!r}")
 
     for (section, key), cast in _NUMERIC_KEYS.items():
         values = getattr(cfg, section)
@@ -401,8 +387,6 @@ def build_context(cfg: ExperimentConfig) -> RunContext:
     kinds = _kinds(cfg)
 
     channel = build_channel(cfg)
-    if "schedule" in cfg.channel:
-        channel.gamma = float(cfg.channel["schedule"]["gamma"])
     dim_key = next(k for k in ("C", "dim", "R") if k in kind_keys(type(channel)))
     _require(channel.state_dim == n_u, f"channel.{dim_key}",
              f"the channel observes a state of length {channel.state_dim}, "

@@ -235,17 +235,6 @@ class SandwichReport:
     def within_cap(self) -> bool:
         return self.gap <= self.gap_cap
 
-    def to_json_dict(self) -> dict:
-        return {
-            "h_actual_bits_per_dim": self.h_actual,
-            "h_gauss_same_cov_bits_per_dim": self.h_gauss_same_cov,
-            "gap_bits_per_dim": self.gap,
-            "logconcave_hint": self.logconcave_hint,
-            "gap_cap": self.gap_cap,
-            "ok_lower": self.ok_lower,
-            "within_cap": self.within_cap,
-        }
-
 
 def sandwich_check(belief, logconcave_hint: Optional[bool] = None) -> SandwichReport:
     """Compare a belief's entropy against the max-entropy Gaussian bound."""

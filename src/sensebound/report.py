@@ -49,7 +49,7 @@ OUTCOMES_HEADER = "run_id,outcome,terminal_h_pred_bits\n"
 OUTCOMES = ("completed", "halted", "degenerate")
 UNCHECKED_KEY = ("ensemble", "mean_cmi_channel_bits")  # no CSV v1 column holds it
 RECOMPUTED_KEYS = ("n_runs", "horizon", "mean_err_sq", "mean_state_sq", "mean_cmi_bits", "alive",
-                   "di_rate_bits_per_step")  # the keys of recomputed.json
+                   "di_rate_bits_per_step")  # the keys recomputed_stats returns
 
 
 def to_jsonable(obj):
@@ -594,7 +594,7 @@ def read_back_summary(bundle_dir, cfg: ExperimentConfig) -> dict:
 
 
 def recomputed_stats(summary: dict) -> dict:
-    """The run counts and statistics of a summary, as recomputed.json holds them."""
+    """The run counts and statistics of a summary, without its verdicts."""
     return {k: summary[k] if k in summary else summary["ensemble"][k] for k in RECOMPUTED_KEYS}
 
 

@@ -84,18 +84,22 @@ class TestAssumption2:
         assert np.max(np.linalg.eigvalsh(H)) <= 0.0
 
     def test_student_t_beta_positive_finite(self):
-        prior = StudentTPrior(df=3.0, scale=1.0)
-        v = audit_assumption2(prior)
-        # closed form: max of -(nu+1)(nu s^2 - z^2)/(nu s^2 + z^2)^2 at
-        # z^2 = 3 nu s^2 is (nu+1)/(8 nu s^2) * ... = 1/6 for nu=3, s=1
-        assert v.passed
-        assert v.statistic == pytest.approx(1.0 / 6.0, abs=1e-4)
-        # grid-scan oracle agrees with the closed-form derivative
-        zs = np.linspace(-20, 20, 40001)
-        fd = max(
-            fd_hessian_1d(lambda z: prior.logpdf(z), z0, h=1e-5) for z0 in zs[::400]
-        )
-        assert v.statistic >= fd - 1e-4
+        """The cap is the peak of -(nu+1)(nu s^2 - z^2)/(nu s^2 + z^2)^2,
+        at z^2 = 3 nu s^2: (nu+1)/(8 nu s^2), 1/6 for nu = 3, s = 1."""
+        for nu, s in [(3.0, 1.0), (5.0, 0.7), (2.5, 3.0), (30.0, 0.05)]:
+            prior = StudentTPrior(df=nu, scale=s)
+            v = audit_assumption2(prior)
+            assert v.passed
+            assert v.statistic == (nu + 1.0) / (8.0 * nu * s * s)
+            z_star = np.sqrt(3.0 * nu) * s
+            assert prior.d2_logpdf(z_star) == pytest.approx(v.statistic, rel=1e-12)
+            # no point of a dense scan, nor a finite difference of the
+            # log-density, lies above the cap
+            zs = np.linspace(-50.0 * s, 50.0 * s, 20001)
+            assert max(prior.d2_logpdf(z) for z in zs) <= v.statistic * (1.0 + 1e-12)
+            fd = max(fd_hessian_1d(prior.logpdf, z0, h=1e-5 * s) for z0 in zs[::400])
+            assert fd <= v.statistic * (1.0 + 1e-4)
+        assert audit_assumption2(StudentTPrior(df=3.0)).statistic == pytest.approx(1 / 6, rel=1e-15)
 
     def test_unknown_family(self):
         with pytest.raises(UnknownPriorFamily):

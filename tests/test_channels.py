@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_hessian_1d
-from sensebound.channels import make_channel, pulled_back_hessian
+from sensebound.channels import LinearGaussianChannel, make_channel, pulled_back_hessian
 from sensebound.errors import MissingInputHistory, UnsupportedDerivative
 
 C2_CHANNELS = {
@@ -203,13 +203,36 @@ class TestNoiseScale:
 
     def test_step_channel(self):
         """Without a schedule every step's channel is the channel itself;
-        with one, step t's noise is R * gamma**t."""
-        ch = make_channel("tanh-gaussian", scale=1.0, R=[[2.0]])
-        assert ch.gamma is None and ch.at(0) is ch and ch.at(7) is ch
-        ch.gamma = 0.5
+        with one, step t's noise is R * gamma**t and the step's channel has
+        no schedule of its own."""
+        plain = make_channel("tanh-gaussian", scale=1.0, R=[[2.0]])
+        assert plain.gamma is None and plain.at(0) is plain and plain.at(7) is plain
+        ch = make_channel("tanh-gaussian", scale=1.0, R=[[2.0]], gamma=0.5)
         for t in range(4):
             assert ch.at(t).R.tobytes() == (ch.R * 0.5**t).tobytes()
             assert ch.at(t).gamma is None and ch.at(t).scale == ch.scale
-        mg = make_channel("modulo-gaussian", period=1.0, r=0.04)
-        mg.gamma = 0.9
-        assert mg.at(3).r == 0.04 * 0.9**3
+        mg = make_channel("modulo-gaussian", period=1.0, r=0.04, gamma=0.9)
+        assert mg.at(3).r == 0.04 * 0.9**3 and mg.at(3).gamma is None
+        assert make_channel("cubic-gaussian", R=[[1.0]], gamma=1).at(5).R[0, 0] == 1.0
+
+    def test_gamma_from_the_constructor_scales_as_before(self):
+        """Step t's channel of `LinearGaussianChannel(..., gamma=0.5)` has the
+        bits of the unscheduled channel scaled by 0.5**t: its R, and the
+        observation and log-likelihood it gives."""
+        ch = LinearGaussianChannel([[1.0]], [[1.3]], gamma=0.5)
+        base = LinearGaussianChannel([[1.0]], [[1.3]])
+        assert type(ch.gamma) is float and ch.gamma == 0.5
+        X = np.linspace(-2.0, 2.0, 9)[:, None]
+        W = np.linspace(-1.5, 1.5, 9)[:, None]
+        for t in range(60):
+            got, want = ch.at(t), base.with_noise_scale(0.5**t)
+            assert got.R.tobytes() == want.R.tobytes()
+            assert got.observe(X, W).tobytes() == want.observe(X, W).tobytes()
+            assert (got.log_density_batch([0.3], X).tobytes()
+                    == want.log_density_batch([0.3], X).tobytes())
+
+    @pytest.mark.parametrize("kind", ["tanh-gaussian", "modulo-gaussian"])
+    @pytest.mark.parametrize("gamma", [0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_gamma_outside_the_unit_interval_is_refused(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            make_channel(kind, **C2_CHANNELS[kind], gamma=gamma)

@@ -48,23 +48,23 @@ class TestParse:
         assert err.value.field == "channel.kind"
         assert "lidar" in str(err.value)
 
-    def test_schedule_needs_extension_flag(self):
-        bad = MINIMAL.replace(
-            'kind = "linear-gaussian"',
-            'kind = "linear-gaussian"\nschedule = {"gamma": 0.5}',
-        )
+    @pytest.mark.parametrize("line", ['schedule = {"gamma": 0.5}', "extension = true"],
+                             ids=["schedule", "extension"])
+    def test_schedule_and_extension_keys_are_rejected(self, line):
+        """The noise schedule is the channel's `gamma`; the keys that once
+        spelled it are errors naming the key, with no alias."""
+        bad = MINIMAL.replace('kind = "linear-gaussian"', f'kind = "linear-gaussian"\n{line}')
+        key = line.split(" =")[0]
         with pytest.raises(ValidationError) as err:
             parse_config(bad)
-        assert err.value.field == "channel.schedule"
-        assert "extension" in str(err.value)
+        assert err.value.field == f"channel.{key}"
+        assert f"takes no key {key!r}" in str(err.value)
 
-    def test_schedule_with_extension_ok(self):
-        good = MINIMAL.replace(
-            'kind = "linear-gaussian"',
-            'kind = "linear-gaussian"\nschedule = {"gamma": 0.5}\nextension = true',
-        )
-        ctx = build_context(parse_config(good))
-        assert ctx.channel.gamma == 0.5
+    def test_gamma_sets_the_schedule(self):
+        good = MINIMAL.replace('kind = "linear-gaussian"', 'kind = "linear-gaussian"\ngamma = 0.5')
+        ch = build_context(parse_config(good)).channel
+        assert type(ch.gamma) is float and ch.gamma == 0.5
+        assert ch.at(3).R[0, 0] == 0.5**3
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -287,7 +287,7 @@ class TestCli:
         assert main(["report", "--bundle", str(tmp_path / "b")]) == 0
         out = capsys.readouterr().out
         assert "matches" in out
-        assert (tmp_path / "b" / "recomputed.json").exists()
+        assert not (tmp_path / "b" / "recomputed.json").exists()
 
     def test_report_detects_tampered_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

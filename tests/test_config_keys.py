@@ -56,6 +56,8 @@ REJECTED = [
     ("design-list", dict(controller='design = ["lqr"]'), "controller.design"),
     ("extension-no-schedule", dict(channel='kind = "sign-quantizer"\nextension = true',
                                    filter=GRID), "channel.extension"),
+    ("quantizer-gamma", dict(channel='kind = "sign-quantizer"\ngamma = 0.5', filter=GRID),
+     "channel.gamma"),
 ]
 
 
@@ -72,6 +74,8 @@ def test_each_kind_takes_its_own_keys():
     accepted = [
         dict(channel=TANH + "\nscale = 2.0", filter=GRID),
         dict(channel='kind = "sign-quantizer"\nlevels = 4', filter=GRID),
+        dict(channel=TANH + "\ngamma = 0.9", filter=GRID),
+        dict(channel='kind = "modulo-gaussian"\ngamma = 1', filter=GRID),
         dict(prior='family = "student-t"\ndf = 5', filter=GRID),
         dict(filter='kind = "particle"\nparticles = 64'),
         dict(filter=GRID + "\ncells_per_std = 12"),
@@ -114,8 +118,11 @@ def run_cli(tmp_path, text, capsys):
         (dict(prior='family = "student-t"\ndf = 2', filter=GRID), "prior"),
         (dict(channel='kind = "sign-quantizer"\nlevels = 1', filter=GRID), "channel"),
         (dict(channel='kind = "modulo-gaussian"\nperiod = 0', filter=GRID), "channel"),
+        (dict(channel='kind = "linear-gaussian"\ngamma = 0'), "channel"),
+        (dict(channel='kind = "linear-gaussian"\ngamma = 1.5'), "channel"),
     ],
-    ids=["uniform-high-le-low", "student-t-df-le-2", "quantizer-one-level", "modulo-period-0"],
+    ids=["uniform-high-le-low", "student-t-df-le-2", "quantizer-one-level", "modulo-period-0",
+         "gamma-0", "gamma-1.5"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, sections, field):
     code, err = run_cli(tmp_path, config_text(**sections), capsys)
@@ -124,20 +131,32 @@ def test_out_of_range_value_exits_one(tmp_path, capsys, sections, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ['schedule = {"gamma": 0.5}', "extension = true",
+                                  'schedule = {"gamma": 0.5, "gama": 0.1, "floor": 3}'],
+                         ids=["schedule", "extension", "schedule-stray-fields"])
+def test_schedule_and_extension_keys_exit_one(tmp_path, capsys, line):
+    """The noise schedule is the channel's `gamma`: the keys that once
+    spelled it are stray keys, named in the error, whatever they hold."""
+    key = line.split(" =")[0]
+    code, err = run_cli(tmp_path, config_text(channel=f'{BASE["channel"]}\n{line}'), capsys)
+    assert code == 1
+    assert err.startswith(f"error: channel.{key}: ")
+    assert f"takes no key {key!r}" in err
+    assert "Traceback" not in err
+
+
 def boolean_key_sections(field, value):
     """Config sections that set the boolean key `field` to `value`."""
     section, key = field.split(".")
     sections = {
         "system": f"{BASE['system']}\n{key} = {value}",
-        "channel": f'{BASE["channel"]}\nschedule = {{"gamma": 0.5}}\n{key} = {value}',
         "run": f"{BASE['run']}\n{key} = {value}",
         "outputs": f"{key} = {value}",
     }
     return {section: sections[section]}
 
 
-BOOLEAN_KEYS = ("system.allow_stable", "channel.extension", "run.audit", "outputs.svg",
-                "outputs.debug_beliefs")
+BOOLEAN_KEYS = ("system.allow_stable", "run.audit", "outputs.svg", "outputs.debug_beliefs")
 
 
 @pytest.mark.parametrize("value", ['"false"', "no", "0"])
@@ -157,8 +176,7 @@ def test_boolean_key_takes_only_true_or_false(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("field", BOOLEAN_KEYS)
 def test_boolean_key_accepts_true_and_false(field):
     section, key = field.split(".")
-    # extension only opts in: with a schedule it must be true
-    for value in (True,) if field == "channel.extension" else (True, False):
+    for value in (True, False):
         cfg = parse_config(config_text(**boolean_key_sections(field, json.dumps(value))))
         assert getattr(cfg, section)[key] is value
         build_context(cfg)
@@ -304,10 +322,9 @@ MALFORMED = [
     ("A-not-numbers", dict(system="A = abc"), "system.A"),
     ("B-ragged", dict(system='A = [[2.0]]\nB = [[1.0], "x"]'), "system.B"),
     ("cond-cap-string", dict(system='A = [[2.0]]\ncond_cap = "big"'), "system.cond_cap"),
-    ("gamma-string", dict(channel='kind = "linear-gaussian"\nextension = true\n'
-                                  'schedule = {"gamma": "x"}'), "channel.schedule"),
-    ("gamma-list", dict(channel='kind = "linear-gaussian"\nextension = true\n'
-                                'schedule = {"gamma": [1]}'), "channel.schedule"),
+    ("gamma-string", dict(channel='kind = "linear-gaussian"\ngamma = "x"'), "channel.gamma"),
+    ("gamma-list", dict(channel='kind = "linear-gaussian"\ngamma = [1]'), "channel.gamma"),
+    ("gamma-true", dict(channel='kind = "linear-gaussian"\ngamma = true'), "channel.gamma"),
     ("formats-string", dict(outputs='formats = "csv"'), "outputs.formats"),
 ]
 

@@ -92,7 +92,7 @@ seed = 8
 
 # entropy-balance with shrinking noise: step t observes with R * 0.9**t
 SCHEDULED = bundled_text("entropy-balance").replace(
-    "[channel]", '[channel]\nschedule = {"gamma": 0.9}\nextension = true'
+    "[channel]", "[channel]\ngamma = 0.9"
 )
 
 

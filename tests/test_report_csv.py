@@ -201,7 +201,7 @@ class TestReadBack:
         capsys.readouterr()
         assert main(["report", "--bundle", str(out)]) == 0
         assert "matches" in capsys.readouterr().out
-        recomputed = json.loads((out / "recomputed.json").read_text())
+        recomputed = recompute_summary_from_csvs(str(out))
         assert (recomputed["horizon"], recomputed["di_rate_bits_per_step"]) == (60, None)
 
     @pytest.mark.parametrize("edit", ["missing", "non-numeric", "missing-and-extra",

@@ -258,3 +258,17 @@ def test_an_edited_terminal_value_is_a_mismatch(kalman_bundle, copy_of, capsys):
     code, _, err = _report(bundle, capsys)
     assert code == 1
     assert err.startswith("MISMATCH in rate_balance_residual_bits_per_step: "), err
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("which", ["kalman_bundle", "audited_grid_bundle"])
+def test_report_leaves_every_byte_of_the_bundle(which, request, copy_of, capsys):
+    """`report` only reads: no file of the bundle changes and none is added."""
+    bundle = copy_of(request.getfixturevalue(which))
+    before = _files(bundle)
+    code, out, _ = _report(bundle, capsys)
+    assert code == 0 and "matches" in out
+    assert _files(bundle) == before
