@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import OUTPUT_FORMATS, build_system, parse_config
+from .config import build_system, parse_config
 from .errors import SenseboundError, ValidationError
 from .experiments import bundled_names, bundled_text
 from .report import (
@@ -44,8 +44,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="sensebound", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True, formats=True):
-        group = sp.add_mutually_exclusive_group(required=config_required)
+    def add_common(sp):
+        group = sp.add_mutually_exclusive_group(required=True)
         group.add_argument("--config", help="path to an experiment config file")
         group.add_argument(
             "--experiment",
@@ -56,11 +56,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--runs", type=int, default=None, help="override run count")
         sp.add_argument("--horizon", type=int, default=None, help="override horizon")
         sp.add_argument("--out", default=None, help="output bundle directory")
-        if formats:
-            sp.add_argument(
-                "--format", choices=OUTPUT_FORMATS, default=None,
-                help="restrict bundle outputs to one format",
-            )
         sp.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
             help="worker processes: a 1-D grid ensemble runs as one block per "
@@ -78,8 +73,7 @@ def _build_parser() -> _Parser:
     add_common(sp)
 
     sp = sub.add_parser("sweep", help="vary one parameter over a list of values")
-    # a sweep writes sweep.csv and sweep.json only, so it takes no --format
-    add_common(sp, formats=False)
+    add_common(sp)
     sp.add_argument("--param", required=True, help="dotted parameter path, e.g. channel.R")
     sp.add_argument(
         "--values", required=True,
@@ -136,8 +130,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_run(args, force_audit: bool = False) -> int:
     cfg = parse_config(_config_text(args))
-    if args.format is not None:
-        cfg.outputs["formats"] = [args.format]
     if force_audit:
         cfg.run["audit"] = True
     bundle = run_experiment(
@@ -207,16 +199,15 @@ def _cmd_report(args) -> int:
     cfg = read_bundle_config(bundle_dir)
     derived = read_back_summary(bundle_dir, cfg)
     summary_path = os.path.join(bundle_dir, "summary.json")
-    status = 0
-    if os.path.exists(summary_path):
-        for key, detail in summary_mismatches(summary_path, derived):
-            print(f"MISMATCH in {key}: {detail}", file=sys.stderr)
-            status = 1
-        if status == 0:
-            print("summary.json matches the summary re-derived from the bundle")
-    elif "json" in cfg.outputs.get("formats", OUTPUT_FORMATS):
+    if not os.path.exists(summary_path):
         print("MISMATCH: summary.json missing", file=sys.stderr)
+        return 1
+    status = 0
+    for key, detail in summary_mismatches(summary_path, derived):
+        print(f"MISMATCH in {key}: {detail}", file=sys.stderr)
         status = 1
+    if status == 0:
+        print("summary.json matches the summary re-derived from the bundle")
     return status
 
 

@@ -7,10 +7,11 @@ Grammar (documented in the README):
     [section]                      sections: system, channel, prior,
     key = value                    filter, controller, run, outputs
 
-Values are JSON fragments (numbers, strings, booleans, arrays, objects);
-a bare unquoted token is taken as a string. Parsing stops at the first
-error and reports the offending line; validation reports the dotted field
-path of the first bad field.
+Values are JSON fragments; a bare unquoted token is taken as a string.
+Each key takes the one type KEY_TYPES gives it, so a quoted "0.5" is a
+string, not a number. Parsing stops at the first error and reports the
+offending line; validation reports the dotted field path of the first bad
+field.
 
 system, run and outputs take fixed keys; channel, prior, filter and
 controller take their selector keys plus those of the selected kind, its
@@ -20,6 +21,7 @@ the keys a config sets, so every default lives in its constructor.
 
 import inspect
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -37,7 +39,6 @@ SECTIONS = ("system", "channel", "prior", "filter", "controller", "run", "output
 CHANNEL_KINDS = tuple(CHANNELS)
 PRIOR_FAMILIES = tuple(PRIORS)
 CONTROLLER_MODES = ("none", "predict", "update")
-OUTPUT_FORMATS = ("csv", "json")  # all are written unless outputs.formats names some
 
 
 def kind_keys(factory) -> dict:
@@ -61,46 +62,40 @@ _SELECTOR_KEYS = {
     "filter": ("kind",),
     "controller": ("mode", "design"),
 }
-_FIXED_KEYS = {
-    "": {"experiment"},
-    "system": {"A", "B", "allow_stable", "cond_cap"},
-    "run": {"horizon", "runs", "seed", "divergence_guard", "tail_window",
-            "bound_state", "bound_error", "zero_threshold", "audit",
-            "audit_window", "kappa_cap"},
-    "outputs": {"dir", "formats", "svg", "debug_beliefs"},
+# Every key's type, by section ("" holds the top-level keys): bool is a
+# switch (true or false), int a whole number, float a number, str a string
+# and list a matrix (a number or a list of matrices). The sections with no
+# kind take exactly these keys; a kinded section takes its selector keys and
+# those of its kind, each listed here.
+KEY_TYPES = {
+    "": {"experiment": str},
+    "system": {"A": list, "B": list, "allow_stable": bool, "cond_cap": float},
+    "channel": {"kind": str, "C": list, "R": list, "gamma": float, "scale": float,
+                "levels": int, "dim": int, "period": float, "r": float},
+    "prior": {"family": str, "mean": list, "cov": list, "df": float, "scale": float,
+              "rate": float, "low": float, "high": float},
+    "filter": {"kind": str, "half_width_stds": float, "cells_per_std": int, "max_cells": int,
+               "particles": int},
+    "controller": {"mode": str, "design": str, "q": list, "r": list, "target_pole": float,
+                   "poles": list},
+    "run": {"horizon": int, "runs": int, "seed": int, "divergence_guard": float,
+            "tail_window": int, "bound_state": float, "bound_error": float,
+            "zero_threshold": float, "audit": bool, "audit_window": int, "kappa_cap": float},
+    "outputs": {"dir": str, "svg": bool, "debug_beliefs": bool},
 }
-# RunContext (field, cast) set from (section, key); unset keys keep the
-# field's default
-_CONTEXT_OPTIONS = {
-    ("run", "horizon"): ("horizon", int),
-    ("run", "divergence_guard"): ("divergence_guard", float),
-    ("run", "audit"): ("collect_audits", bool),
-    ("run", "audit_window"): ("audit_window", int),
-    ("run", "kappa_cap"): ("kappa_cap", float),
-    ("filter", "particles"): ("n_particles", int),
-    ("outputs", "debug_beliefs"): ("collect_beliefs", bool),
-}
-# every key that switches something on, as JSON true or false; no other
-# key's value may hold true or false anywhere
-_BOOLEAN_KEYS = (
-    ("system", "allow_stable"), ("run", "audit"), ("outputs", "svg"),
-    ("outputs", "debug_beliefs"),
-)
-# every key read as a number, with its cast; an int key takes whole
-# numbers only (run.seed has its own check, `check_seed`)
-_NUMERIC_KEYS = {
-    **{where: cast for where, (_, cast) in _CONTEXT_OPTIONS.items() if cast is not bool},
-    ("system", "cond_cap"): float,
-    ("channel", "levels"): int,
-    ("channel", "dim"): int,
-    ("channel", "gamma"): float,
-    ("filter", "cells_per_std"): int,
-    ("filter", "max_cells"): int,
-    ("run", "runs"): int,
-    ("run", "tail_window"): int,
-    ("run", "bound_state"): float,
-    ("run", "bound_error"): float,
-    ("run", "zero_threshold"): float,
+_TYPE_NAMES = {bool: "true or false", int: "a whole number", float: "a number",
+               str: "a string", list: "a matrix of numbers"}
+_FIXED_SECTIONS = ("", "system", "run", "outputs")
+# the RunContext field each key sets, cast to the key's type; unset keys
+# keep the field's default
+_CONTEXT_FIELDS = {
+    ("run", "horizon"): "horizon",
+    ("run", "divergence_guard"): "divergence_guard",
+    ("run", "audit"): "collect_audits",
+    ("run", "audit_window"): "audit_window",
+    ("run", "kappa_cap"): "kappa_cap",
+    ("filter", "particles"): "n_particles",
+    ("outputs", "debug_beliefs"): "collect_beliefs",
 }
 
 
@@ -160,8 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         dotted = f"{current}.{key}" if current else key
-        known = _FIXED_KEYS.get(current)
-        if known is not None and key not in known:
+        known = KEY_TYPES[current]
+        if current in _FIXED_SECTIONS and key not in known:
             raise ParseError(
                 f"unknown key {dotted!r}; known: {', '.join(sorted(known))}",
                 line=line_no,
@@ -171,10 +166,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"key {dotted!r} is set twice", line=line_no)
         table[key] = _parse_value(raw_value, line_no)
 
-    experiment = top.get("experiment", "unnamed")
-    _require(isinstance(experiment, str), "experiment",
-             f"expected a string, got {experiment!r}")
-    cfg = ExperimentConfig(experiment=experiment, source_text=text, **sections)
+    cfg = ExperimentConfig(experiment=top.get("experiment", "unnamed"), source_text=text,
+                           **sections)
     validate_config(cfg)
     return cfg
 
@@ -220,43 +213,29 @@ def _check_keys(cfg: ExperimentConfig, section: str, keys: dict, what: str) -> N
                  f"{what} needs {key!r}")
 
 
-def _is_number(value, cast=float) -> bool:
-    """Whether cast(value) reads the value as written: never for JSON true
-    or false, and for int only for an integer or a float with no fraction."""
-    if isinstance(value, bool):
-        return False
-    if cast is int:
+def _is_a(value, kind) -> bool:
+    """Whether a parsed JSON value has the key type `kind`. A number is a
+    JSON number: never true or false, a quoted number or NaN; Infinity is
+    infinity. A whole number may be written with a zero fraction."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is int:
         return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    try:
-        float(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
-
-
-def _has_bool(value) -> bool:
-    """Whether JSON true or false appears anywhere in the value."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
+    if kind is float:  # and within float range, as float() needs
+        return (isinstance(value, float) and value == value
+                or isinstance(value, int) and abs(value) <= sys.float_info.max)
+    if kind is list:
+        return _is_a(value, float) or (
+            isinstance(value, list) and all(_is_a(v, list) for v in value))
+    return isinstance(value, kind)
 
 
 def _float_array(value, field_path) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:  # a ragged matrix
         raise ValidationError(f"expected a matrix of numbers, got {value!r}",
                               field=field_path) from None
-
-
-def check_seed(value) -> int:
-    """A master seed as an int: a whole number >= 0, of any size, whether
-    it comes from run.seed, --seed or the environment."""
-    _require(_is_number(value, int), "run.seed", f"expected a whole number, got {value!r}")
-    _require(value >= 0, "run.seed", f"the seed must be >= 0, got {value!r}")
-    return int(value)
 
 
 def _tail_window(run: dict, horizon: int) -> int:
@@ -266,20 +245,6 @@ def _tail_window(run: dict, horizon: int) -> int:
 def validate_config(cfg: ExperimentConfig) -> None:
     sys_c, ctl, run = cfg.system, cfg.controller, cfg.run
     kind, family, fkind, mode, design = _kinds(cfg)
-
-    for section in ("system", "run", "outputs"):
-        known = _FIXED_KEYS[section]
-        for key in getattr(cfg, section):
-            _require(key in known, f"{section}.{key}",
-                     f"unknown key; known: {', '.join(sorted(known))}")
-
-    _require("A" in sys_c, "system.A", "system matrix A is required")
-    A = np.atleast_2d(_float_array(sys_c["A"], "system.A"))
-    _require(A.shape[0] == A.shape[1], "system.A", "A must be square")
-    n = A.shape[0]
-    if "B" in sys_c:
-        B = _float_array(sys_c["B"], "system.B")
-        _require(B.ndim in (1, 2) and B.shape[0] == n, "system.B", f"B must have {n} rows")
 
     _require(kind in CHANNEL_KINDS, "channel.kind",
              f"unknown channel kind {kind!r}; known: {', '.join(CHANNEL_KINDS)}")
@@ -310,36 +275,33 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check_keys(cfg, "controller", kind_keys(GAIN_DESIGNS[design]),
                     f"gain design {design!r}")
 
-    for section in SECTIONS:
-        for key, value in getattr(cfg, section).items():
-            if (section, key) in _BOOLEAN_KEYS:
-                _require(isinstance(value, bool), f"{section}.{key}",
-                         f"expected true or false, got {value!r}")
-            else:
-                _require(not _has_bool(value), f"{section}.{key}",
-                         f"only a switch key takes true or false, got {value!r}")
+    # every key the kinds above left is in KEY_TYPES; a fixed section's
+    # other keys are unknown
+    for section, values in (("", {"experiment": cfg.experiment}),
+                            *((s, getattr(cfg, s)) for s in SECTIONS)):
+        types = KEY_TYPES[section]
+        for key, value in values.items():
+            where = f"{section}.{key}" if section else key
+            _require(key in types, where, f"unknown key; known: {', '.join(sorted(types))}")
+            _require(_is_a(value, types[key]), where,
+                     f"expected {_TYPE_NAMES[types[key]]}, got {value!r}")
 
-    for (section, key), cast in _NUMERIC_KEYS.items():
-        values = getattr(cfg, section)
-        if key in values:
-            _require(_is_number(values[key], cast), f"{section}.{key}",
-                     f"expected {'a whole number' if cast is int else 'a number'}, "
-                     f"got {values[key]!r}")
+    _require("A" in sys_c, "system.A", "system matrix A is required")
+    A = np.atleast_2d(_float_array(sys_c["A"], "system.A"))
+    _require(A.shape[0] == A.shape[1], "system.A", "A must be square")
+    n = A.shape[0]
+    if "B" in sys_c:
+        B = _float_array(sys_c["B"], "system.B")
+        _require(B.ndim in (1, 2) and B.shape[0] == n, "system.B", f"B must have {n} rows")
 
-    if "seed" in run:
-        check_seed(run["seed"])
+    _require(run.get("seed", 0) >= 0, "run.seed",
+             f"the seed must be >= 0, got {run.get('seed')!r}")
     horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")
-    _require("runs" not in run or int(run["runs"]) >= 1, "run.runs", "runs must be >= 1")
+    _require(run.get("runs", 1) >= 1, "run.runs", "runs must be >= 1")
     tail = _tail_window(run, horizon)
     _require(horizon >= 2 * tail, "run.tail_window",
              f"horizon {horizon} must be at least twice the tail window {tail}")
-
-    formats = cfg.outputs.get("formats", list(OUTPUT_FORMATS))
-    _require(isinstance(formats, list), "outputs.formats",
-             f'expected a list like ["csv"], got {formats!r}')
-    for f in formats:
-        _require(f in OUTPUT_FORMATS, "outputs.formats", f"unknown format {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +366,8 @@ def build_context(cfg: ExperimentConfig) -> RunContext:
                  "the plant has no unstable mode, so no gain is designed")
 
     options = {
-        name: cast(getattr(cfg, section)[key])
-        for (section, key), (name, cast) in _CONTEXT_OPTIONS.items()
+        name: KEY_TYPES[section][key](getattr(cfg, section)[key])
+        for (section, key), name in _CONTEXT_FIELDS.items()
         if key in getattr(cfg, section)
     }
     if kinds.filter == "grid":

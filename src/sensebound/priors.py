@@ -62,6 +62,12 @@ class GaussianPrior:
         return -self._prec
 
 
+def _positive_finite(name, value) -> float:
+    if not 0 < value < np.inf:
+        raise ValueError(f"need a positive finite {name}, got {value!r}")
+    return float(value)
+
+
 class StudentTPrior:
     """1-D Student-t with df nu and scale s (location 0)."""
 
@@ -71,7 +77,7 @@ class StudentTPrior:
         if df <= 2:
             raise ValueError("need df > 2 for a finite second moment")
         self.df = float(df)
-        self.scale = float(scale)
+        self.scale = _positive_finite("scale", scale)
 
     @property
     def dim(self) -> int:
@@ -118,7 +124,7 @@ class LaplacePrior:
     family = "laplace"
 
     def __init__(self, scale=1.0):
-        self.scale = float(scale)
+        self.scale = _positive_finite("scale", scale)
 
     @property
     def dim(self) -> int:
@@ -145,7 +151,7 @@ class ExponentialPrior:
     family = "exponential"
 
     def __init__(self, rate=1.0):
-        self.rate = float(rate)
+        self.rate = _positive_finite("rate", rate)
 
     @property
     def dim(self) -> int:

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .config import (
-    OUTPUT_FORMATS, SECTIONS, ExperimentConfig, build_context, check_seed, default_thresholds,
-    parse_config, validate_config,
+    SECTIONS, ExperimentConfig, build_context, default_thresholds, parse_config,
+    validate_config,
 )
 from .errors import EmptySeries, SenseboundError
 from .infoflow import InfoLedger, necessity_audit, rate_balance_check
@@ -329,21 +329,19 @@ def run_experiment(
 ) -> ReportBundle:
     """Run the configured ensemble and emit the report bundle.
 
-    A seed, run count or horizon given here goes into `cfg.run`. The
+    A seed, run count or horizon given here goes into `cfg.run` as given,
+    and `validate_config` checks it as it checks the config's own. The
     bundle's config.cfg is `cfg.source_text` while that text parses to
     `cfg`, else `cfg` rendered, so a rerun from it repeats this run
     whatever was changed in `cfg` after parsing. The bundle directory must
     not already exist; everything is staged in a sibling temp dir and
     renamed into place in one shot.
     """
-    if seed is not None:
-        cfg.run["seed"] = check_seed(seed)
-    if horizon is not None:
-        cfg.run["horizon"] = int(horizon)
-    if runs is not None:
-        cfg.run["runs"] = int(runs)
-    if any(v is not None for v in (seed, horizon, runs)):
-        validate_config(cfg)  # an override must fit the rest of the config
+    overrides = {k: v for k, v in (("seed", seed), ("horizon", horizon), ("runs", runs))
+                 if v is not None}
+    if overrides:
+        cfg.run.update(overrides)
+        validate_config(cfg)  # an override must be of its key's type and fit the config
     master_seed = int(cfg.run.get("seed", 0))
     n_runs = int(cfg.run.get("runs", 1))
     ctx = build_context(cfg)
@@ -354,16 +352,11 @@ def run_experiment(
 
     out_path = out_dir if out_dir is not None else cfg.outputs.get("dir", "out")
     if write:
-        formats = cfg.outputs.get("formats", OUTPUT_FORMATS)
         want_svg = cfg.outputs.get("svg", True)
-        files = {}
-        if "csv" in formats:
-            for r in ens.runs:
-                files[os.path.join("runs", f"run_{r.run_index:05d}.csv")] = run_csv_text(
-                    r, r.run_index)
-            files["outcomes.csv"] = outcomes_csv_text(ens.runs)
-        if "json" in formats:
-            files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        files = {os.path.join("runs", f"run_{r.run_index:05d}.csv"): run_csv_text(r, r.run_index)
+                 for r in ens.runs}
+        files["outcomes.csv"] = outcomes_csv_text(ens.runs)
+        files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         files["config.cfg"] = _bundle_config_text(cfg)
         for r in ens.runs:
             name = f"run_{r.run_index:05d}.json"

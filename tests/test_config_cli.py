@@ -385,25 +385,6 @@ class TestCli:
         assert "MISMATCH: summary.json missing" in err
         assert "matches" not in out
 
-    @pytest.mark.parametrize("how", ["config", "flag"])
-    def test_report_accepts_a_csv_only_bundle(self, tmp_path, capsys, how):
-        """formats = ["csv"] in the config, or --format csv on the command
-        line: no summary.json is written, and none is asked for."""
-        text = bundled_text("stable-baseline")
-        args = ["--format", "csv"]
-        if how == "config":
-            text = text.replace("[outputs]", '[outputs]\nformats = ["csv"]')
-            assert 'formats = ["csv"]' in text
-            args = []
-        cfg_path = tmp_path / "csv.cfg"
-        cfg_path.write_text(text)
-        assert main(["run", "--config", str(cfg_path), "--runs", "3", *args,
-                     "--out", str(tmp_path / "b"), "--workers", "1"]) == 0
-        assert not (tmp_path / "b" / "summary.json").exists()
-        capsys.readouterr()
-        assert main(["report", "--bundle", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().err == ""
-
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda p: p.unlink(), id="missing"),
         pytest.param(lambda p: p.write_bytes(b"\xff\xfe[run]\n"), id="not-utf8"),
@@ -526,6 +507,18 @@ class TestCli:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("command, value", [("run", "json"), ("run", "csv"),
+                                                ("audit", "json")])
+    def test_format_flag_is_a_usage_error(self, tmp_path, capsys, command, value):
+        """Every bundle holds its run CSVs, outcomes.csv and summary.json, so
+        no flag picks its files."""
+        code = main([command, "--config", str(self._minimal(tmp_path)), "--format", value,
+                     "--workers", "1", "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: ") and "--format" in err, err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("section, line, field", [
         ("run", 'horizon = "abc"', "run.horizon"),

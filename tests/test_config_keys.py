@@ -2,21 +2,28 @@
 
 A kinded section (channel, prior, filter, controller) takes its selector
 keys plus the keys of the chosen kind, which are that kind's constructor
-parameters. A stray key, a missing required key and a constructor value
-out of range each give a ValidationError naming the field, and
-`sensebound run` exits 1 with an `error:` line instead of a traceback.
+parameters. Every key has one type in `config.KEY_TYPES`. A stray key, a
+missing required key, a value of another type and a constructor value out
+of range each give a ValidationError naming the field, and `sensebound
+run` exits 1 with an `error:` line instead of a traceback.
 """
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from sensebound.channels import CHANNELS
 from sensebound.cli import main
-from sensebound.config import FILTER_KEYS, build_context, kind_keys, parse_config, validate_config
+from sensebound.config import (
+    _CONTEXT_FIELDS, _SELECTOR_KEYS, FILTER_KEYS, KEY_TYPES, build_context, kind_keys,
+    parse_config, validate_config,
+)
 from sensebound.errors import ParseError, ValidationError
+from sensebound.loop import RunContext
 from sensebound.priors import PRIORS
 from sensebound.report import run_experiment, set_config_value
 from sensebound.system import GAIN_DESIGNS
@@ -281,23 +288,42 @@ INTEGER_KEYS = {
 }
 
 
-def integer_key_sections(field, value):
-    """Config sections that set the integer key `field` to `value`."""
-    section, key = field.split(".")
-    if section == "run":
-        kept = [line for line in BASE["run"].splitlines() if not line.startswith(f"{key} =")]
-        return {"run": "\n".join([*kept, f"{key} = {value}"])}
-    if section == "channel":
-        return {"channel": f'kind = "sign-quantizer"\n{key} = {value}', "filter": GRID}
-    kind = "particle" if key == "particles" else "grid"
-    return {"filter": f'kind = "{kind}"\n{key} = {value}'}
+# the sections that let each number key be set, "{}" standing for its value
+NUMBER_KEY_SECTIONS = {
+    "system.cond_cap": dict(system="A = [[2.0]]\ncond_cap = {}"),
+    "channel.gamma": dict(channel='kind = "linear-gaussian"\ngamma = {}'),
+    "channel.scale": dict(channel=TANH + "\nscale = {}", filter=GRID),
+    "channel.levels": dict(channel='kind = "sign-quantizer"\nlevels = {}', filter=GRID),
+    "channel.dim": dict(channel='kind = "sign-quantizer"\ndim = {}', filter=GRID),
+    "channel.period": dict(channel='kind = "modulo-gaussian"\nperiod = {}', filter=GRID),
+    "channel.r": dict(channel='kind = "modulo-gaussian"\nr = {}', filter=GRID),
+    "prior.df": dict(prior='family = "student-t"\ndf = {}', filter=GRID),
+    "prior.scale": dict(prior='family = "laplace"\nscale = {}', filter=GRID),
+    "prior.rate": dict(prior='family = "exponential"\nrate = {}', filter=GRID),
+    "prior.low": dict(prior='family = "uniform"\nlow = {}', filter=GRID),
+    "prior.high": dict(prior='family = "uniform"\nhigh = {}', filter=GRID),
+    "filter.half_width_stds": dict(filter=GRID + "\nhalf_width_stds = {}"),
+    "filter.cells_per_std": dict(filter=GRID + "\ncells_per_std = {}"),
+    "filter.max_cells": dict(filter=GRID + "\nmax_cells = {}"),
+    "filter.particles": dict(filter='kind = "particle"\nparticles = {}'),
+    "controller.target_pole": dict(controller='design = "deadbeat"\ntarget_pole = {}'),
+    **{f"run.{key}": dict(run="\n".join(
+        [*(line for line in BASE["run"].splitlines() if not line.startswith(f"{key} =")),
+         f"{key} = {{}}"]))
+       for key, kind in KEY_TYPES["run"].items() if kind in (int, float)},
+}
+
+
+def number_key_text(field, value) -> str:
+    """A config that sets the number key `field` to `value`."""
+    return config_text(**{s: v.format(value) for s, v in NUMBER_KEY_SECTIONS[field].items()})
 
 
 @pytest.mark.parametrize("bad", ["{}.5", "true", '"{}"', "[{}]"])
 @pytest.mark.parametrize("field", INTEGER_KEYS)
 def test_integer_key_takes_whole_numbers_only(tmp_path, capsys, field, bad):
     """A fraction is an error, not truncated; nor is true a 1."""
-    text = config_text(**integer_key_sections(field, bad.format(INTEGER_KEYS[field])))
+    text = number_key_text(field, bad.format(INTEGER_KEYS[field]))
     with pytest.raises(ValidationError) as err:
         parse_config(text)
     assert err.value.field == field
@@ -312,7 +338,7 @@ def test_integer_key_accepts_an_integral_float(field):
     whole = INTEGER_KEYS[field]
     summaries = []
     for value in (f"{whole}", f"{whole}.0"):
-        cfg = parse_config(config_text(**integer_key_sections(field, value)))
+        cfg = parse_config(number_key_text(field, value))
         summary = run_experiment(cfg, write=False).summary
         summaries.append({k: v for k, v in summary.items() if k != "config"})
     assert summaries[0] == summaries[1]
@@ -325,7 +351,6 @@ MALFORMED = [
     ("gamma-string", dict(channel='kind = "linear-gaussian"\ngamma = "x"'), "channel.gamma"),
     ("gamma-list", dict(channel='kind = "linear-gaussian"\ngamma = [1]'), "channel.gamma"),
     ("gamma-true", dict(channel='kind = "linear-gaussian"\ngamma = true'), "channel.gamma"),
-    ("formats-string", dict(outputs='formats = "csv"'), "outputs.formats"),
 ]
 
 
@@ -336,6 +361,136 @@ def test_malformed_value_is_an_error_not_a_traceback(tmp_path, capsys, sections,
     assert code == 1
     assert err.startswith(f"error: {field}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ['formats = ["csv"]', 'formats = "csv"'],
+                         ids=["formats-list", "formats-string"])
+def test_formats_is_a_stray_outputs_key(tmp_path, capsys, line):
+    """Every bundle holds its run CSVs, outcomes.csv and summary.json, so
+    `formats` is an unknown outputs key, whatever it holds, with no alias."""
+    text = config_text(outputs=line)
+    line_no = text.splitlines().index(line) + 1
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.line == line_no and "unknown key 'outputs.formats'" in str(err.value)
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: line {line_no}: unknown key 'outputs.formats'"), err
+    assert "Traceback" not in err
+    cfg = parse_config(config_text())
+    set_config_value(cfg, "outputs.formats", ["csv"])
+    with pytest.raises(ValidationError) as err:
+        validate_config(cfg)
+    assert err.value.field == "outputs.formats"
+
+
+def test_number_key_tables_cover_every_number_key():
+    def typed(kind):
+        return {f"{section}.{key}" for section, types in KEY_TYPES.items()
+                for key, k in types.items() if k is kind}
+
+    assert set(INTEGER_KEYS) == typed(int)
+    assert set(NUMBER_KEY_SECTIONS) == typed(int) | typed(float)
+
+
+FLOAT_KEYS = [f for f in NUMBER_KEY_SECTIONS if f not in INTEGER_KEYS]
+
+
+@pytest.mark.parametrize("field", FLOAT_KEYS)
+def test_number_key_rejects_a_quoted_number(tmp_path, capsys, field):
+    """A number is a JSON number: "2" is a string, an error naming the key,
+    never a 2 that summary.json records as "2". (A whole-number key's
+    quoted value is a case of test_integer_key_takes_whole_numbers_only.)"""
+    parse_config(number_key_text(field, "2"))
+    text = number_key_text(field, '"2"')
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: expected a "), err
+    assert "Traceback" not in err
+
+
+def test_infinity_is_a_number_and_inf_and_nan_are_not(tmp_path, capsys):
+    """JSON's Infinity is the one spelling of infinity; a bare inf is a
+    string and NaN is no number."""
+    text = config_text(run=f"{BASE['run']}\ndivergence_guard = Infinity")
+    assert build_context(parse_config(text)).divergence_guard == float("inf")
+    code, err = run_cli(tmp_path, text, capsys)
+    assert (code, err) == (0, "")
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["config"]["run"]["divergence_guard"] == float("inf")
+    assert main(["report", "--bundle", str(tmp_path / "b")]) == 0
+    for value in ("inf", "NaN"):
+        with pytest.raises(ValidationError) as err:
+            parse_config(config_text(run=f"{BASE['run']}\ndivergence_guard = {value}"))
+        assert err.value.field == "run.divergence_guard"
+    for key in ("horizon", "runs"):
+        with pytest.raises(ValidationError) as err:
+            parse_config(config_text(run=f"{key} = Infinity"))
+        assert err.value.field == f"run.{key}"
+
+
+def test_a_seed_of_any_size_parses():
+    seed = 10**400  # past the largest float
+    cfg = parse_config(config_text(run=f"horizon = 20\nruns = 2\nseed = {seed}"))
+    assert cfg.run["seed"] == seed and type(cfg.run["seed"]) is int
+
+
+@pytest.mark.parametrize("override, field", [
+    (dict(runs=2.5), "run.runs"), (dict(horizon="30"), "run.horizon"),
+    (dict(seed="7"), "run.seed"), (dict(runs=True), "run.runs"),
+])
+def test_run_experiment_override_is_checked_as_its_key(override, field):
+    """An override is stored as given and checked like the config's own
+    value, so 2.5 runs is an error, not 2 runs."""
+    with pytest.raises(ValidationError) as err:
+        run_experiment(parse_config(config_text()), write=False, **override)
+    assert err.value.field == field
+
+
+def test_every_key_has_one_type():
+    """The fixed sections take exactly their typed keys, a kinded section's
+    typed keys are its selector keys and its kinds' keys, and each key
+    that sets a RunContext field has that field's type."""
+    assert {s: set(KEY_TYPES[s]) for s in ("", "system", "run", "outputs")} == {
+        "": {"experiment"},
+        "system": {"A", "B", "allow_stable", "cond_cap"},
+        "run": {"horizon", "runs", "seed", "divergence_guard", "tail_window", "bound_state",
+                "bound_error", "zero_threshold", "audit", "audit_window", "kappa_cap"},
+        "outputs": {"dir", "svg", "debug_beliefs"},
+    }
+    kinds = {
+        "channel": [kind_keys(c) for c in CHANNELS.values()],
+        "prior": [kind_keys(c) for c in PRIORS.values()],
+        "filter": list(FILTER_KEYS.values()),
+        "controller": [kind_keys(f) for f in GAIN_DESIGNS.values()],
+    }
+    for section, keys in kinds.items():
+        assert set(KEY_TYPES[section]) == {*_SELECTOR_KEYS[section], *(k for ks in keys for k in ks)}
+    hints = typing.get_type_hints(RunContext)
+    assert set(_CONTEXT_FIELDS.values()) <= {f.name for f in dataclasses.fields(RunContext)}
+    for (section, key), name in _CONTEXT_FIELDS.items():
+        assert KEY_TYPES[section][key] is hints[name], (section, key)
+    assert {kind for types in KEY_TYPES.values() for kind in types.values()} == {
+        bool, int, float, str, list}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "Infinity"])
+@pytest.mark.parametrize("family, key", [("student-t", "scale"), ("laplace", "scale"),
+                                         ("exponential", "rate")])
+def test_prior_scale_must_be_positive_and_finite(tmp_path, capsys, recwarn, family, key,
+                                                 value):
+    """A zero, negative or infinite scale is an error naming the prior, not
+    a scipy warning and a degenerate grid, or a ZeroDivisionError."""
+    df = "\ndf = 5" if family == "student-t" else ""
+    text = config_text(prior=f'family = "{family}"{df}\n{key} = {value}', filter=GRID)
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err.startswith(f"error: prior: need a positive finite {key}"), err
+    assert "Traceback" not in err
+    assert not recwarn.list
 
 
 TWO_MODES = config_text(
