@@ -27,7 +27,6 @@ from .channels import (
     SignQuantizerChannel,
     TanhGaussianChannel,
     make_channel,
-    pulled_back_hessian,
 )
 from .config import ExperimentConfig, build_context, parse_config
 from .entropy import gaussian_entropy_nats, grid_entropy_nats, knn_entropy_nats, nats_to_bits

@@ -2,11 +2,12 @@
 results.
 
 Everything here is a pure post-processing pass over recorded run data:
-windowed observation-curvature sums pulled back through the inverse
-dynamics (condition 1), the prior Hessian cap (condition 2), posterior
+windowed observation-curvature sums pulled back through the powers of
+A_u^-1 (condition 1), the prior Hessian cap (condition 2), posterior
 condition numbers (condition 3), the spectral-bound matrix inequality,
 and the accumulated log-posterior Hessian with its first stably-negative
-time.
+time. Each step's observation Hessian is taken at the recorded state:
+the plant is noiseless, so no past state is rebuilt from a later one.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import pulled_back_hessian
 from .errors import PreconditionViolated, UnknownPriorFamily, UnsupportedDerivative
 from .priors import GaussianPrior, StudentTPrior
 
@@ -67,23 +67,40 @@ class CurvatureAudit:
         }
 
 
-def audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L: int) -> AssumptionVerdict:
+def _observation_hessians(ch, z_trace, y_trace):
+    """Each recorded step's observation Hessian, ch.at(k).hessian(y_k, z_k),
+    at the recorded state z_k, in step order; lazily, so a caller can check
+    its preconditions before the first evaluation."""
+    return (
+        ch.at(k).hessian(y, np.asarray(z_trace[k], dtype=float).reshape(-1))
+        for k, y in enumerate(y_trace)
+    )
+
+
+def audit_assumption1(ch, decomp, z_trace, y_trace, L: int) -> AssumptionVerdict:
     """Window the pulled-back observation Hessians and find the worst top
     eigenvalue: alpha_hat is the largest margin by which the windowed sums
     stay negative definite. Step k's term is taken with its channel, ch.at(k).
     """
+    return _window_verdict(decomp, list(_observation_hessians(ch, z_trace, y_trace)), L)
+
+
+def _window_verdict(decomp, hessians: list, L: int) -> AssumptionVerdict:
+    """Assumption 1 over a run's observation Hessians: the window ending at
+    t sums (A_u^-(t-k))^T H_k A_u^-(t-k) for k = t-L+1..t."""
     if L < 1:
         raise ValueError("window length must be >= 1")
-    n_steps = len(y_trace)
+    n_steps = len(hessians)
     if n_steps < L:
         raise ValueError(f"trajectory of length {n_steps} is shorter than window {L}")
+    A_inv = np.linalg.inv(np.asarray(decomp.A_u, dtype=float))
+    powers = [np.linalg.matrix_power(A_inv, j) for j in range(L)]
     worst = None
     for t in range(L - 1, n_steps):
         S = np.zeros((decomp.n_u, decomp.n_u))
         for k in range(t - L + 1, t + 1):
-            S = S + pulled_back_hessian(
-                ch.at(k), decomp, y_trace[k], k, t, z_trace[t], inputs=inputs
-            )
+            M = powers[t - k]
+            S = S + M.T @ hessians[k] @ M
         eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
         lam_max = float(eigs[-1])
         if worst is None or lam_max > worst[1]:
@@ -240,18 +257,11 @@ class CurvatureAccumulation:
     lambda_max_trace: np.ndarray
     first_negative_t: Optional[int]
     threshold: float
-    hessians: tuple = field(default=(), repr=False)
+    hessians: tuple = field(repr=False)
 
 
 def lemma2_accumulate(
-    ch,
-    decomp,
-    prior,
-    z_trace,
-    y_trace,
-    inputs,
-    c: float = DEFAULT_NEG_DEF_C,
-    keep_hessians: bool = False,
+    ch, decomp, prior, z_trace, y_trace, c: float = DEFAULT_NEG_DEF_C
 ) -> CurvatureAccumulation:
     """Accumulate H_t = (A^-t)^T H_prior (A^-t) + sum_k pulled-back H_obs,k.
 
@@ -264,9 +274,16 @@ def lemma2_accumulate(
     excursions keep recurring that late (the log-concavity-violation
     signature).
     """
+    return _accumulate(decomp, prior, z_trace[0], _observation_hessians(ch, z_trace, y_trace), c)
+
+
+def _accumulate(
+    decomp, prior, z0, hessians, c: float = DEFAULT_NEG_DEF_C
+) -> CurvatureAccumulation:
+    """lemma2_accumulate over the observation Hessians of a run, in step
+    order; they are read after the preconditions are checked."""
     if c <= 0:
         raise ValueError("negative-definiteness threshold c must be positive")
-    ch._require_smooth()
     A_u = np.asarray(decomp.A_u, dtype=float)
     mags = np.abs(np.linalg.eigvals(A_u))
     if np.any(mags <= 1.0 + 1e-12):
@@ -275,18 +292,16 @@ def lemma2_accumulate(
             f"(min |eig| = {mags.min():.6g})"
         )
     A_inv = np.linalg.inv(A_u)
-    z0 = np.asarray(z_trace[0], dtype=float).reshape(-1)
+    z0 = np.asarray(z0, dtype=float).reshape(-1)
     H = np.atleast_2d(np.asarray(prior.hessian_logpdf(z0), dtype=float))
     lam_trace = []
-    hessians = []
-    for t in range(len(y_trace)):
+    accumulated = []
+    for t, H_obs in enumerate(hessians):
         if t > 0:
             H = A_inv.T @ H @ A_inv
-        H_obs = ch.at(t).hessian(y_trace[t], np.asarray(z_trace[t]).reshape(-1))
         H = 0.5 * ((H + H_obs) + (H + H_obs).T)
         lam_trace.append(float(np.max(np.linalg.eigvalsh(H))))
-        if keep_hessians:
-            hessians.append(H.copy())
+        accumulated.append(H)
     lam = np.array(lam_trace)
     first_neg = None
     above = np.nonzero(lam > -c)[0]
@@ -297,7 +312,7 @@ def lemma2_accumulate(
         lambda_max_trace=lam,
         first_negative_t=first_neg,
         threshold=c,
-        hessians=tuple(hessians),
+        hessians=tuple(accumulated),
     )
 
 
@@ -307,7 +322,6 @@ def audit_run(
     prior,
     z_trace,
     y_trace,
-    inputs,
     cond_trace,
     L: int = DEFAULT_AUDIT_WINDOW,
     kappa_cap: float = DEFAULT_KAPPA_CAP,
@@ -316,12 +330,16 @@ def audit_run(
 
     Non-smooth channels make the curvature audits inapplicable rather
     than failed, mirroring the scope of the assumptions themselves.
-    Each curvature term is evaluated with the channel of its step, ch.at(k).
+    Each step's observation Hessian is evaluated once, with the channel of
+    its step, ch.at(k), at the recorded state, and both curvature audits
+    read that one list.
     """
     verdicts = {}
     alpha_hat = None
+    hessians = None
     try:
-        v1 = audit_assumption1(ch, decomp, z_trace, y_trace, inputs, L)
+        hessians = list(_observation_hessians(ch, z_trace, y_trace))
+        v1 = _window_verdict(decomp, hessians, L)
         alpha_hat = v1.statistic
     except UnsupportedDerivative as exc:
         v1 = AssumptionVerdict(
@@ -354,9 +372,9 @@ def audit_run(
     # priors that are not twice differentiable (Laplace, exponential,
     # uniform) do not define
     accumulation = None
-    if hasattr(prior, "hessian_logpdf"):
+    if hessians is not None and hasattr(prior, "hessian_logpdf"):
         try:
-            acc = lemma2_accumulate(ch, decomp, prior, z_trace, y_trace, inputs)
+            acc = _accumulate(decomp, prior, z_trace[0], hessians)
             lam = acc.lambda_max_trace
             accumulation = {
                 "first_negative_t": acc.first_negative_t,
@@ -364,7 +382,7 @@ def audit_run(
                 "lambda_max_final": float(lam[-1]),
                 "n_positive": int(np.sum(lam > 0.0)),
             }
-        except (UnsupportedDerivative, PreconditionViolated):
+        except PreconditionViolated:
             pass
 
     return CurvatureAudit(

@@ -20,11 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingInputHistory,
-    UnsupportedDerivative,
-)
+from .errors import DimensionMismatch, UnsupportedDerivative
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -375,36 +371,6 @@ class ModuloGaussianChannel(ChannelModel):
         if scale <= 0:
             raise ValueError("noise scale must be positive")
         return ModuloGaussianChannel(self.period, self.r * scale, self.dim)
-
-
-def pulled_back_hessian(ch, decomp, y_k, k: int, t: int, z_t, inputs=None) -> np.ndarray:
-    """Observation Hessian at time k expressed in time-t coordinates.
-
-    Reconstructs z_k from z_t by inverting the unstable dynamics through
-    the recorded inputs, evaluates the channel Hessian there, and pulls it
-    back: (A_u^{-(t-k)})^T H_obs,k (A_u^{-(t-k)}).
-    """
-    if t < k:
-        raise ValueError(f"need t >= k, got t={t}, k={k}")
-    ch._require_smooth()
-    A_u = np.asarray(decomp.A_u, dtype=float)
-    B_u = np.asarray(decomp.B_u, dtype=float)
-    z = np.asarray(z_t, dtype=float).reshape(-1)
-    steps = t - k
-    if steps > 0:
-        if inputs is None or len(inputs) < t:
-            raise MissingInputHistory(
-                f"inverse dynamics from t={t} to k={k} needs inputs u_{k}..u_{t-1}"
-            )
-        A_inv = np.linalg.inv(A_u)
-        for j in range(t - 1, k - 1, -1):
-            u_j = np.asarray(inputs[j], dtype=float).reshape(-1)
-            z = A_inv @ (z - B_u @ u_j)
-        M = np.linalg.matrix_power(A_inv, steps)
-    else:
-        M = np.eye(decomp.n_u)
-    H = ch.hessian(y_k, z)
-    return M.T @ H @ M
 
 
 # The channel kinds. A kind's config keys are its constructor's parameters.

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import CHANNELS
 from .errors import ParseError, ValidationError
-from .filters import GridSpec
+from .filters import MIN_PARTICLES, GridSpec
 from .loop import DEFAULT_HORIZON, OutcomeThresholds, RunContext, kalman_error_floor, tracked_block
 from .priors import PRIORS, GaussianPrior
 from .system import GAIN_DESIGNS, SystemModel, decompose, design_gain
@@ -299,6 +299,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     horizon = int(run.get("horizon", DEFAULT_HORIZON))
     _require(horizon >= 1, "run.horizon", "horizon must be >= 1")
     _require(run.get("runs", 1) >= 1, "run.runs", "runs must be >= 1")
+    _require(run.get("tail_window", 1) >= 1, "run.tail_window", "the tail window must be >= 1")
+    _require(run.get("audit_window", 1) >= 1, "run.audit_window", "the audit window must be >= 1")
+    _require(run.get("divergence_guard", 1) > 0, "run.divergence_guard",
+             "the divergence guard must be positive (Infinity for none)")
+    _require(cfg.filter.get("particles", MIN_PARTICLES) >= MIN_PARTICLES, "filter.particles",
+             f"the kNN entropy estimate needs at least {MIN_PARTICLES} particles")
     tail = _tail_window(run, horizon)
     _require(horizon >= 2 * tail, "run.tail_window",
              f"horizon {horizon} must be at least twice the tail window {tail}")

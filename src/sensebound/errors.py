@@ -34,11 +34,6 @@ class UnsupportedDerivative(SenseboundError):
     """Derivatives requested on a channel whose log-likelihood is not C^2."""
 
 
-class MissingInputHistory(SenseboundError):
-    """Inverse-dynamics reconstruction needs control inputs that were not
-    recorded."""
-
-
 class GridOverflow(SenseboundError):
     """Re-gridding would exceed the configured cell budget."""
 

@@ -73,6 +73,8 @@ class GridSpec:
 
 DEFAULT_GRID_SPEC = GridSpec()
 DEFAULT_PARTICLES = 2**14
+_KNN_K = 4  # neighbours of a particle belief's kNN entropy estimate
+MIN_PARTICLES = _KNN_K + 1  # the estimate needs more samples than neighbours
 
 
 def _condition_number(cov: np.ndarray) -> float:
@@ -748,7 +750,7 @@ class ParticleBelief(Belief):
         """The kNN estimate on the equal-weight states. The permutation it
         sorts them by is memoised, and `_pushed` hands it on with the
         resample indices as the hint for the predicted belief's estimate."""
-        h, order = knn_entropy_nats(self.equal_weight_states(), k=4,
+        h, order = knn_entropy_nats(self.equal_weight_states(), k=_KNN_K,
                                     order=self.__dict__.get("_knn_order"), return_order=True)
         object.__setattr__(self, "_knn_order", order)
         return nats_to_bits(h)

@@ -162,25 +162,27 @@ class NecessityVerdict:
 
 
 def necessity_audit(
-    ledger: InfoLedger,
-    error_trace,
-    threshold: float,
-    tol: float = 0.05,
-    tail_window: Optional[int] = None,
+    ledger: InfoLedger, error_trace, outcome, tol: float = 0.05
 ) -> NecessityVerdict:
     """Check that a bounded-error run carries at least r_exp bits/step.
 
-    When the tail of the mean-square error trace stays below threshold the
+    The boundedness premise is the outcome's (`classify_outcome`)
+    `ms_bounded_error`: the tail of the mean-square error trace stays
+    below its threshold and no run halted or degenerated. Under it the
     measured directed-information rate must be at least r_exp - tol; a
     violation is the counterexample that fails the acceptance suite. When
-    the boundedness premise fails the check is vacuous.
+    the premise fails the check is vacuous.
     """
     err = np.asarray(error_trace, dtype=float)
-    if tail_window is None:
-        tail_window = max(1, len(err) // 4)
-    tail = err[-tail_window:]
-    bounded = bool(np.all(np.isfinite(tail)) and np.max(tail) <= threshold)
-    if not bounded:
+    if not outcome.ms_bounded_error:
+        tail = err[-outcome.tail_window:]
+        threshold = outcome.thresholds.bound_error
+        if np.all(np.isfinite(tail)) and np.max(tail) <= threshold:
+            reason = (f"tail max E||e||^2 = {np.max(tail):.6g} is within threshold "
+                      f"{threshold:.6g}, but a run halted or degenerated")
+        else:
+            reason = (f"tail max E||e||^2 = {np.max(tail):.6g} exceeds threshold "
+                      f"{threshold:.6g}")
         return NecessityVerdict(
             applicable=False,
             bounded=False,
@@ -188,10 +190,7 @@ def necessity_audit(
             r_exp=ledger.r_exp,
             tol=tol,
             passed=None,
-            detail=(
-                f"tail max E||e||^2 = {np.max(tail):.6g} exceeds threshold "
-                f"{threshold:.6g}; boundedness premise fails, check vacuous"
-            ),
+            detail=f"{reason}; boundedness premise fails, check vacuous",
         )
     T = min(len(ledger), len(err)) - 1
     rate = ledger.di_rate(T)

@@ -224,7 +224,6 @@ def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
         ctx.prior,
         record.z_u,
         record.y,
-        record.u,
         record.cond,
         L=min(ctx.audit_window, record.steps),
         kappa_cap=ctx.kappa_cap,

@@ -279,12 +279,10 @@ def build_summary(cfg: ExperimentConfig, ctx: RunContext, ens: EnsembleStats) ->
     run completed, the necessity audit and rate-balance residual of the
     mean ledger. `run` and `report` (`read_back_summary`) both call it."""
     thresholds = default_thresholds(cfg, ctx)
+    outcome = classify_outcome(ens, thresholds)
     verdict = residual = None
     if ens.mean_ledger is not None:
-        verdict = necessity_audit(
-            ens.mean_ledger, ens.mean_err_sq, threshold=thresholds.bound_error,
-            tail_window=thresholds.tail_window,
-        )
+        verdict = necessity_audit(ens.mean_ledger, ens.mean_err_sq, outcome)
         residual = rate_balance_check(ens.mean_ledger)
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -297,7 +295,7 @@ def build_summary(cfg: ExperimentConfig, ctx: RunContext, ens: EnsembleStats) ->
         "eigenvalues": [{"re": l.real, "im": l.imag} for l in ctx.decomp.eigenvalues],
         "di_rate_bits_per_step": ens.di_rate,
         "rate_balance_residual_bits_per_step": residual,
-        "outcome": classify_outcome(ens, thresholds),
+        "outcome": outcome,
         "necessity": verdict,
         "n_halted": ens.n_halted,
         "n_degenerate": ens.n_degenerate,

@@ -215,16 +215,12 @@ def test_criterion_08_curvature_audits():
         ch = make_channel("linear-gaussian", C=[[1.0]], R=[[1.0]])
         rng = np.random.default_rng(0)
         z = np.array([0.4])
-        zs, ys, us = [], [], []
+        zs, ys = [], []
         for _ in range(25):
             zs.append(z.copy())
             ys.append(ch.sample(z, rng))
-            us.append(np.zeros(1))
             z = dec.A_u @ z
-        acc = lemma2_accumulate(
-            ch, dec, GaussianPrior([0.0], [[1.0]]), np.array(zs), ys, np.array(us),
-            keep_hessians=True,
-        )
+        acc = lemma2_accumulate(ch, dec, GaussianPrior([0.0], [[1.0]]), np.array(zs), ys)
         for t in range(25):
             expected = -(4.0**-t) - sum(4.0**-j for j in range(t + 1))
             assert abs(acc.hessians[t][0, 0] - expected) <= 1e-12
@@ -233,9 +229,9 @@ def test_criterion_08_curvature_audits():
         # modulo channel: recurrent positive curvature, assumption 1 fails
         ctx = build_context(load_bundled("modulo-counterexample"))
         rec = run_closed_loop(ctx, 20250805, 0)
-        macc = lemma2_accumulate(ctx.channel, ctx.decomp, ctx.prior, rec.z_u, rec.y, rec.u)
+        macc = lemma2_accumulate(ctx.channel, ctx.decomp, ctx.prior, rec.z_u, rec.y)
         assert macc.first_negative_t is None
-        v1 = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, rec.u, L=2)
+        v1 = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, L=2)
         assert not v1.passed and v1.witness_t is not None
         assert max(v1.witness_eigs) > 0
 

@@ -12,7 +12,7 @@ from sensebound.audits import (
     lemma1_probe,
     lemma2_accumulate,
 )
-from sensebound.channels import make_channel
+from sensebound.channels import ChannelModel, make_channel
 from sensebound.config import build_context
 from sensebound.errors import PreconditionViolated, UnknownPriorFamily
 from sensebound.experiments import load_bundled
@@ -25,50 +25,50 @@ from sensebound.system import SystemModel, decompose
 def make_gaussian_trajectory(decomp, ch, horizon, seed=0, z0=0.4):
     rng = np.random.default_rng(seed)
     z = np.array([z0])
-    zs, ys, us = [], [], []
+    zs, ys = [], []
     for _ in range(horizon):
         zs.append(z.copy())
         ys.append(ch.sample(z, rng))
-        us.append(np.zeros(1))
         z = decomp.A_u @ z
-    return np.array(zs), ys, np.array(us)
+    return np.array(zs), ys
 
 
 class TestAssumption1:
     def test_scalar_window_two(self, scalar_double, unit_gaussian_channel):
-        zs, ys, us = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 10)
-        v = audit_assumption1(unit_gaussian_channel, scalar_double, zs, ys, us, L=2)
+        zs, ys = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 10)
+        v = audit_assumption1(unit_gaussian_channel, scalar_double, zs, ys, L=2)
         assert v.passed
         assert v.statistic == pytest.approx(1.25, abs=1e-12)
 
     def test_scalar_window_one(self, scalar_double, unit_gaussian_channel):
-        zs, ys, us = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 10)
-        v = audit_assumption1(unit_gaussian_channel, scalar_double, zs, ys, us, L=1)
+        zs, ys = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 10)
+        v = audit_assumption1(unit_gaussian_channel, scalar_double, zs, ys, L=1)
         assert v.passed
         assert v.statistic == pytest.approx(1.0, abs=1e-12)
 
     def test_modulo_fails_with_witness(self):
         ctx = build_context(load_bundled("modulo-counterexample"))
         rec = run_closed_loop(ctx, 20250805, 0)
-        v = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, rec.u, L=2)
+        v = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, L=2)
         assert not v.passed
         assert v.witness_t is not None
         assert max(v.witness_eigs) > 0  # the positive-curvature witness
 
     def test_witness_matches_dense_eigenscan(self):
-        """Oracle: a dense eigenvalue scan over every window of the run."""
+        """Oracle: a dense eigenvalue scan over every window of the run, each
+        term the channel Hessian at the recorded state pulled back to t."""
         ctx = build_context(load_bundled("modulo-counterexample"))
         rec = run_closed_loop(ctx, 20250805, 0)
-        from sensebound.channels import pulled_back_hessian
+        A_inv = np.linalg.inv(ctx.decomp.A_u)
 
         worst = -np.inf
         for t in range(1, rec.steps):
-            S = sum(
-                pulled_back_hessian(ctx.channel, ctx.decomp, rec.y[k], k, t, rec.z_u[t], rec.u)
-                for k in (t - 1, t)
-            )
+            S = 0.0
+            for k in (t - 1, t):
+                M = np.linalg.matrix_power(A_inv, t - k)
+                S = S + M.T @ ctx.channel.at(k).hessian(rec.y[k], rec.z_u[k]) @ M
             worst = max(worst, float(np.max(np.linalg.eigvalsh(S))))
-        v = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, rec.u, L=2)
+        v = audit_assumption1(ctx.channel, ctx.decomp, rec.z_u, rec.y, L=2)
         assert -v.statistic == pytest.approx(worst, rel=1e-12)
 
 
@@ -186,10 +186,10 @@ class TestLemma1:
 class TestLemma2:
     def test_scalar_closed_form(self, scalar_double, unit_gaussian_channel):
         """H_t = -4^-t - sum_{j<=t} 4^-j, exactly."""
-        zs, ys, us = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 20)
+        zs, ys = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 20)
         acc = lemma2_accumulate(
             unit_gaussian_channel, scalar_double, GaussianPrior([0.0], [[1.0]]),
-            zs, ys, us, keep_hessians=True,
+            zs, ys,
         )
         for t in range(20):
             expected = -(4.0**-t) - sum(4.0**-j for j in range(t + 1))
@@ -199,8 +199,8 @@ class TestLemma2:
 
     def test_student_t_prior_first_negative_finite(self, scalar_double, unit_gaussian_channel):
         prior = StudentTPrior(df=3.0, scale=1.0)
-        zs, ys, us = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 30, z0=3.0)
-        acc = lemma2_accumulate(unit_gaussian_channel, scalar_double, prior, zs, ys, us)
+        zs, ys = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 30, z0=3.0)
+        acc = lemma2_accumulate(unit_gaussian_channel, scalar_double, prior, zs, ys)
         assert acc.first_negative_t is not None
         # prior curvature decays at |a|^-2t while the accumulation term grows:
         # the ratio goes to zero
@@ -214,7 +214,7 @@ class TestLemma2:
     def test_modulo_recurrently_positive(self):
         ctx = build_context(load_bundled("modulo-counterexample"))
         rec = run_closed_loop(ctx, 20250805, 0)
-        acc = lemma2_accumulate(ctx.channel, ctx.decomp, ctx.prior, rec.z_u, rec.y, rec.u)
+        acc = lemma2_accumulate(ctx.channel, ctx.decomp, ctx.prior, rec.z_u, rec.y)
         lam = acc.lambda_max_trace
         assert acc.first_negative_t is None
         assert np.sum(lam > 0) >= 3
@@ -227,7 +227,7 @@ class TestLemma2:
         with pytest.raises(PreconditionViolated):
             lemma2_accumulate(
                 unit_gaussian_channel, dec, GaussianPrior([0.0, 0.0], np.eye(2)),
-                np.zeros((3, 2)), [np.zeros(2)] * 3, np.zeros((3, 2)),
+                np.zeros((3, 2)), [np.zeros(2)] * 3,
             )
 
     def test_matches_grid_log_posterior_curvature(self, scalar_double):
@@ -241,10 +241,9 @@ class TestLemma2:
         rng = np.random.default_rng(17)
         belief = make_initial_belief(prior, "grid", grid_spec=spec)
         z = np.array([0.2])
-        zs, ys, us = [], [], []
+        ys, us = [], []
         beliefs = []
         for t in range(10):
-            zs.append(z.copy())
             y = ch.sample(z, rng)
             ys.append(y)
             step = update(belief, ch, y)
@@ -253,9 +252,6 @@ class TestLemma2:
             us.append(u)
             belief = predict(step.belief_post, scalar_double, u)
             z = scalar_double.A_u @ z + scalar_double.B_u @ u
-        acc = lemma2_accumulate(
-            ch, scalar_double, prior, np.array(zs), ys, np.array(us), keep_hessians=True
-        )
         checked = 0
         for t in (2, 5, 9):
             post = beliefs[t]
@@ -267,11 +263,6 @@ class TestLemma2:
             fd = (np.log(dens[i + 1]) - 2 * np.log(dens[i]) + np.log(dens[i - 1])) / h**2
             # evaluate the accumulated Hessian at the same point: rebuild the
             # pullback sum anchored at z_t = grid point
-            from sensebound.channels import pulled_back_hessian
-
-            H = pulled_back_hessian(ch, scalar_double, ys[0], 0, t, [ax[i]], us)
-            H = H + prior.hessian_logpdf(None) * 0.0  # shape anchor
-            total = prior_term = None
             A_inv = np.linalg.inv(scalar_double.A_u)
             zt = np.array([ax[i]])
             zk = zt.copy()
@@ -290,10 +281,10 @@ class TestLemma2:
 
 class TestAuditRun:
     def test_bundle_of_verdicts(self, scalar_double, unit_gaussian_channel):
-        zs, ys, us = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 12)
+        zs, ys = make_gaussian_trajectory(scalar_double, unit_gaussian_channel, 12)
         audit = audit_run(
             unit_gaussian_channel, scalar_double, GaussianPrior([0.0], [[1.0]]),
-            zs, ys, us, np.ones(12), L=2,
+            zs, ys, np.ones(12), L=2,
         )
         assert audit.alpha_hat == pytest.approx(1.25, abs=1e-12)
         assert audit.beta_hat == 0.0
@@ -304,26 +295,45 @@ class TestAuditRun:
         ch = make_channel("sign-quantizer")
         zs = np.zeros((5, 1))
         ys = [np.array([1.0])] * 5
-        us = np.zeros((5, 1))
         audit = audit_run(
-            ch, scalar_double, GaussianPrior([0.0], [[1.0]]), zs, ys, us, np.ones(5), L=2
+            ch, scalar_double, GaussianPrior([0.0], [[1.0]]), zs, ys, np.ones(5), L=2
         )
         assert not audit.verdicts["assumption1"].applicable
         assert audit.verdicts["assumption1"].passed is None
 
     def test_prior_without_hessian_skips_accumulation(self, scalar_double):
         ch = make_channel("tanh-gaussian", scale=1.0, R=[[0.04]])
-        zs, ys, us = make_gaussian_trajectory(scalar_double, ch, 8)
-        audit = audit_run(ch, scalar_double, LaplacePrior(), zs, ys, us, np.ones(8), L=2)
+        zs, ys = make_gaussian_trajectory(scalar_double, ch, 8)
+        audit = audit_run(ch, scalar_double, LaplacePrior(), zs, ys, np.ones(8), L=2)
         assert audit.accumulation is None
         assert audit.alpha_hat is not None
+
+    def test_one_hessian_per_recorded_step(self, monkeypatch):
+        """Both curvature audits read one evaluation per step, each at the
+        recorded state with the step's channel."""
+        ctx = build_context(load_bundled("modulo-counterexample"))
+        rec = run_closed_loop(ctx, 20250805, 0)
+        calls = []
+        hessian = ChannelModel.hessian
+
+        def counting(self, y, x):
+            calls.append((np.array(y), np.array(x)))
+            return hessian(self, y, x)
+
+        monkeypatch.setattr(ChannelModel, "hessian", counting)
+        audit = audit_run(ctx.channel, ctx.decomp, ctx.prior, rec.z_u, rec.y, rec.cond,
+                          L=ctx.audit_window)
+        assert rec.steps == 60 and len(calls) == rec.steps
+        for k, (y, x) in enumerate(calls):
+            assert np.array_equal(y, rec.y[k]) and np.array_equal(x, rec.z_u[k])
+        assert audit.verdicts["assumption1"].applicable and audit.accumulation is not None
 
     def test_attribute_error_in_accumulation_propagates(self, scalar_double, monkeypatch):
         def broken(*args, **kwargs):
             raise AttributeError("bug inside lemma2_accumulate")
 
-        monkeypatch.setattr(audits_mod, "lemma2_accumulate", broken)
+        monkeypatch.setattr(audits_mod, "_accumulate", broken)
         ch = make_channel("tanh-gaussian", scale=1.0, R=[[0.04]])
-        zs, ys, us = make_gaussian_trajectory(scalar_double, ch, 8)
+        zs, ys = make_gaussian_trajectory(scalar_double, ch, 8)
         with pytest.raises(AttributeError, match="bug inside"):
-            audit_run(ch, scalar_double, GaussianPrior([0.0], [[1.0]]), zs, ys, us, np.ones(8))
+            audit_run(ch, scalar_double, GaussianPrior([0.0], [[1.0]]), zs, ys, np.ones(8))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_hessian_1d
-from sensebound.channels import LinearGaussianChannel, make_channel, pulled_back_hessian
-from sensebound.errors import MissingInputHistory, UnsupportedDerivative
+from sensebound.audits import _window_verdict, audit_assumption1
+from sensebound.channels import LinearGaussianChannel, make_channel
+from sensebound.errors import UnsupportedDerivative
 
 C2_CHANNELS = {
     "linear-gaussian": dict(C=[[1.0]], R=[[1.0]]),
@@ -131,27 +132,23 @@ class TestLogLikelihood:
 
 
 class TestPulledBackHessian:
-    def test_one_step(self, scalar_double, unit_gaussian_channel):
-        H = pulled_back_hessian(
-            unit_gaussian_channel, scalar_double, [0.0], 0, 1, [1.0], inputs=[[0.0]]
-        )
-        assert H == pytest.approx(np.array([[-0.25]]), abs=1e-12)
+    """The assumption-1 window sum: each step's Hessian, taken at its
+    recorded state, pulled back to the window's last step t by
+    A_u^-(t-k)."""
 
-    def test_identity(self, scalar_double, unit_gaussian_channel):
-        H = pulled_back_hessian(
-            unit_gaussian_channel, scalar_double, [0.0], 1, 1, [1.0], inputs=[[0.0]]
-        )
-        assert H == pytest.approx(np.array([[-1.0]]), abs=1e-12)
+    def test_one_step(self, scalar_double):
+        v = _window_verdict(scalar_double, [np.array([[-1.0]]), np.zeros((1, 1))], L=2)
+        assert v.witness_eigs == pytest.approx((-0.25,), abs=1e-12)
+
+    def test_identity(self, scalar_double):
+        v = _window_verdict(scalar_double, [np.array([[-1.0]])], L=1)
+        assert v.witness_eigs == pytest.approx((-1.0,), abs=1e-12)
 
     def test_window_sum(self, scalar_double, unit_gaussian_channel):
-        t = 1
-        total = sum(
-            pulled_back_hessian(
-                unit_gaussian_channel, scalar_double, [0.0], k, t, [1.0], inputs=[[0.0]]
-            )[0, 0]
-            for k in (0, 1)
-        )
-        assert total == pytest.approx(-1.25, abs=1e-12)
+        zs, ys = np.array([[0.5], [1.0]]), [np.array([0.0])] * 2
+        v = audit_assumption1(unit_gaussian_channel, scalar_double, zs, ys, L=2)
+        assert v.witness_t == 1
+        assert v.witness_eigs == pytest.approx((-1.25,), abs=1e-12)
 
     def test_window_sum_matches_joint_fd(self, scalar_double):
         """Cross-check against a finite-difference Hessian of the joint
@@ -177,21 +174,15 @@ class TestPulledBackHessian:
                 total += loglik(ch, ys[k], hist[k])
             return total
 
-        H_sum = sum(
-            pulled_back_hessian(ch, scalar_double, ys[k], k, t, zs[t], inputs=us)[0, 0]
-            for k in range(3)
-        )
+        v = audit_assumption1(ch, scalar_double, np.array(zs), ys, L=3)
         fd = fd_hessian_1d(joint, float(zs[t][0]), h=1e-4)
-        assert H_sum == pytest.approx(fd, rel=1e-4)
-
-    def test_missing_history(self, scalar_double, unit_gaussian_channel):
-        with pytest.raises(MissingInputHistory):
-            pulled_back_hessian(unit_gaussian_channel, scalar_double, [0.0], 0, 2, [1.0])
+        assert v.witness_t == t
+        assert v.witness_eigs[0] == pytest.approx(fd, rel=1e-4)
 
     def test_non_smooth_rejected(self, scalar_double):
         ch = make_channel("sign-quantizer")
         with pytest.raises(UnsupportedDerivative):
-            pulled_back_hessian(ch, scalar_double, [1.0], 0, 0, [1.0])
+            audit_assumption1(ch, scalar_double, np.array([[1.0]]), [np.array([1.0])], L=1)
 
 
 class TestNoiseScale:

@@ -493,6 +493,44 @@ def test_prior_scale_must_be_positive_and_finite(tmp_path, capsys, recwarn, fami
     assert not recwarn.list
 
 
+PARTICLE = 'kind = "particle"'
+BELOW_FLOOR = [
+    ("particles-0", dict(channel=TANH, filter=PARTICLE + "\nparticles = 0"), "filter.particles"),
+    ("particles-4", dict(channel=TANH, filter=PARTICLE + "\nparticles = 4"), "filter.particles"),
+    ("audit-window-0", dict(run=BASE["run"] + "\naudit = true\naudit_window = 0"),
+     "run.audit_window"),
+    ("tail-window-0", dict(run=BASE["run"] + "\ntail_window = 0"), "run.tail_window"),
+    ("tail-window-negative", dict(run=BASE["run"] + "\ntail_window = -5"), "run.tail_window"),
+    ("guard-negative", dict(run=BASE["run"] + "\ndivergence_guard = -1"),
+     "run.divergence_guard"),
+    ("guard-0", dict(run=BASE["run"] + "\ndivergence_guard = 0"), "run.divergence_guard"),
+]
+
+
+@pytest.mark.parametrize("sections, field", [c[1:] for c in BELOW_FLOOR],
+                         ids=[c[0] for c in BELOW_FLOOR])
+def test_value_below_its_floor_exits_one(tmp_path, capsys, sections, field):
+    """Too few particles for the kNN entropy estimate (k = 4), an empty
+    audit or tail window and a guard that is not positive are errors
+    naming the key. Unchecked, they ended in a ZeroDivisionError or a
+    ValueError traceback, or ran to exit 0 on a nonsense tail or with
+    every run halted."""
+    code, err = run_cli(tmp_path, config_text(**sections), capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field}: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_values_at_their_floor_build():
+    ctx = build_context(parse_config(config_text(
+        channel=TANH, filter=PARTICLE + "\nparticles = 5",
+        run=BASE["run"] + "\naudit = true\naudit_window = 1\ntail_window = 1"
+                          "\ndivergence_guard = Infinity")))
+    assert ctx.n_particles == 5 and ctx.audit_window == 1
+    assert ctx.divergence_guard == float("inf")
+
+
 TWO_MODES = config_text(
     system="A = [[2.0, 0.0], [0.0, 3.0]]",
     channel='kind = "linear-gaussian"\nC = [[1.0, 0.0], [0.0, 1.0]]\nR = [[1.0, 0.0], [0.0, 1.0]]',

@@ -174,7 +174,7 @@ class TestBlockAgainstScalarLoop:
             assert ch.gamma == 0.9 and all(r.outcome == "completed" for r in refs)
             for r in refs:
                 want = audit_run(HandSteppedTanh(ch.scale, ch.R), tracked_block(ctx.decomp),
-                                 ctx.prior, r.z_u, r.y, r.u, r.cond, L=ctx.audit_window,
+                                 ctx.prior, r.z_u, r.y, r.cond, L=ctx.audit_window,
                                  kappa_cap=ctx.kappa_cap)
                 assert r.audits.to_json_dict() == want.to_json_dict()
 

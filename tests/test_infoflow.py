@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sensebound.channels import make_channel
 from sensebound.errors import OutOfOrderStep
+from sensebound.experiments import load_bundled
 from sensebound.filters import GaussianBelief, ParticleBelief, predict, update
 from sensebound.infoflow import (
     InfoLedger,
@@ -15,8 +17,16 @@ from sensebound.infoflow import (
     rate_balance_check,
     sandwich_check,
 )
-from sensebound.loop import RunContext, kalman_error_floor, run_closed_loop, run_ensemble
+from sensebound.loop import (
+    OutcomeThresholds,
+    RunContext,
+    classify_outcome,
+    kalman_error_floor,
+    run_closed_loop,
+    run_ensemble,
+)
 from sensebound.priors import GaussianPrior
+from sensebound.report import run_experiment
 from sensebound.system import SystemModel, decompose
 
 
@@ -120,12 +130,21 @@ class TestRateBalance:
         assert abs(s["rate_balance_residual_bits_per_step"]) <= 1e-9
 
 
+def _outcome(err, threshold, n_halted=0):
+    """classify_outcome of an ensemble whose mean-square error trace is err."""
+    ens = SimpleNamespace(horizon=len(err), n_halted=n_halted, n_degenerate=0,
+                          mean_state_sq=np.zeros(len(err)), mean_err_sq=err)
+    return classify_outcome(ens, OutcomeThresholds(bound_state=1.0, bound_error=threshold,
+                                                   tail_window=len(err) // 4))
+
+
 class TestNecessity:
     def test_bounded_kalman_passes(self):
         lg = InfoLedger(r_exp=1.0)
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.0))
-        v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
+        err = np.full(40, 0.5)
+        v = necessity_audit(lg, err, _outcome(err, threshold=1.0))
         assert v.applicable and v.passed
         assert v.di_rate == pytest.approx(1.0)
 
@@ -134,16 +153,44 @@ class TestNecessity:
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.9))
         err = np.geomspace(1.0, 1e9, 40)
-        v = necessity_audit(lg, err, threshold=10.0)
+        v = necessity_audit(lg, err, _outcome(err, threshold=10.0))
         assert not v.applicable and v.passed is None
+        assert v.detail.startswith("tail max E||e||^2 = ")
+        assert "exceeds threshold 10" in v.detail
 
     def test_violation_detected(self):
         lg = InfoLedger(r_exp=1.0)
         for t in range(40):
             lg.record(_FakeStep(t, 2.0, 1.8))  # 0.2 bits/step only
-        v = necessity_audit(lg, np.full(40, 0.5), threshold=1.0)
+        err = np.full(40, 0.5)
+        v = necessity_audit(lg, err, _outcome(err, threshold=1.0))
         assert v.applicable and not v.passed
         assert "VIOLATION" in v.detail
+
+    def test_premise_is_the_outcome_verdict(self):
+        """A halted run makes the ensemble unbounded, so a rate shortfall
+        under a small error tail is vacuous, not a violation."""
+        lg = InfoLedger(r_exp=1.0)
+        for t in range(40):
+            lg.record(_FakeStep(t, 2.0, 1.8))
+        err = np.full(40, 0.5)
+        outcome = _outcome(err, threshold=1.0, n_halted=1)
+        assert not outcome.ms_bounded_error
+        v = necessity_audit(lg, err, outcome)
+        assert not v.applicable and not v.bounded and v.passed is None
+        assert "a run halted or degenerated" in v.detail
+
+    def test_guarded_kalman_ensemble_agrees_with_its_outcome(self):
+        """kalman-baseline with a guard at 200 halts a few of 100 runs: the
+        outcome calls the ensemble unbounded, and so does the necessity
+        check, whose premise it is."""
+        cfg = load_bundled("kalman-baseline")
+        cfg.run["divergence_guard"] = 200.0
+        s = run_experiment(cfg, write=False, runs=100).summary
+        assert 0 < s["n_halted"] < 100
+        assert s["outcome"]["ms_bounded_error"] is False
+        assert s["necessity"]["applicable"] is False and s["necessity"]["bounded"] is False
+        assert s["necessity"]["passed"] is None
 
 
 class TestSandwich:

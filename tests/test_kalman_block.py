@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sensebound import filters
-from sensebound.channels import make_channel, pulled_back_hessian
+from sensebound.channels import make_channel
 from sensebound.config import build_context, parse_config
 from sensebound.experiments import load_bundled
 from sensebound.filters import Belief, GaussianBelief, make_initial_belief
@@ -174,7 +174,8 @@ class TestBundledKalmanExperiments:
 class TestShrinkingNoiseAudit:
     def test_assumption1_uses_the_step_channel(self):
         """alpha_hat of the shrinking-noise schedule, hand-computed from the
-        pulled-back Hessians with R_k, and not the R_0-only value."""
+        Hessians with R_k at the recorded states, pulled back to each
+        window's last step, and not the R_0-only value."""
         cfg = load_bundled("shrinking-noise")
         cfg.run["audit"] = True
         bundle = run_experiment(cfg, write=False, runs=1, horizon=30)
@@ -184,15 +185,16 @@ class TestShrinkingNoiseAudit:
         trk = tracked_block(ctx.decomp)
         rec = run_closed_loop(ctx, int(cfg.run["seed"]), 0)
 
+        A_inv = np.linalg.inv(trk.A_u)
+
+        def pulled_back(channel, k, t):
+            M = np.linalg.matrix_power(A_inv, t - k)
+            return M.T @ channel.hessian(rec.y[k], rec.z_u[k]) @ M
+
         def alpha_hat(channel_at, L=2):
             worst = max(
                 np.linalg.eigvalsh(
-                    sum(
-                        pulled_back_hessian(
-                            channel_at(k), trk, rec.y[k], k, t, rec.z_u[t], rec.u
-                        )
-                        for k in range(t - L + 1, t + 1)
-                    )
+                    sum(pulled_back(channel_at(k), k, t) for k in range(t - L + 1, t + 1))
                 )[-1]
                 for t in range(L - 1, rec.steps)
             )
