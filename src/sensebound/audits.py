@@ -33,17 +33,6 @@ class AssumptionVerdict:
     witness_eigs: Optional[tuple] = None
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "statistic": self.statistic,
-            "witness_t": self.witness_t,
-            "witness_eigs": list(self.witness_eigs) if self.witness_eigs else None,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class CurvatureAudit:
@@ -55,16 +44,6 @@ class CurvatureAudit:
     kappa_hat: Optional[float]
     verdicts: dict
     accumulation: Optional[dict] = None  # log-posterior Hessian trace summary
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "kappa_hat": self.kappa_hat,
-            "verdicts": {k: v.to_json_dict() for k, v in self.verdicts.items()},
-            "accumulation": self.accumulation,
-        }
 
 
 def _observation_hessians(ch, z_trace, y_trace):

@@ -45,7 +45,9 @@ def _check_gamma(gamma) -> Optional[float]:
     return gamma
 
 
-def _check_spd(R: np.ndarray, name: str = "R") -> np.ndarray:
+def check_spd(R: np.ndarray, name: str = "R") -> np.ndarray:
+    """R as a float matrix, checked square, symmetric and positive definite
+    (Cholesky); a channel's R and a Gaussian prior's cov take this check."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if R.shape[0] != R.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
@@ -131,7 +133,7 @@ class _GaussianNoiseChannel(ChannelModel):
 
     def __init__(self, R, gamma=None):
         self.gamma = _check_gamma(gamma)
-        R = _check_spd(R)
+        R = check_spd(R)
         self.R = R
         self._R_inv = np.linalg.inv(R)
         self._chol = np.linalg.cholesky(R)

@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="sensebound", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_source(sp):
         group = sp.add_mutually_exclusive_group(required=True)
         group.add_argument("--config", help="path to an experiment config file")
         group.add_argument(
@@ -52,6 +52,9 @@ def _build_parser() -> _Parser:
             choices=bundled_names(),
             help="name of a bundled experiment",
         )
+
+    def add_common(sp):
+        add_source(sp)
         sp.add_argument("--seed", type=int, default=None, help="master seed, a whole number >= 0")
         sp.add_argument("--runs", type=int, default=None, help="override run count")
         sp.add_argument("--horizon", type=int, default=None, help="override horizon")
@@ -67,7 +70,7 @@ def _build_parser() -> _Parser:
         )
 
     sp = sub.add_parser("decompose", help="print the mode decomposition of a system")
-    add_common(sp)
+    add_source(sp)
 
     sp = sub.add_parser("run", help="run one experiment and write its bundle")
     add_common(sp)
@@ -116,7 +119,7 @@ def _cmd_decompose(args) -> int:
         "n": decomp.n,
         "n_u": decomp.n_u,
         "r_exp_bits_per_step": decomp.r_exp,
-        "eigenvalues": [{"re": l.real, "im": l.imag} for l in decomp.eigenvalues],
+        "eigenvalues": decomp.eigenvalues,
         "A_u": decomp.A_u,
         "A_s": decomp.A_s,
         "B_u": decomp.B_u,

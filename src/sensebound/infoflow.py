@@ -143,22 +143,11 @@ class NecessityVerdict:
 
     applicable: bool
     bounded: bool
-    di_rate: Optional[float]
-    r_exp: float
-    tol: float
+    di_rate_bits_per_step: Optional[float]
+    r_exp_bits_per_step: float
+    tolerance_bits: float
     passed: Optional[bool]
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "bounded": self.bounded,
-            "di_rate_bits_per_step": self.di_rate,
-            "r_exp_bits_per_step": self.r_exp,
-            "tolerance_bits": self.tol,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 def necessity_audit(
@@ -176,7 +165,7 @@ def necessity_audit(
     err = np.asarray(error_trace, dtype=float)
     if not outcome.ms_bounded_error:
         tail = err[-outcome.tail_window:]
-        threshold = outcome.thresholds.bound_error
+        threshold = outcome.bound_error
         if np.all(np.isfinite(tail)) and np.max(tail) <= threshold:
             reason = (f"tail max E||e||^2 = {np.max(tail):.6g} is within threshold "
                       f"{threshold:.6g}, but a run halted or degenerated")
@@ -186,9 +175,9 @@ def necessity_audit(
         return NecessityVerdict(
             applicable=False,
             bounded=False,
-            di_rate=None,
-            r_exp=ledger.r_exp,
-            tol=tol,
+            di_rate_bits_per_step=None,
+            r_exp_bits_per_step=ledger.r_exp,
+            tolerance_bits=tol,
             passed=None,
             detail=f"{reason}; boundedness premise fails, check vacuous",
         )
@@ -202,9 +191,9 @@ def necessity_audit(
     return NecessityVerdict(
         applicable=True,
         bounded=True,
-        di_rate=float(rate),
-        r_exp=ledger.r_exp,
-        tol=tol,
+        di_rate_bits_per_step=float(rate),
+        r_exp_bits_per_step=ledger.r_exp,
+        tolerance_bits=tol,
         passed=passed,
         detail=detail,
     )

@@ -516,19 +516,9 @@ class OutcomeClassification:
     asymptotic_state: bool
     asymptotic_error: bool
     tail_window: int
-    thresholds: OutcomeThresholds
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ms_bounded_state": self.ms_bounded_state,
-            "ms_bounded_error": self.ms_bounded_error,
-            "asymptotic_state": self.asymptotic_state,
-            "asymptotic_error": self.asymptotic_error,
-            "tail_window": self.tail_window,
-            "bound_state": self.thresholds.bound_state,
-            "bound_error": self.thresholds.bound_error,
-            "zero_threshold": self.thresholds.zero_threshold,
-        }
+    bound_state: float
+    bound_error: float
+    zero_threshold: float
 
 
 def _bounded(trace: np.ndarray, window: int, threshold: float, any_halted: bool) -> bool:
@@ -568,7 +558,9 @@ def classify_outcome(ens: EnsembleStats, thresholds: OutcomeThresholds) -> Outco
         asymptotic_state=a_state,
         asymptotic_error=a_err,
         tail_window=w,
-        thresholds=thresholds,
+        bound_state=thresholds.bound_state,
+        bound_error=thresholds.bound_error,
+        zero_threshold=thresholds.zero_threshold,
     )
 
 

@@ -6,10 +6,9 @@ Hessian is positive in the tails). Laplace / exponential / uniform exist
 as sample sources for the entropy-gap checks.
 """
 
-import warnings
-
 import numpy as np
 
+from .channels import check_spd
 from .errors import DimensionMismatch
 
 
@@ -17,27 +16,24 @@ class GaussianPrior:
     family = "gaussian"
 
     def __init__(self, mean=None, cov=None, *, dim: int = 1):
-        """N(mean, cov); mean defaults to zero in `dim` dimensions, cov to I."""
+        """N(mean, cov); mean defaults to zero in `dim` dimensions, cov to I.
+        cov must be symmetric positive definite, as a channel's R must."""
         if mean is None:
             mean = np.zeros(dim)
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         if cov is None:
             cov = np.eye(self.mean.size)
-        self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        self.cov = check_spd(cov, "cov")
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise DimensionMismatch(
                 f"cov shape {self.cov.shape} does not match mean length {self.mean.size}"
             )
         self._prec = np.linalg.inv(self.cov)
-        sign, logdet = np.linalg.slogdet(self.cov)
-        if sign <= 0:
-            raise DimensionMismatch("prior covariance must be positive definite")
+        _, logdet = np.linalg.slogdet(self.cov)
         self._log_norm = -0.5 * (self.dim * np.log(2 * np.pi) + logdet)
         # numpy's multivariate_normal factors cov by SVD on every call;
         # the factor is fixed, so it is taken once, as numpy takes it
-        u, s, vh = np.linalg.svd(self.cov)
-        if not np.allclose(np.dot(vh.T * s, vh), self.cov, rtol=1e-8, atol=1e-8):
-            warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning)
+        u, s, _ = np.linalg.svd(self.cov)
         self._factor = u * np.sqrt(s)
 
     @property

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,13 @@ RECOMPUTED_KEYS = ("n_runs", "horizon", "mean_err_sq", "mean_state_sq", "mean_cm
 
 
 def to_jsonable(obj):
+    """obj as JSON values: its `to_json_dict` when it has one, else a
+    dataclass instance as {field name: value}, a complex number as
+    {"re", "im"} and numpy values as Python ones."""
     if hasattr(obj, "to_json_dict"):
         return to_jsonable(obj.to_json_dict())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -292,7 +297,7 @@ def build_summary(cfg: ExperimentConfig, ctx: RunContext, ens: EnsembleStats) ->
         "seed": ens.master_seed,
         "r_exp_bits_per_step": ctx.decomp.r_exp,
         "n_u": ctx.decomp.n_u,
-        "eigenvalues": [{"re": l.real, "im": l.imag} for l in ctx.decomp.eigenvalues],
+        "eigenvalues": ctx.decomp.eigenvalues,
         "di_rate_bits_per_step": ens.di_rate,
         "rate_balance_residual_bits_per_step": residual,
         "outcome": outcome,
@@ -399,7 +404,7 @@ def _bundle_config_text(cfg: ExperimentConfig) -> str:
 
     if cfg.source_text and as_json(parse_config(cfg.source_text)) == as_json(cfg):
         return cfg.source_text
-    lines = [f'experiment = "{cfg.experiment}"']
+    lines = [f"experiment = {json.dumps(cfg.experiment, ensure_ascii=False)}"]
     for section in SECTIONS:
         data = getattr(cfg, section)
         if not data:

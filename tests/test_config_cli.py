@@ -227,6 +227,17 @@ class TestCli:
         assert out["r_exp_bits_per_step"] == 1.0
         assert out["n_u"] == 1
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--runs", "5"),
+                                             ("--horizon", "30"), ("--out", "x"),
+                                             ("--workers", "9")])
+    def test_decompose_takes_only_config_or_experiment(self, capsys, flag, value):
+        """decompose reads no seed, run count, horizon, bundle or worker
+        count, so each of those flags is a usage error, not ignored."""
+        code = main(["decompose", "--experiment", "kalman-baseline", flag, value])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and flag in err, err
+
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(MINIMAL)

@@ -553,6 +553,28 @@ def test_sweep_over_matrices(tmp_path, capsys):
     assert rows[0]["tail_mean_err_sq"] != rows[1]["tail_mean_err_sq"]
 
 
+@pytest.mark.parametrize("filter_section", ['kind = "kalman"', PARTICLE + "\nparticles = 64"],
+                         ids=["kalman", "particle"])
+@pytest.mark.parametrize("cov, message", [
+    ("[[-1.0, 0.0], [0.0, -1.0]]", "cov must be positive definite"),
+    ("[[1.0, 0.5], [0.0, 1.0]]", "cov must be symmetric"),
+], ids=["negative-definite", "unsymmetric"])
+def test_gaussian_prior_cov_must_be_symmetric_positive_definite(tmp_path, capsys, recwarn,
+                                                                filter_section, cov, message):
+    """A Gaussian prior's cov takes the check a channel's R takes. Unchecked,
+    a negative definite cov drew particles from N(0, I), and an unsymmetric
+    one ran as two different priors under the two filters."""
+    text = TWO_MODES.replace('family = "gaussian"',
+                             f'family = "gaussian"\nmean = [0.0, 0.0]\ncov = {cov}')
+    text = text.replace('kind = "kalman"', filter_section)
+    assert f"cov = {cov}" in text and filter_section in text
+    code, err = run_cli(tmp_path, text, capsys)
+    assert code == 1
+    assert err == f"error: {message}\n", err
+    assert not recwarn.list
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("values", ["[1,", "", "1,,2"])
 def test_malformed_sweep_values_are_usage_errors(tmp_path, capsys, values):
     path = tmp_path / "exp.cfg"

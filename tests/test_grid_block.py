@@ -22,6 +22,7 @@ from sensebound.config import build_context, parse_config
 from sensebound.experiments import bundled_text, load_bundled
 from sensebound.filters import GridBelief, GridSpec, ParticleBelief
 from sensebound.loop import run_block, run_closed_loop, run_ensemble, tracked_block
+from sensebound.report import to_jsonable
 
 from test_kalman_block import LEDGER_COLUMNS, assert_records_equal
 
@@ -176,7 +177,7 @@ class TestBlockAgainstScalarLoop:
                 want = audit_run(HandSteppedTanh(ch.scale, ch.R), tracked_block(ctx.decomp),
                                  ctx.prior, r.z_u, r.y, r.cond, L=ctx.audit_window,
                                  kappa_cap=ctx.kappa_cap)
-                assert r.audits.to_json_dict() == want.to_json_dict()
+                assert to_jsonable(r.audits) == to_jsonable(want)
 
 
 def harvest_regrids(monkeypatch):

@@ -146,7 +146,7 @@ class TestNecessity:
         err = np.full(40, 0.5)
         v = necessity_audit(lg, err, _outcome(err, threshold=1.0))
         assert v.applicable and v.passed
-        assert v.di_rate == pytest.approx(1.0)
+        assert v.di_rate_bits_per_step == pytest.approx(1.0)
 
     def test_unbounded_is_vacuous(self):
         lg = InfoLedger(r_exp=1.585)

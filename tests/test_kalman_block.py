@@ -90,7 +90,7 @@ def assert_records_equal(a, b):
         elif f.name == "audits":
             assert (x is None) == (y is None)
             if x is not None:
-                assert x.to_json_dict() == y.to_json_dict()
+                assert to_jsonable(x) == to_jsonable(y)
         elif isinstance(x, np.ndarray):
             assert x.dtype == y.dtype and x.shape == y.shape, f.name
             assert x.tobytes() == y.tobytes(), f.name

@@ -150,6 +150,65 @@ def test_a_halt_counted_as_degenerate_is_a_mismatch(audited_grid_bundle, copy_of
     assert "MISMATCH in n_degenerate: summary.json has 1, the bundle gives 0" in err
 
 
+# The JSON keys of the outcome, necessity and audit records are their
+# dataclass fields, so a renamed field renames a bundle key; these literal
+# sets make that a test failure.
+SUMMARY_LEAVES = {
+    "schema_version", "experiment", "n_runs", "horizon", "seed", "r_exp_bits_per_step", "n_u",
+    "eigenvalues", "di_rate_bits_per_step", "rate_balance_residual_bits_per_step", "n_halted",
+    "n_degenerate", "ensemble.mean_state_sq", "ensemble.mean_err_sq", "ensemble.mean_cmi_bits",
+    "ensemble.alive", "outcome.ms_bounded_state", "outcome.ms_bounded_error",
+    "outcome.asymptotic_state", "outcome.asymptotic_error", "outcome.tail_window",
+    "outcome.bound_state", "outcome.bound_error", "outcome.zero_threshold",
+    "necessity.applicable", "necessity.bounded", "necessity.di_rate_bits_per_step",
+    "necessity.r_exp_bits_per_step", "necessity.tolerance_bits", "necessity.passed",
+    "necessity.detail", "config.experiment", "config.system.A", "config.system.B",
+    "config.channel.kind", "config.prior.family", "config.prior.mean", "config.prior.cov",
+    "config.filter.kind", "config.controller.mode", "config.run.horizon", "config.run.runs",
+    "config.run.seed", "config.run.tail_window", "config.outputs.dir",
+}
+KALMAN_LEAVES = SUMMARY_LEAVES | {
+    "fraction_halted_by.50", "fraction_halted_by.100", "config.channel.C", "config.channel.R",
+    "config.controller.design", "config.controller.target_pole", "config.run.bound_state",
+}
+AUDIT_LEAVES = {
+    "window", "alpha_hat", "beta_hat", "kappa_hat", "accumulation.first_negative_t",
+    "accumulation.threshold", "accumulation.lambda_max_final", "accumulation.n_positive",
+    *(f"verdicts.assumption{i}.{key}" for i in (1, 2, 3) for key in (
+        "name", "applicable", "passed", "statistic", "witness_t", "witness_eigs", "detail")),
+}
+MODULO_LEAVES = SUMMARY_LEAVES | {f"audits.{key}" for key in AUDIT_LEAVES} | {
+    "fraction_halted_by.20", "fraction_halted_by.40", "config.channel.period",
+    "config.channel.r", "config.run.divergence_guard", "config.run.audit",
+    "config.run.audit_window",
+}
+
+
+def _leaf_names(path):
+    return {".".join(p) for p in _leaves(json.loads(path.read_text()))}
+
+
+def test_record_keys_are_frozen(kalman_bundle, audited_grid_bundle):
+    assert _leaf_names(kalman_bundle / "summary.json") == KALMAN_LEAVES
+    assert _leaf_names(audited_grid_bundle / "summary.json") == MODULO_LEAVES
+    for path in (audited_grid_bundle / "audits").iterdir():
+        assert _leaf_names(path) == AUDIT_LEAVES
+
+
+def test_a_rendered_config_writes_a_quoted_name_as_json(tmp_path, capsys):
+    """An override renders config.cfg; a name holding a quote is written as a
+    JSON string, as the section values are, so `report` can parse it."""
+    name = 'stable "quoted" baseline é'
+    text = bundled_text("stable-baseline").replace(
+        'experiment = "stable-baseline"', f"experiment = {json.dumps(name)}")
+    assert name in parse_config(text).experiment
+    bundle = _run(tmp_path / "b", "--runs", "3", "--horizon", "30", config_text=text)
+    rendered = (bundle / "config.cfg").read_text(encoding="utf-8")
+    assert rendered.splitlines()[0] == 'experiment = "stable \\"quoted\\" baseline é"'
+    code, out, _ = _report(bundle, capsys)
+    assert code == 0 and "matches" in out
+
+
 def test_mean_cmi_channel_is_the_one_unchecked_key(tmp_path, capsys):
     bundle = _run(tmp_path / "b", "--experiment", "sign-threshold-easy", "--runs", "3",
                   "--horizon", "30")
