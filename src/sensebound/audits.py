@@ -153,13 +153,6 @@ def audit_assumption3(cond_trace, kappa_cap: float = DEFAULT_KAPPA_CAP) -> Assum
 class SpectralBoundProbe:
     """One instance of the transformed-matrix inequality check."""
 
-    P: np.ndarray
-    Q_list: tuple
-    V: np.ndarray
-    J: np.ndarray
-    t: int
-    L: int
-    N_t: int
     lhs: np.ndarray
     rhs: np.ndarray
     residual_min_eig: float
@@ -199,7 +192,6 @@ def lemma1_probe(P, Q_list, V, J, t: int, L: int) -> SpectralBoundProbe:
 
     V_inv = np.linalg.inv(V)
     A_inv = V @ J @ V_inv
-    N_t = len(Qs) - 1
     A_pow_t = np.linalg.matrix_power(A_inv, t)
     omega = A_pow_t.T @ P @ A_pow_t
     for j, Q in enumerate(Qs):
@@ -209,24 +201,13 @@ def lemma1_probe(P, Q_list, V, J, t: int, L: int) -> SpectralBoundProbe:
 
     Jt = np.linalg.matrix_power(J, t)
     rhs = beta * s_max2 * (Jt.T @ Jt)
-    for j in range(N_t + 1):
+    for j in range(len(Qs)):
         JjL = np.linalg.matrix_power(J, j * L)
         rhs = rhs - alpha * s_min2 * (JjL.T @ JjL)
 
     resid = rhs - lhs
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (resid + resid.T))))
-    return SpectralBoundProbe(
-        P=P,
-        Q_list=tuple(Qs),
-        V=V,
-        J=J,
-        t=int(t),
-        L=int(L),
-        N_t=N_t,
-        lhs=lhs,
-        rhs=rhs,
-        residual_min_eig=min_eig,
-    )
+    return SpectralBoundProbe(lhs=lhs, rhs=rhs, residual_min_eig=min_eig)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CHANNELS
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SenseboundError, ValidationError
 from .filters import MIN_PARTICLES, GridSpec
 from .loop import DEFAULT_HORIZON, OutcomeThresholds, RunContext, kalman_error_floor, tracked_block
 from .priors import PRIORS, GaussianPrior
@@ -321,11 +321,12 @@ def _given(section: dict, **casts) -> dict:
 
 
 def _construct(section: str, factory, *args, **params):
-    """factory(*args, **params); a value of the wrong type or out of range
-    is re-raised as a ValidationError naming the section."""
+    """factory(*args, **params); a value of the wrong type or out of range,
+    or any package error the factory raises, is re-raised as a
+    ValidationError naming the section."""
     try:
         return factory(*args, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SenseboundError) as exc:
         raise ValidationError(str(exc), field=section) from exc
 
 
@@ -333,8 +334,9 @@ def build_system(cfg: ExperimentConfig) -> tuple:
     """The configured plant and its mode decomposition."""
     A = np.atleast_2d(np.asarray(cfg.system["A"], dtype=float))
     B = np.asarray(cfg.system.get("B", np.eye(A.shape[0])), dtype=float)
-    model = SystemModel(A, B, allow_stable=cfg.system.get("allow_stable", False))
-    return model, decompose(model, **_given(cfg.system, cond_cap=float))
+    model = _construct("system", SystemModel, A, B,
+                       allow_stable=cfg.system.get("allow_stable", False))
+    return model, _construct("system", decompose, model, **_given(cfg.system, cond_cap=float))
 
 
 def build_channel(cfg: ExperimentConfig):

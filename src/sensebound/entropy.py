@@ -31,17 +31,21 @@ def gaussian_entropy_nats(cov) -> float:
 def plogp_row_sums(p: np.ndarray, log=np.log) -> np.ndarray:
     """sum(p_i * log(p_i)) over the positive entries of each row of the 2-D p.
 
-    One mask, one log and one multiply serve the whole array. Each row's
-    terms are then one contiguous slice, reduced by `np.add.reduce` (what
-    `np.sum` runs) with the pairwise tree it builds for that row alone, so
-    every row keeps its own bits. A padded row sum would not: the zeros
-    change the tree.
+    One mask, one log and one multiply serve the whole array, and one
+    `np.add.reduceat` sums the rows. Each row's terms are one contiguous
+    run behind a 0.0, which gives an empty row a segment of its own (and
+    the sum 0.0 that `np.add.reduce` gives it) and changes no other row's
+    sum, as no term is -0.0. A row is reduced with the pairwise tree
+    `np.add.reduce` (what `np.sum` runs) builds for that row alone, so every
+    row keeps its own bits. A padded row sum would not: the zeros change
+    the tree.
     """
     mask = p > 0.0
     pos = p[mask]
-    terms = pos * log(pos)
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    return np.array([np.add.reduce(terms[a:b]) for a, b in zip([0, *ends], ends)])
+    counts = mask.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    terms = np.insert(pos * log(pos), starts, 0.0)
+    return np.add.reduceat(terms, starts + np.arange(len(counts)))
 
 
 def grid_entropy_nats(density, cell_volume):

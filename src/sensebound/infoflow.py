@@ -10,7 +10,6 @@ the initial-minus-terminal entropy difference.
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -212,8 +211,6 @@ class SandwichReport:
     h_actual: float  # bits/dim
     h_gauss_same_cov: float  # bits/dim
     gap: float  # bits/dim
-    logconcave_hint: Optional[bool] = None
-    gap_cap: float = GAP_CAP_BITS_PER_DIM
 
     @property
     def ok_lower(self) -> bool:
@@ -221,10 +218,10 @@ class SandwichReport:
 
     @property
     def within_cap(self) -> bool:
-        return self.gap <= self.gap_cap
+        return self.gap <= GAP_CAP_BITS_PER_DIM
 
 
-def sandwich_check(belief, logconcave_hint: Optional[bool] = None) -> SandwichReport:
+def sandwich_check(belief) -> SandwichReport:
     """Compare a belief's entropy against the max-entropy Gaussian bound."""
     n = belief.dim
     h_actual = belief.entropy_bits() / n
@@ -233,7 +230,6 @@ def sandwich_check(belief, logconcave_hint: Optional[bool] = None) -> SandwichRe
         h_actual=float(h_actual),
         h_gauss_same_cov=float(h_gauss),
         gap=float(h_gauss - h_actual),
-        logconcave_hint=logconcave_hint,
     )
 
 
@@ -242,32 +238,21 @@ def exact_step_means(traces) -> list:
 
     Traces may be ragged (a halted run is short): the mean at step t
     averages the traces longer than t. math.fsum rounds the exact sum once,
-    so the means do not depend on the order of the traces. A trace passed
-    several times as one object (the runs of a Kalman block share their
-    ledger columns) is read once and its value at t enters the sum as many
-    times as it was passed. Sorted longest first, the distinct traces that
-    reach step t are a prefix of one stacked (T, G) array.
+    so the means do not depend on the order of the traces. Sorted longest
+    first, the traces that reach step t are a prefix of one stacked (T, N)
+    array.
     """
-    by_id = {}
-    for tr in traces:
-        by_id.setdefault(id(tr), [tr, 0])[1] += 1
-    groups = sorted(by_id.values(), key=lambda g: len(g[0]), reverse=True)
-    if not groups:
+    traces = sorted(traces, key=len, reverse=True)
+    if not traces:
         return []
-    stack = np.empty((len(groups[0][0]), len(groups)))
-    for j, (tr, _) in enumerate(groups):
+    stack = np.empty((len(traces[0]), len(traces)))
+    for j, tr in enumerate(traces):
         stack[: len(tr), j] = tr
-    reps = [c for _, c in groups]
-    shared = [j for j, c in enumerate(reps) if c > 1]
-    means, n, runs = [], len(groups), sum(reps)
+    means, n = [], len(traces)
     for t in range(len(stack)):
-        while len(groups[n - 1][0]) <= t:
+        while len(traces[n - 1]) <= t:
             n -= 1
-            runs -= reps[n]
-        row = stack[t, :n].tolist()
-        if shared:  # each shared trace's value once more per further run
-            row = chain(row, *(repeat(row[j], reps[j] - 1) for j in shared if j < n))
-        means.append(math.fsum(row) / runs)
+        means.append(math.fsum(stack[t, :n].tolist()) / n)
     return means
 
 
@@ -275,8 +260,8 @@ def ensemble_mean_ledger(ledgers: list) -> InfoLedger:
     """Average the per-step ledger traces of runs of equal length, the
     completed runs of an ensemble.
 
-    fsum keeps the reduction exact, hence independent of run order, and a
-    column shared by several runs is read once (`exact_step_means`).
+    fsum keeps the reduction exact, hence independent of run order
+    (`exact_step_means`).
     """
     if not ledgers:
         raise ValueError("no ledger to average")

@@ -96,7 +96,6 @@ class RunRecord:
     A run read back from a bundle (`report.read_back_summary`) holds only what
     its CSV and outcomes.csv give: z_u, u, y and cond are None."""
 
-    master_seed: int
     run_index: int
     z_u: np.ndarray  # (steps, n_u) true unstable modes
     u: np.ndarray  # (steps, m)
@@ -184,7 +183,6 @@ def run_closed_loop(ctx: RunContext, master_seed: int = 0, run_index: int = 0) -
             break
 
     record = RunRecord(
-        master_seed=int(master_seed),
         run_index=int(run_index),
         z_u=np.array(zs) if zs else np.zeros((0, n_u)),
         u=np.array(us) if us else np.zeros((0, m)),
@@ -342,7 +340,6 @@ def run_block(ctx: RunContext, master_seed: int, runs: range) -> list:
     for r, i in enumerate(runs):
         s = int(steps[r])
         record = RunRecord(
-            master_seed=int(master_seed),
             run_index=int(i),
             z_u=z_h[r, :s],
             u=u_h[r, :s],

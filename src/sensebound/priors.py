@@ -46,10 +46,6 @@ class GaussianPrior:
         x = rng.standard_normal(shape + [self.dim]).reshape(-1, self.dim)
         return (self.mean + x @ self._factor.T).reshape(shape + [self.dim])
 
-    def logpdf(self, z) -> float:
-        d = np.asarray(z, dtype=float).reshape(-1) - self.mean
-        return float(self._log_norm - 0.5 * d @ self._prec @ d)
-
     def logpdf_batch(self, Z) -> np.ndarray:
         D = np.atleast_2d(np.asarray(Z, dtype=float)) - self.mean
         return self._log_norm - 0.5 * np.einsum("ij,jk,ik->i", D, self._prec, D)
@@ -82,11 +78,6 @@ class StudentTPrior:
     def sample(self, rng, size=None):
         draw = rng.standard_t(self.df, size=size) * self.scale
         return np.atleast_1d(draw) if size is None else np.asarray(draw)[..., None]
-
-    def logpdf(self, z) -> float:
-        from scipy.stats import t as student_t
-
-        return float(student_t.logpdf(np.asarray(z).reshape(()), self.df, scale=self.scale))
 
     def logpdf_batch(self, Z) -> np.ndarray:
         from scipy.stats import t as student_t

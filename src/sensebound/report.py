@@ -129,17 +129,6 @@ def read_run_csv(path) -> dict:
 # SVG
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    xs: tuple
-    ys: tuple
-    annotation: str = ""
-
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
 def _ticks(lo: float, hi: float, n: int = 6):
     if hi <= lo:
         hi = lo + 1.0
@@ -158,32 +147,18 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return vals
 
 
-def render_svg(
-    series_list,
-    title: str = "",
-    xlabel: str = "t",
-    ylabel: str = "",
-    logy: bool = False,
-    hlines=None,
-    width: int = 800,
-    height: int = 500,
-) -> str:
-    """Render polyline series into a standalone SVG document.
-
-    Series may have different lengths (halted runs are simply shorter);
-    hlines draws labelled horizontal reference lines (e.g. the expansion
-    rate against a di-rate trace).
+def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
+    """Render one polyline, labelled `name`, into a standalone 800 x 500
+    SVG document; hlines draws labelled horizontal reference lines (e.g.
+    the expansion rate against a di-rate trace).
     """
-    series_list = [s for s in series_list if len(s.xs) > 0]
-    if not series_list:
+    if not len(xs):
         raise EmptySeries("nothing to plot")
-    hlines = list(hlines or [])
-
+    width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
-    xs_all = [x for s in series_list for x in s.xs]
-    ys_all = [y for s in series_list for y in s.ys] + [y for _, y in hlines]
+    ys_all = list(ys) + [y for _, y in hlines]
     if logy:
         ys_all = [y for y in ys_all if y > 0]
         if not ys_all:
@@ -193,7 +168,7 @@ def render_svg(
         ylo, yhi = min(ys_all), max(ys_all)
     if yhi <= ylo:
         yhi = ylo + 1.0
-    xlo, xhi = min(xs_all), max(xs_all)
+    xlo, xhi = min(xs), max(xs)
     if xhi <= xlo:
         xhi = xlo + 1.0
 
@@ -210,11 +185,8 @@ def render_svg(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>'
-        )
     for xv in _ticks(xlo, xhi):
         out.append(
             f'<line x1="{px(xv):.2f}" y1="{mt + ph}" x2="{px(xv):.2f}" y2="{mt + ph + 5}" stroke="#333"/>'
@@ -222,8 +194,7 @@ def render_svg(
         out.append(
             f'<text x="{px(xv):.2f}" y="{mt + ph + 18}" text-anchor="middle">{xv:.6g}</text>'
         )
-    tick_vals = _ticks(ylo, yhi)
-    for tv in tick_vals:
+    for tv in _ticks(ylo, yhi):
         yv = 10.0**tv if logy else tv
         out.append(
             f'<line x1="{ml - 5}" y1="{py(yv):.2f}" x2="{ml}" y2="{py(yv):.2f}" stroke="#333"/>'
@@ -232,9 +203,7 @@ def render_svg(
         out.append(
             f'<text x="{ml - 8}" y="{py(yv) + 4:.2f}" text-anchor="end">{label}</text>'
         )
-    out.append(
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>'
-    )
+    out.append(f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">t</text>')
     out.append(
         f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
@@ -247,19 +216,14 @@ def render_svg(
         out.append(
             f'<text x="{ml + pw - 4}" y="{py(yv) - 5:.2f}" text-anchor="end" fill="#555">{label}</text>'
         )
-    for i, s in enumerate(series_list):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        name = s.name + (f" ({s.annotation})" if s.annotation else "")
-        ly = mt + 16 + 16 * i
-        out.append(
-            f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 130}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(f'<text x="{ml + pw - 124}" y="{ly}">{name}</text>')
+    color = "#1f77b4"
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    out.append(
+        f'<line x1="{ml + pw - 150}" y1="{mt + 12}" x2="{ml + pw - 130}" y2="{mt + 12}" '
+        f'stroke="{color}" stroke-width="2"/>'
+    )
+    out.append(f'<text x="{ml + pw - 124}" y="{mt + 16}">{name}</text>')
     out.append("</svg>")
     return "\n".join(out)
 
@@ -355,7 +319,6 @@ def run_experiment(
 
     out_path = out_dir if out_dir is not None else cfg.outputs.get("dir", "out")
     if write:
-        want_svg = cfg.outputs.get("svg", True)
         files = {os.path.join("runs", f"run_{r.run_index:05d}.csv"): run_csv_text(r, r.run_index)
                  for r in ens.runs}
         files["outcomes.csv"] = outcomes_csv_text(ens.runs)
@@ -369,28 +332,20 @@ def run_experiment(
             if r.audits is not None:
                 files[os.path.join("audits", name)] = json.dumps(
                     to_jsonable(r.audits), indent=2, sort_keys=True) + "\n"
-        if want_svg:
-            ts = list(range(len(ens.mean_err_sq)))
+        ts = range(len(ens.mean_err_sq))
+        if cfg.outputs.get("svg", True) and ts:  # when no run recorded a step, no plot has a point
             files["plots/err_norm_sq.svg"] = render_svg(
-                [Series("mean ||e||^2", tuple(ts), tuple(ens.mean_err_sq))],
-                title=f"{cfg.experiment}: estimation error",
-                ylabel="E ||e_t||^2",
-                logy=bool(np.all(ens.mean_err_sq > 0)),
-            )
+                "mean ||e||^2", ts, ens.mean_err_sq, f"{cfg.experiment}: estimation error",
+                "E ||e_t||^2", logy=bool(np.all(ens.mean_err_sq > 0)))
             files["plots/state_norm_sq.svg"] = render_svg(
-                [Series("mean ||x||^2", tuple(ts), tuple(ens.mean_state_sq))],
-                title=f"{cfg.experiment}: state second moment",
-                ylabel="E ||x_t||^2",
-                logy=bool(np.all(ens.mean_state_sq > 0)),
-            )
+                "mean ||x||^2", ts, ens.mean_state_sq, f"{cfg.experiment}: state second moment",
+                "E ||x_t||^2", logy=bool(np.all(ens.mean_state_sq > 0)))
             if ens.mean_ledger is not None:
                 rates = [d / (t + 1) for t, d in enumerate(ens.mean_ledger.di_cum)]
                 files["plots/di_rate.svg"] = render_svg(
-                    [Series("di rate", tuple(range(len(rates))), tuple(rates))],
-                    title=f"{cfg.experiment}: directed information rate",
-                    ylabel="bits/step",
-                    hlines=[("r_exp", ctx.decomp.r_exp)],
-                )
+                    "di rate", range(len(rates)), rates,
+                    f"{cfg.experiment}: directed information rate", "bits/step",
+                    hlines=[("r_exp", ctx.decomp.r_exp)])
         write_bundle_atomic(out_path, files)
 
     return ReportBundle(out_dir=str(out_path), summary=summary, acceptance_violation=violation)
@@ -579,7 +534,7 @@ def read_back_summary(bundle_dir, cfg: ExperimentConfig) -> dict:
         ledger = template.closed(cols["h_pred_bits"], cols["h_post_bits"], cols["cmi_bits"],
                                  cols["di_cum_bits"], term)
         records.append(RunRecord(
-            master_seed, i, z_u=None, u=None, y=None, state_norm_sq=cols["state_norm_sq"],
+            i, z_u=None, u=None, y=None, state_norm_sq=cols["state_norm_sq"],
             err_norm_sq=cols["err_norm_sq"], cond=None, ledger=ledger, outcome=outcome))
     for r in records:
         audit_path = os.path.join(bundle_dir, "audits", f"run_{r.run_index:05d}.json")

@@ -10,7 +10,6 @@ from sensebound.errors import EmptySeries, ParseError, SenseboundError, Validati
 from sensebound.experiments import bundled_text
 from sensebound.loop import run_ensemble
 from sensebound.report import (
-    Series,
     read_run_csv,
     recompute_summary_from_csvs,
     render_svg,
@@ -110,43 +109,23 @@ class TestParse:
 
 class TestSvg:
     def test_basic_polyline(self):
-        svg = render_svg(
-            [Series("one", tuple(range(10)), tuple(np.linspace(1, 2, 10)))],
-            title="demo", xlabel="t", ylabel="v",
-        )
+        svg = render_svg("one", range(10), np.linspace(1, 2, 10), "demo", "v")
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<polyline") == 1
-        assert "demo" in svg and ">t<" in svg and ">v<" in svg
-
-    def test_truncated_series_and_legend_annotation(self):
-        svg = render_svg(
-            [
-                Series("full", tuple(range(10)), tuple(np.ones(10))),
-                Series("halted", (0, 1, 2), (1.0, 2.0, 3.0), annotation="halted"),
-            ]
-        )
-        assert svg.count("<polyline") == 2
-        assert "halted (halted)" in svg
+        assert "demo" in svg and ">t<" in svg and ">v<" in svg and ">one<" in svg
 
     def test_reference_line(self):
-        svg = render_svg(
-            [Series("di rate", tuple(range(5)), (0.9, 1.0, 1.1, 1.0, 1.0))],
-            hlines=[("r_exp", 1.0)],
-        )
+        svg = render_svg("di rate", range(5), (0.9, 1.0, 1.1, 1.0, 1.0), "", "",
+                         hlines=[("r_exp", 1.0)])
         assert "r_exp" in svg and "stroke-dasharray" in svg
 
     def test_log_scale(self):
-        svg = render_svg(
-            [Series("growth", tuple(range(6)), tuple(4.0 ** np.arange(6)))],
-            logy=True,
-        )
+        svg = render_svg("growth", range(6), 4.0 ** np.arange(6), "", "", logy=True)
         assert "1e" in svg
 
     def test_empty_raises(self):
         with pytest.raises(EmptySeries):
-            render_svg([])
-        with pytest.raises(EmptySeries):
-            render_svg([Series("none", (), ())])
+            render_svg("none", (), (), "", "")
 
 
 class TestBundle:
@@ -448,6 +427,24 @@ class TestCli:
         assert s["n_halted"] == s["n_runs"] - s["ensemble"]["alive"][-1] > 0
         assert (code, err) == (0, "")
 
+    def test_bundle_of_runs_that_degenerate_at_their_first_step(self, tmp_path, capsys):
+        """A grid of +-0.05 prior standard deviations holds no mass in the
+        quantizer cell observed at step 0, so the run degenerates before it
+        records a step: no plot has a point and none is written, and the
+        bundle is one `report` accepts."""
+        cfg_path = tmp_path / "degenerate.cfg"
+        cfg_path.write_text(
+            'experiment = "all-degenerate"\n[system]\nA = [[1.5]]\nB = [[1.0]]\n'
+            '[channel]\nkind = "sign-quantizer"\nlevels = 4\n'
+            '[filter]\nkind = "grid"\nhalf_width_stds = 0.05\n[controller]\nmode = "none"\n'
+            "[run]\nhorizon = 4\nruns = 1\ntail_window = 2\nseed = 3\n")
+        bundle = tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--out", str(bundle)]) == 0
+        assert json.loads((bundle / "summary.json").read_text())["n_degenerate"] == 1
+        assert not (bundle / "plots" / "err_norm_sq.svg").exists()
+        assert main(["report", "--bundle", str(bundle)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_report_detects_a_tampered_run_count(self, tmp_path, capsys):
         code, out, err, _ = self._open_loop_report(
             tmp_path, capsys, self._edit_json(lambda s: s.update(n_runs=s["n_runs"] + 1)))
@@ -553,6 +550,25 @@ class TestCli:
         assert code == 1
         assert err.startswith(f"error: {field}:"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, section", [
+        (("R = [[0.25]]", "R = [[0.25, 0.1], [0.0, 0.25]]"), "channel"),
+        (("A = [[2.0]]", "A = [[0.5]]"), "system"),
+    ])
+    def test_construction_error_names_its_section(self, tmp_path, capsys, edit, section):
+        """A package error raised while a section's object is built (an
+        unsymmetric R, a stable plant without allow_stable) is reported with
+        the section's name; test_config_keys checks a bad prior cov's."""
+        text = MINIMAL.replace("[run]", "R = [[0.25]]\n[run]", 1).replace(*edit)
+        assert edit[1] in text
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {section}: "), err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("value", ["true", "1", "[1, 2]"])
     def test_non_string_experiment_name_is_an_error(self, tmp_path, capsys, value):

@@ -570,7 +570,7 @@ def test_gaussian_prior_cov_must_be_symmetric_positive_definite(tmp_path, capsys
     assert f"cov = {cov}" in text and filter_section in text
     code, err = run_cli(tmp_path, text, capsys)
     assert code == 1
-    assert err == f"error: {message}\n", err
+    assert err == f"error: prior: {message}\n", err
     assert not recwarn.list
     assert not (tmp_path / "b").exists()
 

@@ -196,7 +196,7 @@ class TestNecessity:
 class TestSandwich:
     def test_gaussian_gap_zero(self):
         b = GaussianBelief([0.3], [[2.7]])
-        rep = sandwich_check(b, logconcave_hint=True)
+        rep = sandwich_check(b)
         assert rep.gap == pytest.approx(0.0, abs=1e-9)
         assert rep.ok_lower and rep.within_cap
 
