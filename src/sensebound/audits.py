@@ -18,9 +18,9 @@ import numpy as np
 from .errors import PreconditionViolated, UnknownPriorFamily, UnsupportedDerivative
 from .priors import GaussianPrior, StudentTPrior
 
-DEFAULT_KAPPA_CAP = 1e6
+KAPPA_CAP = 1e6  # assumption 3's cap on a posterior covariance's condition number
 DEFAULT_AUDIT_WINDOW = 2
-DEFAULT_NEG_DEF_C = 0.01
+NEG_DEF_C = 0.01  # the accumulation is negative definite once lambda_max <= -NEG_DEF_C
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,21 @@ def audit_assumption2(prior) -> AssumptionVerdict:
     )
 
 
-def audit_assumption3(cond_trace, kappa_cap: float = DEFAULT_KAPPA_CAP) -> AssumptionVerdict:
+def audit_assumption3(cond_trace) -> AssumptionVerdict:
     """Worst posterior-covariance condition number over the run."""
     cond = np.asarray(cond_trace, dtype=float)
     if cond.size == 0:
         raise ValueError("need at least one posterior")
     kappa_hat = float(np.max(cond))
     t_star = int(np.argmax(cond))
-    passed = bool(np.isfinite(kappa_hat) and kappa_hat <= kappa_cap)
+    passed = bool(np.isfinite(kappa_hat) and kappa_hat <= KAPPA_CAP)
     return AssumptionVerdict(
         name="assumption3",
         applicable=True,
         passed=passed,
         statistic=kappa_hat,
         witness_t=t_star,
-        detail=f"max condition number {kappa_hat:.6g} at t={t_star} (cap {kappa_cap:.3g})",
+        detail=f"max condition number {kappa_hat:.6g} at t={t_star} (cap {KAPPA_CAP:.3g})",
     )
 
 
@@ -220,30 +220,24 @@ class CurvatureAccumulation:
     hessians: tuple = field(repr=False)
 
 
-def lemma2_accumulate(
-    ch, decomp, prior, z_trace, y_trace, c: float = DEFAULT_NEG_DEF_C
-) -> CurvatureAccumulation:
+def lemma2_accumulate(ch, decomp, prior, z_trace, y_trace) -> CurvatureAccumulation:
     """Accumulate H_t = (A^-t)^T H_prior (A^-t) + sum_k pulled-back H_obs,k.
 
     Uses the equivalent one-step recursion
     H_t = (A^-1)^T H_{t-1} (A^-1) + H_obs,t with H_obs evaluated along the
     recorded trajectory, with the channel of step t, ch.at(t) (as in
     audit_assumption1). first_negative_t is the first time
-    the trace enters the lambda_max <= -c regime and stays there through
+    the trace enters the lambda_max <= -NEG_DEF_C regime and stays there through
     the trailing half of the audited horizon; None when positive
     excursions keep recurring that late (the log-concavity-violation
     signature).
     """
-    return _accumulate(decomp, prior, z_trace[0], _observation_hessians(ch, z_trace, y_trace), c)
+    return _accumulate(decomp, prior, z_trace[0], _observation_hessians(ch, z_trace, y_trace))
 
 
-def _accumulate(
-    decomp, prior, z0, hessians, c: float = DEFAULT_NEG_DEF_C
-) -> CurvatureAccumulation:
+def _accumulate(decomp, prior, z0, hessians) -> CurvatureAccumulation:
     """lemma2_accumulate over the observation Hessians of a run, in step
     order; they are read after the preconditions are checked."""
-    if c <= 0:
-        raise ValueError("negative-definiteness threshold c must be positive")
     A_u = np.asarray(decomp.A_u, dtype=float)
     mags = np.abs(np.linalg.eigvals(A_u))
     if np.any(mags <= 1.0 + 1e-12):
@@ -264,14 +258,14 @@ def _accumulate(
         accumulated.append(H)
     lam = np.array(lam_trace)
     first_neg = None
-    above = np.nonzero(lam > -c)[0]
+    above = np.nonzero(lam > -NEG_DEF_C)[0]
     suffix_start = int(above[-1]) + 1 if above.size else 0
     if suffix_start <= len(lam) // 2 and suffix_start < len(lam):
         first_neg = suffix_start
     return CurvatureAccumulation(
         lambda_max_trace=lam,
         first_negative_t=first_neg,
-        threshold=c,
+        threshold=NEG_DEF_C,
         hessians=tuple(accumulated),
     )
 
@@ -284,7 +278,6 @@ def audit_run(
     y_trace,
     cond_trace,
     L: int = DEFAULT_AUDIT_WINDOW,
-    kappa_cap: float = DEFAULT_KAPPA_CAP,
 ) -> CurvatureAudit:
     """Run the three assumption audits against one recorded trajectory.
 
@@ -325,7 +318,7 @@ def audit_run(
         )
     verdicts["assumption2"] = v2
 
-    v3 = audit_assumption3(cond_trace, kappa_cap=kappa_cap)
+    v3 = audit_assumption3(cond_trace)
     verdicts["assumption3"] = v3
 
     # the accumulation starts from the prior's log-density Hessian, which

@@ -3,8 +3,7 @@
 Subcommands: decompose, run, sweep, audit, report. Exit codes: 0 success,
 1 operational error (including usage errors), 2 acceptance-invariant
 violation (a bounded run whose information rate falls short of the
-expansion rate). The master seed can also be supplied through the
-SENSEBOUND_SEED environment variable; an explicit --seed wins.
+expansion rate).
 """
 
 import argparse
@@ -15,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import build_system, parse_config
-from .errors import SenseboundError, ValidationError
+from .errors import SenseboundError
 from .experiments import bundled_names, bundled_text
 from .report import (
     read_back_summary,
@@ -25,9 +24,6 @@ from .report import (
     summary_mismatches,
     to_jsonable,
 )
-
-SEED_ENV_VAR = "SENSEBOUND_SEED"
-
 
 class _UsageError(Exception):
     pass
@@ -100,19 +96,6 @@ def _config_text(args) -> str:
     return bundled_text(args.experiment)
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} = {env!r} is not a whole number",
-                              field="run.seed") from None
-
-
 def _cmd_decompose(args) -> int:
     _, decomp = build_system(parse_config(_config_text(args)))
     out = {
@@ -138,7 +121,7 @@ def _cmd_run(args, force_audit: bool = False) -> int:
     bundle = run_experiment(
         cfg,
         out_dir=args.out,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         runs=args.runs,
         horizon=args.horizon,
         workers=max(1, args.workers),
@@ -185,7 +168,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("--values is empty")
     out = args.out or "out/sweep"
     result = run_sweep(
-        text, args.param, values, out, seed=_resolve_seed(args), runs=args.runs,
+        text, args.param, values, out, seed=args.seed, runs=args.runs,
         horizon=args.horizon, workers=max(1, args.workers),
     )
     for row in result["rows"]:

@@ -69,19 +69,18 @@ _SELECTOR_KEYS = {
 # those of its kind, each listed here.
 KEY_TYPES = {
     "": {"experiment": str},
-    "system": {"A": list, "B": list, "allow_stable": bool, "cond_cap": float},
+    "system": {"A": list, "B": list, "allow_stable": bool},
     "channel": {"kind": str, "C": list, "R": list, "gamma": float, "scale": float,
                 "levels": int, "dim": int, "period": float, "r": float},
     "prior": {"family": str, "mean": list, "cov": list, "df": float, "scale": float,
               "rate": float, "low": float, "high": float},
-    "filter": {"kind": str, "half_width_stds": float, "cells_per_std": int, "max_cells": int,
-               "particles": int},
+    "filter": {"kind": str, "half_width_stds": float, "cells_per_std": int, "particles": int},
     "controller": {"mode": str, "design": str, "q": list, "r": list, "target_pole": float,
                    "poles": list},
     "run": {"horizon": int, "runs": int, "seed": int, "divergence_guard": float,
-            "tail_window": int, "bound_state": float, "bound_error": float,
-            "zero_threshold": float, "audit": bool, "audit_window": int, "kappa_cap": float},
-    "outputs": {"dir": str, "svg": bool, "debug_beliefs": bool},
+            "tail_window": int, "bound_state": float, "bound_error": float, "audit": bool,
+            "audit_window": int},
+    "outputs": {"dir": str, "debug_beliefs": bool},
 }
 _TYPE_NAMES = {bool: "true or false", int: "a whole number", float: "a number",
                str: "a string", list: "a matrix of numbers"}
@@ -93,7 +92,6 @@ _CONTEXT_FIELDS = {
     ("run", "divergence_guard"): "divergence_guard",
     ("run", "audit"): "collect_audits",
     ("run", "audit_window"): "audit_window",
-    ("run", "kappa_cap"): "kappa_cap",
     ("filter", "particles"): "n_particles",
     ("outputs", "debug_beliefs"): "collect_beliefs",
 }
@@ -315,11 +313,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # are the constructors' and RunContext's
 
 
-def _given(section: dict, **casts) -> dict:
-    """{key: cast(value)} for each key of `casts` that the section sets."""
-    return {k: cast(section[k]) for k, cast in casts.items() if k in section}
-
-
 def _construct(section: str, factory, *args, **params):
     """factory(*args, **params); a value of the wrong type or out of range,
     or any package error the factory raises, is re-raised as a
@@ -336,7 +329,7 @@ def build_system(cfg: ExperimentConfig) -> tuple:
     B = np.asarray(cfg.system.get("B", np.eye(A.shape[0])), dtype=float)
     model = _construct("system", SystemModel, A, B,
                        allow_stable=cfg.system.get("allow_stable", False))
-    return model, _construct("system", decompose, model, **_given(cfg.system, cond_cap=float))
+    return model, _construct("system", decompose, model)
 
 
 def build_channel(cfg: ExperimentConfig):
@@ -412,5 +405,4 @@ def default_thresholds(cfg: ExperimentConfig, ctx: RunContext):
         bound_state=bound_state,
         bound_error=bound_error,
         tail_window=_tail_window(run, ctx.horizon),
-        **_given(run, zero_threshold=float),
     )

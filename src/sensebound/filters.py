@@ -45,6 +45,7 @@ from .errors import (
 )
 
 COV_REGULARIZER = 1e-12
+MAX_GRID_CELLS = 2**20  # a grid belief's node budget, over all its axes
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,11 @@ class GridSpec:
 
     half_width_stds: float = 8.0
     cells_per_std: int = 24
-    max_cells: int = 2**20
 
     def __post_init__(self):
         # config values arrive as parsed JSON: hold the declared types
         object.__setattr__(self, "half_width_stds", float(self.half_width_stds))
         object.__setattr__(self, "cells_per_std", int(self.cells_per_std))
-        object.__setattr__(self, "max_cells", int(self.max_cells))
         if self.nodes_per_axis() < 3:
             raise ValueError(
                 f"half_width_stds = {self.half_width_stds} and cells_per_std = "
@@ -486,8 +485,8 @@ def _rows_axes(mean: np.ndarray, cov: np.ndarray, spec: GridSpec) -> tuple:
     nodes `np.linspace` gives, bit for bit."""
     dim = mean.shape[-1]
     num = spec.nodes_per_axis()
-    if num**dim > spec.max_cells:
-        raise GridOverflow(f"{num}^{dim} cells exceed budget {spec.max_cells}")
+    if num**dim > MAX_GRID_CELLS:
+        raise GridOverflow(f"{num}^{dim} cells exceed budget {MAX_GRID_CELLS}")
     j = np.arange(num, dtype=float)
     axes = []
     for i in range(dim):

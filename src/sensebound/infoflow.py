@@ -18,6 +18,7 @@ from .entropy import gaussian_entropy_nats, nats_to_bits
 from .errors import OutOfOrderStep
 
 GAP_CAP_BITS_PER_DIM = 1.0  # empirical regression cap for log-concave test sets
+NECESSITY_TOL_BITS = 0.05  # slack of the necessity check's di rate >= r_exp, bits/step
 
 
 class InfoLedger:
@@ -149,17 +150,15 @@ class NecessityVerdict:
     detail: str
 
 
-def necessity_audit(
-    ledger: InfoLedger, error_trace, outcome, tol: float = 0.05
-) -> NecessityVerdict:
+def necessity_audit(ledger: InfoLedger, error_trace, outcome) -> NecessityVerdict:
     """Check that a bounded-error run carries at least r_exp bits/step.
 
     The boundedness premise is the outcome's (`classify_outcome`)
     `ms_bounded_error`: the tail of the mean-square error trace stays
     below its threshold and no run halted or degenerated. Under it the
-    measured directed-information rate must be at least r_exp - tol; a
-    violation is the counterexample that fails the acceptance suite. When
-    the premise fails the check is vacuous.
+    measured directed-information rate must be at least
+    r_exp - NECESSITY_TOL_BITS; a violation is the counterexample that
+    fails the acceptance suite. When the premise fails the check is vacuous.
     """
     err = np.asarray(error_trace, dtype=float)
     if not outcome.ms_bounded_error:
@@ -176,15 +175,15 @@ def necessity_audit(
             bounded=False,
             di_rate_bits_per_step=None,
             r_exp_bits_per_step=ledger.r_exp,
-            tolerance_bits=tol,
+            tolerance_bits=NECESSITY_TOL_BITS,
             passed=None,
             detail=f"{reason}; boundedness premise fails, check vacuous",
         )
     T = min(len(ledger), len(err)) - 1
     rate = ledger.di_rate(T)
-    passed = bool(rate >= ledger.r_exp - tol)
+    passed = bool(rate >= ledger.r_exp - NECESSITY_TOL_BITS)
     detail = (
-        f"di rate {rate:.6f} bits/step vs r_exp {ledger.r_exp:.6f} - tol {tol}"
+        f"di rate {rate:.6f} bits/step vs r_exp {ledger.r_exp:.6f} - tol {NECESSITY_TOL_BITS}"
         + ("" if passed else " -- VIOLATION: bounded error with deficient information rate")
     )
     return NecessityVerdict(
@@ -192,7 +191,7 @@ def necessity_audit(
         bounded=True,
         di_rate_bits_per_step=float(rate),
         r_exp_bits_per_step=ledger.r_exp,
-        tolerance_bits=tol,
+        tolerance_bits=NECESSITY_TOL_BITS,
         passed=passed,
         detail=detail,
     )

@@ -34,7 +34,7 @@ import numpy as np
 # filters.update and filters.predict are called through the module, so a
 # wrapper patched onto it (the span tracer in perfbench/) sees every call
 from . import filters
-from .audits import DEFAULT_AUDIT_WINDOW, DEFAULT_KAPPA_CAP, CurvatureAudit, audit_run
+from .audits import DEFAULT_AUDIT_WINDOW, CurvatureAudit, audit_run
 from .errors import DegenerateLikelihood
 from .channels import rows_matvec
 from .filters import DEFAULT_GRID_SPEC, DEFAULT_PARTICLES, GridSpec, make_initial_belief
@@ -43,6 +43,7 @@ from .system import FeedbackGain, ModeDecomposition, SystemModel
 
 DIVERGENCE_GUARD = 1e12
 DEFAULT_HORIZON = 100
+ZERO_THRESHOLD = 1e-3  # a mean-square tail at or below it counts as zero (attractivity)
 
 
 def tracked_block(decomp: ModeDecomposition) -> ModeDecomposition:
@@ -83,7 +84,6 @@ class RunContext:
     divergence_guard: float = DIVERGENCE_GUARD
     collect_audits: bool = False  # curvature audits of each finished run
     audit_window: int = DEFAULT_AUDIT_WINDOW
-    kappa_cap: float = DEFAULT_KAPPA_CAP
     collect_beliefs: bool = False  # each step's posterior, as JSON
 
 
@@ -224,7 +224,6 @@ def _audit(ctx: RunContext, record: RunRecord) -> Optional[CurvatureAudit]:
         record.y,
         record.cond,
         L=min(ctx.audit_window, record.steps),
-        kappa_cap=ctx.kappa_cap,
     )
 
 
@@ -500,7 +499,6 @@ def reduce_ensemble(records: list, horizon: int, master_seed: int) -> EnsembleSt
 class OutcomeThresholds:
     bound_state: float
     bound_error: float
-    zero_threshold: float = 1e-3
     tail_window: int = 25
 
 
@@ -525,14 +523,14 @@ def _bounded(trace: np.ndarray, window: int, threshold: float, any_halted: bool)
     return bool(np.all(np.isfinite(tail)) and np.max(tail) <= threshold)
 
 
-def _asymptotic(trace: np.ndarray, window: int, zero_threshold: float) -> bool:
+def _asymptotic(trace: np.ndarray, window: int) -> bool:
     if len(trace) < 4:
         return False
     tail_mean = float(np.mean(trace[-window:]))
     q = len(trace) // 4
     second_quarter = float(np.mean(trace[q : 2 * q]))
     last_quarter = float(np.mean(trace[-q:]))
-    return tail_mean <= zero_threshold and last_quarter < 0.5 * second_quarter
+    return tail_mean <= ZERO_THRESHOLD and last_quarter < 0.5 * second_quarter
 
 
 def classify_outcome(ens: EnsembleStats, thresholds: OutcomeThresholds) -> OutcomeClassification:
@@ -547,8 +545,8 @@ def classify_outcome(ens: EnsembleStats, thresholds: OutcomeThresholds) -> Outco
     any_halted = ens.n_halted > 0 or ens.n_degenerate > 0
     b_state = _bounded(ens.mean_state_sq, w, thresholds.bound_state, any_halted)
     b_err = _bounded(ens.mean_err_sq, w, thresholds.bound_error, any_halted)
-    a_state = b_state and _asymptotic(ens.mean_state_sq, w, thresholds.zero_threshold)
-    a_err = b_err and _asymptotic(ens.mean_err_sq, w, thresholds.zero_threshold)
+    a_state = b_state and _asymptotic(ens.mean_state_sq, w)
+    a_err = b_err and _asymptotic(ens.mean_err_sq, w)
     return OutcomeClassification(
         ms_bounded_state=b_state,
         ms_bounded_error=b_err,
@@ -557,7 +555,7 @@ def classify_outcome(ens: EnsembleStats, thresholds: OutcomeThresholds) -> Outco
         tail_window=w,
         bound_state=thresholds.bound_state,
         bound_error=thresholds.bound_error,
-        zero_threshold=thresholds.zero_threshold,
+        zero_threshold=ZERO_THRESHOLD,
     )
 
 
@@ -573,6 +571,8 @@ def replay_filter(decomp, channel, prior, filter_kind, us, ys,
 
     Bayes updates only depend on the realized inputs and observations, so
     different representations can be cross-validated on one trajectory.
+    Step t is updated with the channel of its step, channel.at(t), as in
+    the run.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -580,7 +580,7 @@ def replay_filter(decomp, channel, prior, filter_kind, us, ys,
         prior, filter_kind, grid_spec=grid_spec, n_particles=n_particles, rng=rng
     )
     steps = []
-    for u_t, y_t in zip(us, ys):
-        steps.append(filters.update(belief, channel, y_t, rng=rng))
+    for t, (u_t, y_t) in enumerate(zip(us, ys)):
+        steps.append(filters.update(belief, channel.at(t), y_t, rng=rng))
         belief = filters.predict(steps[-1].belief_post, decomp, u_t)
     return steps

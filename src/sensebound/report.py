@@ -147,13 +147,20 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return vals
 
 
+def _xml_text(text: str) -> str:
+    """`text` as XML character data: html.escape(text, quote=False), without importing html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
     """Render one polyline, labelled `name`, into a standalone 800 x 500
     SVG document; hlines draws labelled horizontal reference lines (e.g.
-    the expansion rate against a di-rate trace).
+    the expansion rate against a di-rate trace). Every text is escaped as
+    XML character data.
     """
     if not len(xs):
         raise EmptySeries("nothing to plot")
+    name, title, ylabel = map(_xml_text, (name, title, ylabel))
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
@@ -214,7 +221,8 @@ def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
             f'stroke="#555" stroke-dasharray="6 4"/>'
         )
         out.append(
-            f'<text x="{ml + pw - 4}" y="{py(yv) - 5:.2f}" text-anchor="end" fill="#555">{label}</text>'
+            f'<text x="{ml + pw - 4}" y="{py(yv) - 5:.2f}" text-anchor="end" fill="#555">'
+            f'{_xml_text(label)}</text>'
         )
     color = "#1f77b4"
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -333,7 +341,7 @@ def run_experiment(
                 files[os.path.join("audits", name)] = json.dumps(
                     to_jsonable(r.audits), indent=2, sort_keys=True) + "\n"
         ts = range(len(ens.mean_err_sq))
-        if cfg.outputs.get("svg", True) and ts:  # when no run recorded a step, no plot has a point
+        if ts:  # when no run recorded a step, no plot has a point
             files["plots/err_norm_sq.svg"] = render_svg(
                 "mean ||e||^2", ts, ens.mean_err_sq, f"{cfg.experiment}: estimation error",
                 "E ||e_t||^2", logy=bool(np.all(ens.mean_err_sq > 0)))

@@ -25,7 +25,8 @@ from .errors import (
 # |lambda| within this distance of 1 counts as unstable.
 BOUNDARY_TOL = 1e-9
 
-DEFAULT_COND_CAP = 1e8
+COND_CAP = 1e8  # decompose refuses a mode transform T with a larger cond(T)
+_LQR_MAX_ITER, _LQR_TOL = 10_000, 1e-12  # the regulator's Riccati step budget and tolerance
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -59,7 +60,7 @@ class SystemModel:
         if not self.allow_stable and not np.any(mags >= 1.0 - BOUNDARY_TOL):
             raise UnstableSystemRequired(
                 "all eigenvalues of A are strictly inside the unit circle; "
-                "pass allow_stable=True for baseline runs on stable plants"
+                "set allow_stable = true in [system] for baseline runs on stable plants"
             )
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
@@ -121,13 +122,13 @@ def _is_unstable(lam: complex) -> bool:
     return abs(lam) >= 1.0 - BOUNDARY_TOL
 
 
-def decompose(model: SystemModel, cond_cap: float = DEFAULT_COND_CAP) -> ModeDecomposition:
+def decompose(model: SystemModel) -> ModeDecomposition:
     """Separate the plant into unstable and stable mode blocks.
 
     Exactly diagonal A takes a permutation fast path; everything else goes
     through an ordered real Schur factorization (unstable block leading)
     followed by a Sylvester decoupling of the off-diagonal block. Raises
-    IllConditionedTransform when cond(T) exceeds cond_cap.
+    IllConditionedTransform when cond(T) exceeds COND_CAP.
     """
     A, B = model.A, model.B
     n = model.n
@@ -172,10 +173,8 @@ def decompose(model: SystemModel, cond_cap: float = DEFAULT_COND_CAP) -> ModeDec
         T = U @ Z.T
 
     cond = float(np.linalg.cond(T))
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise IllConditionedTransform(
-            f"cond(T) = {cond:.3e} exceeds cap {cond_cap:.3e}"
-        )
+    if not np.isfinite(cond) or cond > COND_CAP:
+        raise IllConditionedTransform(f"cond(T) = {cond:.3e} exceeds cap {COND_CAP:.3e}")
     T_inv = np.linalg.inv(T)
     Az = T @ A @ T_inv
     Bz = T @ B
@@ -232,23 +231,23 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _lqr_gain(A, B, /, q=None, r=None, *, max_iter: int = 10_000, tol: float = 1e-12):
+def _lqr_gain(A, B, /, q=None, r=None):
     """Fixed-point Riccati iteration; identity weights by default."""
     Q = np.eye(A.shape[0]) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
     R = np.eye(B.shape[1]) if r is None else np.atleast_2d(np.asarray(r, dtype=float))
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(_LQR_MAX_ITER):
         BtP = B.T @ P
         gain = np.linalg.solve(R + BtP @ B, BtP @ A)
         P_next = Q + A.T @ P @ (A - B @ gain)
         P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= tol * max(1.0, np.max(np.abs(P_next))):
+        if np.max(np.abs(P_next - P)) <= _LQR_TOL * max(1.0, np.max(np.abs(P_next))):
             P = P_next
             break
         P = P_next
     else:
         raise RiccatiDivergence(
-            f"regulator iteration did not converge in {max_iter} iterations"
+            f"regulator iteration did not converge in {_LQR_MAX_ITER} iterations"
         )
     BtP = B.T @ P
     return -np.linalg.solve(R + BtP @ B, BtP @ A)
@@ -272,8 +271,7 @@ def _place_gain(A, B, /, poles):
     return -scipy.signal.place_poles(A, B, np.asarray(poles, dtype=float)).gain_matrix
 
 
-# The gain designs. A design's config keys are its parameters after (A, B);
-# the keyword-only ones are not config keys.
+# The gain designs. A design's config keys are its parameters after (A, B).
 GAIN_DESIGNS = {"lqr": _lqr_gain, "deadbeat": _deadbeat_gain, "place": _place_gain}
 
 

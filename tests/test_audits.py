@@ -131,7 +131,7 @@ class TestAssumption3:
             assert step.cond_number == pytest.approx(vals[1] / vals[0], rel=1e-6)
             b = predict(step.belief_post, dec, [0.0, 0.0])
             p_oracle = A @ p_post @ A.T
-        v = audit_assumption3(conds, kappa_cap=1e6)
+        v = audit_assumption3(conds)
         assert not v.passed
         assert v.witness_t == len(conds) - 1  # monotone growth
 

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -75,15 +76,41 @@ class TestParse:
             parse_config(MINIMAL + "\n[system]\nfoo = 1\n")
         assert "foo" in str(err.value)
 
-    @pytest.mark.parametrize("line", ["workers = 2", "neg_def_c = 0.5"])
-    def test_unread_run_key_rejected(self, line):
-        # the worker count is set by --workers and the accumulation audit
-        # uses audits.DEFAULT_NEG_DEF_C; a key that would be parsed and then
-        # ignored is refused with its dotted path
-        key = line.split()[0]
-        with pytest.raises(ParseError) as err:
-            parse_config(MINIMAL + line + "\n")
-        assert f"run.{key}" in str(err.value)
+    @pytest.mark.parametrize("line", [
+        "workers = 2", "neg_def_c = 0.5", "zero_threshold = 1e-3", "kappa_cap = 1e6",
+        pytest.param("[system]\ncond_cap = 1e8", id="system.cond_cap"),
+        pytest.param("[outputs]\nsvg = true", id="outputs.svg"),
+        pytest.param('[filter]\nkind = "grid"\nmax_cells = 4096', id="filter.max_cells"),
+    ])
+    def test_unread_run_key_rejected(self, tmp_path, capsys, line):
+        # the worker count is set by --workers, and the accumulation and
+        # attractivity thresholds, the condition-number caps and the grid
+        # cell budget are module constants; the plots are always written. A
+        # key that would be parsed and then ignored is refused with its
+        # dotted path: a fixed section's at parse time, naming its line, and
+        # the grid kind's as a key that kind does not take. `run` exits 1
+        # before any run, with no traceback and no bundle
+        text = MINIMAL + line + "\n"
+        header, _, setting = line.rpartition("\n")
+        section = header.splitlines()[0].strip("[]") if header else "run"
+        key = setting.split()[0]
+        if section == "filter":
+            with pytest.raises(ValidationError) as err:
+                parse_config(text)
+            assert err.value.field == f"filter.{key}"
+            assert f"filter kind 'grid' takes no key {key!r}" in str(err.value)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_config(text)
+            assert f"{section}.{key}" in str(err.value)
+            assert err.value.line == len(text.splitlines())
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{section}.{key}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "b").exists()
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError):
@@ -126,6 +153,21 @@ class TestSvg:
     def test_empty_raises(self):
         with pytest.raises(EmptySeries):
             render_svg("none", (), (), "", "")
+
+    def test_plots_of_a_name_with_markup_characters_parse(self, tmp_path):
+        """The experiment name goes into each plot's title as text, so an
+        `&` or `<` in it still gives well-formed XML."""
+        name = "R&D <demo>"
+        text = bundled_text("stable-baseline").replace(
+            'experiment = "stable-baseline"', f'experiment = "{name}"')
+        bundle = run_experiment(parse_config(text), out_dir=str(tmp_path / "b"), runs=3,
+                                horizon=30, workers=1)
+        plots = sorted((tmp_path / "b" / "plots").glob("*.svg"))
+        assert [p.name for p in plots] == ["di_rate.svg", "err_norm_sq.svg", "state_norm_sq.svg"]
+        for plot in plots:
+            titles = [t.text for t in ElementTree.parse(plot).getroot().iter()
+                      if t.tag.endswith("text") and t.text and name in t.text]
+            assert titles and bundle.summary["experiment"] == name
 
 
 class TestBundle:
@@ -217,37 +259,30 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and flag in err, err
 
-    def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_seed_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        """The seed is the config's run.seed or --seed; the environment sets
+        none."""
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(MINIMAL)
         monkeypatch.setenv("SENSEBOUND_SEED", "123")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o1"),
-              "--workers", "1"])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o1"),
+                     "--workers", "1"]) == 0
         s1 = json.loads((tmp_path / "o1" / "summary.json").read_text())
-        assert s1["seed"] == 123
-        monkeypatch.delenv("SENSEBOUND_SEED")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o2"),
-              "--workers", "1", "--seed", "99"])
-        s2 = json.loads((tmp_path / "o2" / "summary.json").read_text())
-        assert s2["seed"] == 99
+        assert s1["seed"] == 7
 
-    @pytest.mark.parametrize("how", ["flag", "env", "audit"])
-    def test_bundle_reruns_from_its_own_config(self, tmp_path, monkeypatch, how):
-        """--runs, --horizon, the seed from --seed or SENSEBOUND_SEED, and the
-        audit command's audit = true go into the bundle's config.cfg, so a
-        run of that file (at another worker count) writes the same bundle."""
+    @pytest.mark.parametrize("how", ["flag", "audit"])
+    def test_bundle_reruns_from_its_own_config(self, tmp_path, how):
+        """--runs, --horizon, --seed and the audit command's audit = true go
+        into the bundle's config.cfg, so a run of that file (at another
+        worker count) writes the same bundle."""
         first, second = tmp_path / "b1", tmp_path / "b2"
         argv = ["audit" if how == "audit" else "run", "--experiment", "sign-threshold-easy",
-                "--runs", "3", "--horizon", "30", "--workers", "1", "--out", str(first)]
-        if how == "env":
-            monkeypatch.setenv("SENSEBOUND_SEED", "9")
-        else:
-            argv += ["--seed", "9"]
+                "--runs", "3", "--horizon", "30", "--workers", "1", "--out", str(first),
+                "--seed", "9"]
         assert main(argv) == 0
         cfg = parse_config((first / "config.cfg").read_text())
         assert (cfg.run["runs"], cfg.run["horizon"], cfg.run["seed"]) == (3, 30, 9)
         assert cfg.run.get("audit", False) == (how == "audit")
-        monkeypatch.delenv("SENSEBOUND_SEED", raising=False)
         assert main(["run", "--config", str(first / "config.cfg"), "--workers", "2",
                      "--out", str(second)]) == 0
 
@@ -532,7 +567,7 @@ class TestCli:
         ("run", 'horizon = "abc"', "run.horizon"),
         ("run", 'runs = "many"', "run.runs"),
         ("run", "audit_window = [2]", "run.audit_window"),
-        ("run", 'kappa_cap = "big"', "run.kappa_cap"),
+        ("run", 'bound_state = "big"', "run.bound_state"),
         ("run", "divergence_guard = null", "run.divergence_guard"),
         ("filter", 'particles = "lots"', "filter.particles"),
     ])
@@ -570,6 +605,17 @@ class TestCli:
         assert err.startswith(f"error: {section}: "), err
         assert not (tmp_path / "b").exists()
 
+    def test_stable_plant_error_names_the_config_key(self, tmp_path, capsys):
+        """A config user is told the config key that allows a stable plant,
+        not a Python keyword."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace("A = [[2.0]]", "A = [[0.5]]"))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "allow_stable = true" in err and "allow_stable=True" not in err, err
+
     @pytest.mark.parametrize("value", ["true", "1", "[1, 2]"])
     def test_non_string_experiment_name_is_an_error(self, tmp_path, capsys, value):
         cfg_path = tmp_path / "exp.cfg"
@@ -590,8 +636,8 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: run.tail_window:")
 
-    @pytest.mark.parametrize("case", ["flag", "config", "sweep", "env"])
-    def test_bad_seed_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch, case):
+    @pytest.mark.parametrize("case", ["flag", "config", "sweep"])
+    def test_bad_seed_is_an_error_not_a_traceback(self, tmp_path, capsys, case):
         argv = ["run", "--config", str(self._minimal(tmp_path)), "--workers", "1",
                 "--out", str(tmp_path / "b")]
         if case == "flag":
@@ -602,8 +648,6 @@ class TestCli:
         elif case == "sweep":
             argv = ["sweep", "--config", str(self._minimal(tmp_path)), "--param", "run.seed",
                     "--values", "-3", "--workers", "1", "--out", str(tmp_path / "sw")]
-        else:
-            monkeypatch.setenv("SENSEBOUND_SEED", "abc")
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 1

@@ -163,7 +163,7 @@ def boolean_key_sections(field, value):
     return {section: sections[section]}
 
 
-BOOLEAN_KEYS = ("system.allow_stable", "run.audit", "outputs.svg", "outputs.debug_beliefs")
+BOOLEAN_KEYS = ("system.allow_stable", "run.audit", "outputs.debug_beliefs")
 
 
 @pytest.mark.parametrize("value", ['"false"', "no", "0"])
@@ -227,7 +227,7 @@ DUPLICATED = {
     "filter": ("kind", '"grid"'),
     "controller": ("mode", '"update"'),
     "run": ("horizon", "30"),
-    "outputs": ("svg", "true"),
+    "outputs": ("debug_beliefs", "true"),
 }
 
 
@@ -239,7 +239,7 @@ def duplicated_text(section: str) -> tuple:
         text = config_text().replace("\n", '\nexperiment = "again"\n', 1)
         return text, "experiment", 2
     key, value = DUPLICATED[section]
-    sections = {"outputs": "svg = false"} if section == "outputs" else {}
+    sections = {"outputs": "debug_beliefs = false"} if section == "outputs" else {}
     text = config_text(**sections).replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     return text, f"{section}.{key}", text.splitlines().index(f"[{section}]") + 3
 
@@ -284,13 +284,12 @@ def test_channel_must_observe_the_tracked_modes(tmp_path, capsys):
 INTEGER_KEYS = {
     "run.horizon": 20, "run.runs": 2, "run.seed": 7, "run.tail_window": 5,
     "run.audit_window": 10, "filter.particles": 64, "filter.cells_per_std": 12,
-    "filter.max_cells": 4096, "channel.levels": 4, "channel.dim": 1,
+    "channel.levels": 4, "channel.dim": 1,
 }
 
 
 # the sections that let each number key be set, "{}" standing for its value
 NUMBER_KEY_SECTIONS = {
-    "system.cond_cap": dict(system="A = [[2.0]]\ncond_cap = {}"),
     "channel.gamma": dict(channel='kind = "linear-gaussian"\ngamma = {}'),
     "channel.scale": dict(channel=TANH + "\nscale = {}", filter=GRID),
     "channel.levels": dict(channel='kind = "sign-quantizer"\nlevels = {}', filter=GRID),
@@ -304,7 +303,6 @@ NUMBER_KEY_SECTIONS = {
     "prior.high": dict(prior='family = "uniform"\nhigh = {}', filter=GRID),
     "filter.half_width_stds": dict(filter=GRID + "\nhalf_width_stds = {}"),
     "filter.cells_per_std": dict(filter=GRID + "\ncells_per_std = {}"),
-    "filter.max_cells": dict(filter=GRID + "\nmax_cells = {}"),
     "filter.particles": dict(filter='kind = "particle"\nparticles = {}'),
     "controller.target_pole": dict(controller='design = "deadbeat"\ntarget_pole = {}'),
     **{f"run.{key}": dict(run="\n".join(
@@ -347,7 +345,6 @@ def test_integer_key_accepts_an_integral_float(field):
 MALFORMED = [
     ("A-not-numbers", dict(system="A = abc"), "system.A"),
     ("B-ragged", dict(system='A = [[2.0]]\nB = [[1.0], "x"]'), "system.B"),
-    ("cond-cap-string", dict(system='A = [[2.0]]\ncond_cap = "big"'), "system.cond_cap"),
     ("gamma-string", dict(channel='kind = "linear-gaussian"\ngamma = "x"'), "channel.gamma"),
     ("gamma-list", dict(channel='kind = "linear-gaussian"\ngamma = [1]'), "channel.gamma"),
     ("gamma-true", dict(channel='kind = "linear-gaussian"\ngamma = true'), "channel.gamma"),
@@ -456,10 +453,10 @@ def test_every_key_has_one_type():
     that sets a RunContext field has that field's type."""
     assert {s: set(KEY_TYPES[s]) for s in ("", "system", "run", "outputs")} == {
         "": {"experiment"},
-        "system": {"A", "B", "allow_stable", "cond_cap"},
+        "system": {"A", "B", "allow_stable"},
         "run": {"horizon", "runs", "seed", "divergence_guard", "tail_window", "bound_state",
-                "bound_error", "zero_threshold", "audit", "audit_window", "kappa_cap"},
-        "outputs": {"dir", "svg", "debug_beliefs"},
+                "bound_error", "audit", "audit_window"},
+        "outputs": {"dir", "debug_beliefs"},
     }
     kinds = {
         "channel": [kind_keys(c) for c in CHANNELS.values()],

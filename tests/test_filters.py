@@ -141,7 +141,8 @@ class TestPredict:
         assert p.states == pytest.approx(2 * states + 0.5)
 
     def test_grid_overflow(self, scalar_double, unit_prior):
-        spec = GridSpec(half_width_stds=8.0, cells_per_std=24, max_cells=100)
+        # 2 * 8 * 70000 + 1 = 1,120,001 nodes, above the 2^20 cell budget
+        spec = GridSpec(half_width_stds=8.0, cells_per_std=70000)
         b = dataclasses.replace(make_initial_belief(unit_prior, "grid"), spec=spec)
         with pytest.raises(GridOverflow):
             predict(b, scalar_double, [0.0])
@@ -360,7 +361,7 @@ class TestGridSpecOnTheBelief:
     """A grid belief carries its `GridSpec`: every belief made from it keeps
     the spec, and each predict re-grids by it."""
 
-    SPEC = GridSpec(half_width_stds=5.0, cells_per_std=6, max_cells=10**4)
+    SPEC = GridSpec(half_width_stds=5.0, cells_per_std=6)
 
     def test_scalar_grid_keeps_its_spec(self, scalar_double, unit_prior):
         b = make_initial_belief(unit_prior, "grid", grid_spec=self.SPEC)

@@ -175,8 +175,7 @@ class TestBlockAgainstScalarLoop:
             assert ch.gamma == 0.9 and all(r.outcome == "completed" for r in refs)
             for r in refs:
                 want = audit_run(HandSteppedTanh(ch.scale, ch.R), tracked_block(ctx.decomp),
-                                 ctx.prior, r.z_u, r.y, r.cond, L=ctx.audit_window,
-                                 kappa_cap=ctx.kappa_cap)
+                                 ctx.prior, r.z_u, r.y, r.cond, L=ctx.audit_window)
                 assert to_jsonable(r.audits) == to_jsonable(want)
 
 

@@ -391,3 +391,14 @@ class TestReplay:
         assert [(s.h_pred, s.h_post) for s in steps] == list(
             zip(rec.ledger.h_pred, rec.ledger.h_post, strict=True)
         )
+
+    def test_replay_follows_the_noise_schedule(self):
+        """Step t of a replay is updated with the channel of step t, as in
+        the run: a shrinking-noise Kalman replay gives the run's own ledger
+        entropies bit for bit."""
+        ctx = build_context(load_bundled("shrinking-noise"))
+        rec = run_closed_loop(ctx, 7, 0)
+        assert ctx.filter_kind == "kalman" and ctx.channel.gamma == 0.5
+        steps = replay_filter(ctx.decomp, ctx.channel, ctx.prior, "kalman", rec.u, rec.y)
+        assert [s.h_pred for s in steps] == list(rec.ledger.h_pred)
+        assert [s.h_post for s in steps] == list(rec.ledger.h_post)

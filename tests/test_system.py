@@ -115,7 +115,7 @@ class TestDecompose:
         # eigenvalues straddle the unit circle with a nearly defective pair
         A = np.array([[1.0 + 1e-10, 1e6], [0.0, 0.5]])
         with pytest.raises(IllConditionedTransform):
-            decompose(SystemModel(A, np.eye(2)), cond_cap=1e6)
+            decompose(SystemModel(A, np.eye(2)))
 
     @given(
         st.lists(
