@@ -16,7 +16,6 @@ from .audits import (
     audit_assumption2,
     audit_assumption3,
     audit_run,
-    lemma1_probe,
     lemma2_accumulate,
 )
 from .channels import (
@@ -45,11 +44,9 @@ from .filters import (
 from .infoflow import (
     InfoLedger,
     NecessityVerdict,
-    SandwichReport,
     ensemble_mean_ledger,
     necessity_audit,
     rate_balance_check,
-    sandwich_check,
 )
 from .loop import (
     EnsembleStats,
@@ -59,7 +56,6 @@ from .loop import (
     RunRecord,
     classify_outcome,
     kalman_error_floor,
-    replay_filter,
     run_closed_loop,
     run_ensemble,
     tracked_block,
@@ -72,7 +68,6 @@ from .system import (
     decompose,
     design_gain,
     expansion_rate,
-    step_dynamics,
 )
 
 __version__ = "0.1.0"

@@ -4,10 +4,10 @@ results.
 Everything here is a pure post-processing pass over recorded run data:
 windowed observation-curvature sums pulled back through the powers of
 A_u^-1 (condition 1), the prior Hessian cap (condition 2), posterior
-condition numbers (condition 3), the spectral-bound matrix inequality,
-and the accumulated log-posterior Hessian with its first stably-negative
-time. Each step's observation Hessian is taken at the recorded state:
-the plant is noiseless, so no past state is rebuilt from a later one.
+condition numbers (condition 3), and the accumulated log-posterior
+Hessian with its first stably-negative time. Each step's observation
+Hessian is taken at the recorded state: the plant is noiseless, so no
+past state is rebuilt from a later one.
 """
 
 from dataclasses import dataclass, field
@@ -147,67 +147,6 @@ def audit_assumption3(cond_trace) -> AssumptionVerdict:
         witness_t=t_star,
         detail=f"max condition number {kappa_hat:.6g} at t={t_star} (cap {KAPPA_CAP:.3g})",
     )
-
-
-@dataclass(frozen=True)
-class SpectralBoundProbe:
-    """One instance of the transformed-matrix inequality check."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual_min_eig: float
-
-    @property
-    def holds(self) -> bool:
-        return self.residual_min_eig >= -1e-8
-
-
-def lemma1_probe(P, Q_list, V, J, t: int, L: int) -> SpectralBoundProbe:
-    """Check V^T Omega_t V <= beta smax^2(V) (J^t)^T J^t
-                              - alpha smin^2(V) sum_j (J^{jL})^T J^{jL}.
-
-    beta and alpha are taken tight from the inputs: beta is lambda_max(P)
-    clamped below at zero (the prior-cap constant is positive by
-    assumption, and a negative multiplier would flip the singular-value
-    bound), alpha = min_j lambda_min(Q_j) and must be positive, so a
-    nonpositive-definite Q_j is a precondition failure.
-    """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Qs = [np.atleast_2d(np.asarray(Q, dtype=float)) for Q in Q_list]
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    if np.max(np.abs(P - P.T)) > 1e-10:
-        raise PreconditionViolated("P must be symmetric")
-    beta = max(float(np.max(np.linalg.eigvalsh(P))), 0.0)
-    alphas = [float(np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T)))) for Q in Qs]
-    alpha = min(alphas)
-    if alpha <= 0.0:
-        raise PreconditionViolated(
-            f"every Q_j must be positive definite; got min eigenvalue {alpha:.3g}"
-        )
-    svals = np.linalg.svd(V, compute_uv=False)
-    if svals[-1] <= 0.0:
-        raise PreconditionViolated("V must be invertible")
-    s_max2, s_min2 = float(svals[0] ** 2), float(svals[-1] ** 2)
-
-    V_inv = np.linalg.inv(V)
-    A_inv = V @ J @ V_inv
-    A_pow_t = np.linalg.matrix_power(A_inv, t)
-    omega = A_pow_t.T @ P @ A_pow_t
-    for j, Q in enumerate(Qs):
-        M = np.linalg.matrix_power(A_inv, j * L)
-        omega = omega - M.T @ Q @ M
-    lhs = V.T @ omega @ V
-
-    Jt = np.linalg.matrix_power(J, t)
-    rhs = beta * s_max2 * (Jt.T @ Jt)
-    for j in range(len(Qs)):
-        JjL = np.linalg.matrix_power(J, j * L)
-        rhs = rhs - alpha * s_min2 * (JjL.T @ JjL)
-
-    resid = rhs - lhs
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (resid + resid.T))))
-    return SpectralBoundProbe(lhs=lhs, rhs=rhs, residual_min_eig=min_eig)
 
 
 @dataclass(frozen=True)

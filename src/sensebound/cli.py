@@ -154,8 +154,7 @@ def _cmd_run(args, force_audit: bool = False) -> int:
     if bundle.acceptance_violation:
         print("ACCEPTANCE VIOLATION: bounded run with deficient information rate",
               file=sys.stderr)
-        return 2
-    return 0
+    return bundle.exit_code
 
 
 def _cmd_sweep(args) -> int:

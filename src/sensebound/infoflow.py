@@ -14,10 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import gaussian_entropy_nats, nats_to_bits
 from .errors import OutOfOrderStep
 
-GAP_CAP_BITS_PER_DIM = 1.0  # empirical regression cap for log-concave test sets
 NECESSITY_TOL_BITS = 0.05  # slack of the necessity check's di rate >= r_exp, bits/step
 
 
@@ -197,41 +195,6 @@ def necessity_audit(ledger: InfoLedger, error_trace, outcome) -> NecessityVerdic
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    """Entropy gap between a belief and the Gaussian with its covariance.
-
-    Gaussians maximise entropy at fixed covariance, so the per-dimension
-    gap is nonnegative up to estimator error; for log-concave laws it is
-    additionally bounded above by a universal constant, tracked here as
-    the empirical cap.
-    """
-
-    h_actual: float  # bits/dim
-    h_gauss_same_cov: float  # bits/dim
-    gap: float  # bits/dim
-
-    @property
-    def ok_lower(self) -> bool:
-        return self.gap >= -1e-6
-
-    @property
-    def within_cap(self) -> bool:
-        return self.gap <= GAP_CAP_BITS_PER_DIM
-
-
-def sandwich_check(belief) -> SandwichReport:
-    """Compare a belief's entropy against the max-entropy Gaussian bound."""
-    n = belief.dim
-    h_actual = belief.entropy_bits() / n
-    h_gauss = nats_to_bits(gaussian_entropy_nats(belief.cov())) / n
-    return SandwichReport(
-        h_actual=float(h_actual),
-        h_gauss_same_cov=float(h_gauss),
-        gap=float(h_gauss - h_actual),
-    )
-
-
 def exact_step_means(traces) -> list:
     """The mean at each step over the traces that reach it.
 
@@ -251,8 +214,22 @@ def exact_step_means(traces) -> list:
     for t in range(len(stack)):
         while len(traces[n - 1]) <= t:
             n -= 1
-        means.append(math.fsum(stack[t, :n].tolist()) / n)
+        row = stack[t, :n].tolist()
+        try:
+            means.append(math.fsum(row) / n)
+        except (OverflowError, ValueError):
+            means.append(_scaled_mean(row))
     return means
+
+
+def _scaled_mean(row) -> float:
+    """The mean of a row whose fsum overflows, summed scaled by 2^-k < 1/len(row)
+    (exact but for subnormals) and scaled back; nan if it holds inf and -inf."""
+    scale = 2.0 ** len(row).bit_length()
+    try:
+        return math.fsum([x / scale for x in row]) / len(row) * scale
+    except ValueError:  # -inf + inf
+        return math.nan
 
 
 def ensemble_mean_ledger(ledgers: list) -> InfoLedger:

@@ -562,25 +562,3 @@ def classify_outcome(ens: EnsembleStats, thresholds: OutcomeThresholds) -> Outco
 def kalman_error_floor(a: float, r: float) -> float:
     """Scalar steady-state posterior variance r (1 - a^-2) of the exact filter."""
     return r * (1.0 - 1.0 / (a * a))
-
-
-def replay_filter(decomp, channel, prior, filter_kind, us, ys,
-                  grid_spec: GridSpec = DEFAULT_GRID_SPEC,
-                  n_particles: int = DEFAULT_PARTICLES, rng=None):
-    """Run a filter offline against a recorded (u, y) sequence.
-
-    Bayes updates only depend on the realized inputs and observations, so
-    different representations can be cross-validated on one trajectory.
-    Step t is updated with the channel of its step, channel.at(t), as in
-    the run.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    belief = make_initial_belief(
-        prior, filter_kind, grid_spec=grid_spec, n_particles=n_particles, rng=rng
-    )
-    steps = []
-    for t, (u_t, y_t) in enumerate(zip(us, ys)):
-        steps.append(filters.update(belief, channel.at(t), y_t, rng=rng))
-        belief = filters.predict(steps[-1].belief_post, decomp, u_t)
-    return steps

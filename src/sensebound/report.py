@@ -132,7 +132,8 @@ def read_run_csv(path) -> dict:
 def _ticks(lo: float, hi: float, n: int = 6):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    s = 0.5 if math.isinf(hi - lo) else 1.0  # halve before subtracting if hi - lo overflows
+    raw = (hi * s - lo * s) / max(n - 1, 1) / s
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -156,28 +157,32 @@ def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
     """Render one polyline, labelled `name`, into a standalone 800 x 500
     SVG document; hlines draws labelled horizontal reference lines (e.g.
     the expansion rate against a di-rate trace). Every text is escaped as
-    XML character data.
+    XML character data. Only finite points (positive ones on a log scale)
+    are drawn, and the axes span them.
     """
-    if not len(xs):
-        raise EmptySeries("nothing to plot")
+    def drawable(y):
+        return math.isfinite(y) and (y > 0 or not logy)
+
+    pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and drawable(y)]
+    hlines = [(label, y) for label, y in hlines if drawable(y)]
+    if not pts:
+        raise EmptySeries("no finite point to plot")
     name, title, ylabel = map(_xml_text, (name, title, ylabel))
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
-    ys_all = list(ys) + [y for _, y in hlines]
+    ys_all = [y for _, y in pts] + [y for _, y in hlines]
     if logy:
-        ys_all = [y for y in ys_all if y > 0]
-        if not ys_all:
-            raise EmptySeries("log scale requested but no positive values")
         ylo, yhi = math.log10(min(ys_all)), math.log10(max(ys_all))
     else:
         ylo, yhi = min(ys_all), max(ys_all)
     if yhi <= ylo:
         yhi = ylo + 1.0
-    xlo, xhi = min(xs), max(xs)
+    xlo, xhi = min(x for x, _ in pts), max(x for x, _ in pts)
     if xhi <= xlo:
         xhi = xlo + 1.0
+    s = 0.5 if math.isinf(yhi - ylo) else 1.0  # halve before subtracting if the span overflows
 
     def px(x):
         return ml + (x - xlo) / (xhi - xlo) * pw
@@ -185,7 +190,7 @@ def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
     def py(y):
         yy = math.log10(y) if logy else y
         yy = min(max(yy, ylo), yhi)
-        return mt + ph - (yy - ylo) / (yhi - ylo) * ph
+        return mt + ph - (yy * s - ylo * s) / (yhi * s - ylo * s) * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -225,8 +230,8 @@ def render_svg(name, xs, ys, title, ylabel, logy=False, hlines=()) -> str:
             f'{_xml_text(label)}</text>'
         )
     color = "#1f77b4"
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    line = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+    out.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     out.append(
         f'<line x1="{ml + pw - 150}" y1="{mt + 12}" x2="{ml + pw - 130}" y2="{mt + 12}" '
         f'stroke="{color}" stroke-width="2"/>'
@@ -513,9 +518,10 @@ def read_outcomes_csv(path) -> dict:
 def read_back_summary(bundle_dir, cfg: ExperimentConfig) -> dict:
     """`build_summary` of a bundle's runs, each rebuilt from runs/run_NNNNN.csv
     and its outcomes.csv row, with the first audits/ file. A CSV and a row
-    that do not pair up by run_id, `completed` on a CSV shorter than the
-    horizon or another outcome on a full one, and a terminal value on a run
-    with no step or none on a run with steps raise SenseboundError."""
+    that do not pair up by run_id, a CSV whose t column is not 0, 1, ...
+    or whose run_id column is not its run's, `completed` on a CSV shorter
+    than the horizon or another outcome on a full one, and a terminal value
+    on a run with no step or none on a run with steps raise SenseboundError."""
     ctx = build_context(cfg)
     master_seed = int(cfg.run.get("seed", 0))
     runs_dir = os.path.join(bundle_dir, "runs")
@@ -531,8 +537,13 @@ def read_back_summary(bundle_dir, cfg: ExperimentConfig) -> dict:
     template = InfoLedger(ctx.decomp.r_exp, tracked_expansion(ctx.decomp))
     records = []
     for i, (outcome, term) in sorted(table.items()):
-        cols = read_run_csv(os.path.join(runs_dir, f"run_{i:05d}.csv"))
+        csv_path = os.path.join(runs_dir, f"run_{i:05d}.csv")
+        cols = read_run_csv(csv_path)
         steps = len(cols["t"])
+        if not np.array_equal(cols["t"], np.arange(steps)):
+            raise SenseboundError(f"{csv_path}: column t is not 0..{steps - 1}")
+        if not np.all(cols["run_id"] == i):
+            raise SenseboundError(f"{csv_path}: column run_id is not {i} on every row")
         if steps > ctx.horizon or (outcome == "completed") != (steps == ctx.horizon):
             raise SenseboundError(f"{path}: run {i} is {outcome}, but its CSV has {steps} "
                                   f"rows and the horizon is {ctx.horizon}")

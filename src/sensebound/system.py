@@ -212,17 +212,6 @@ def expansion_rate(model: SystemModel) -> float:
     return decompose(model).r_exp
 
 
-def step_dynamics(model: SystemModel, x, u) -> np.ndarray:
-    """One exact step of x_{t+1} = A x_t + B u_t."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape[0] != model.n:
-        raise DimensionMismatch(f"state has length {x.shape[0]}, expected {model.n}")
-    if u.shape[0] != model.m:
-        raise DimensionMismatch(f"control has length {u.shape[0]}, expected {model.m}")
-    return model.A @ x + model.B @ u
-
-
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     blocks = [B]

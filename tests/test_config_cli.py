@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import sensebound.cli as cli_mod
 import sensebound.report as report_mod
 from sensebound.cli import main
 from sensebound.config import build_context, parse_config
@@ -153,6 +155,23 @@ class TestSvg:
     def test_empty_raises(self):
         with pytest.raises(EmptySeries):
             render_svg("none", (), (), "", "")
+        with pytest.raises(EmptySeries):  # no finite point
+            render_svg("none", range(2), (np.nan, np.inf), "", "")
+
+    @pytest.mark.parametrize("ys, logy, drawn", [
+        pytest.param([1.0, np.inf, 2.0], False, 2, id="inf"),
+        pytest.param([1.0, np.inf, 2.0], True, 2, id="inf-log"),
+        pytest.param([1.0, np.nan, 2.0], False, 2, id="nan"),
+        pytest.param([-1e308, 1e308, 0.0], False, 3, id="span-overflows"),
+    ])
+    def test_only_finite_points_are_drawn(self, ys, logy, drawn):
+        """A non-finite point is left out, and the axes span the finite
+        ones even where their difference overflows."""
+        root = ElementTree.fromstring(render_svg("s", range(3), ys, "t", "y", logy=logy))
+        (line,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+        assert len(points) == drawn
+        assert all(70 <= x <= 780 and 40 <= y <= 445 for x, y in points), points
 
     def test_plots_of_a_name_with_markup_characters_parse(self, tmp_path):
         """The experiment name goes into each plot's title as text, so an
@@ -715,3 +734,17 @@ class TestCli:
 
         bundle = ReportBundle(out_dir="x", summary={}, acceptance_violation=True)
         assert bundle.exit_code == 2
+
+    def test_run_exits_with_the_bundle_exit_code(self, tmp_path, monkeypatch, capsys):
+        """`run` on a bundle that violates necessity prints it and exits 2."""
+        def violating(*args, **kwargs):
+            bundle = run_experiment(*args, **kwargs)
+            return dataclasses.replace(bundle, acceptance_violation=True)
+
+        monkeypatch.setattr(cli_mod, "run_experiment", violating)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                     "--workers", "1"])
+        assert code == 2
+        assert "ACCEPTANCE VIOLATION" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from scipy.special import digamma
 
 import sensebound.entropy as entropy_mod
 import sensebound.filters as filters_mod
+from reference import replay_filter
 from sensebound.channels import make_channel
 from sensebound.entropy import _kth_gap_1d, digamma_int, knn_entropy_nats, nats_to_bits
 from sensebound.errors import (
@@ -28,7 +29,7 @@ from sensebound.filters import (
     predict,
     update,
 )
-from sensebound.loop import RunContext, replay_filter, run_closed_loop
+from sensebound.loop import RunContext, run_closed_loop
 from sensebound.priors import GaussianPrior
 from sensebound.report import run_csv_text
 from sensebound.system import SystemModel, decompose, design_gain

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import sandwich_check
 from sensebound.channels import make_channel
 from sensebound.errors import OutOfOrderStep
 from sensebound.experiments import load_bundled
@@ -15,7 +16,6 @@ from sensebound.infoflow import (
     exact_step_means,
     necessity_audit,
     rate_balance_check,
-    sandwich_check,
 )
 from sensebound.loop import (
     OutcomeThresholds,
@@ -292,3 +292,17 @@ class TestExactStepMeans:
         want = [math.fsum(tr[t] for tr in traces if len(tr) > t)
                 / sum(len(tr) > t for tr in traces) for t in range(longest)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a_sum_that_overflows_still_averages(self):
+        """fsum overflows on the sum; the mean is summed from scaled values."""
+        assert exact_step_means([[1e308], [1e308]]) == [1e308]
+        big = math.nextafter(math.inf, 0.0)
+        assert exact_step_means([[big]] * 5) == [pytest.approx(big, rel=1e-15)]
+        assert exact_step_means([[1e308, 1.0], [1e308, 2.0], [math.inf, 3.0]]) == [math.inf, 2.0]
+        # the row at step 1 keeps the bits of an fsum mean
+        assert exact_step_means([[-1e308, 0.1], [-1e308, 0.2]])[1] == math.fsum([0.1, 0.2]) / 2
+
+    def test_a_row_of_inf_and_minus_inf_is_nan(self):
+        means = exact_step_means([[math.inf, 1.0], [-math.inf, 2.0]])
+        assert math.isnan(means[0]) and means[1] == 1.5
+        assert math.isnan(exact_step_means([[1e308], [1e308], [math.inf], [-math.inf]])[0])

